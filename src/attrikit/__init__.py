@@ -28,10 +28,6 @@ from .series import (
     SupervisedMatrix,
     aggregate,
     apply_exclusions,
-    difference,
-    integrate,
-    inverse_log_transform,
-    log_transform,
     make_supervised,
     split,
 )
@@ -46,7 +42,6 @@ __all__ = [
     "Category", "GeoIndex", "IngestReport", "LossRecord", "Profile", "Regime",
     "Status", "default_profile", "generate_synthetic", "normalize_geo", "parse_records",
     "CountSeries", "ExclusionWindow", "Forecast", "SupervisedMatrix",
-    "aggregate", "apply_exclusions", "difference", "integrate",
-    "inverse_log_transform", "log_transform", "make_supervised", "split",
+    "aggregate", "apply_exclusions", "make_supervised", "split",
     "__version__",
 ]

@@ -18,10 +18,8 @@ from scipy.signal import lfilter
 
 from .errors import ModelError
 from .optim import nelder_mead
-from .series import CountSeries, Forecast, period_start
-from .stats import normal_quantile
-
-MAX_HORIZON = 120
+from .series import CountSeries, Forecast, check_request, period_start
+from .stats import two_sided_z
 
 
 @dataclass(frozen=True)
@@ -184,16 +182,10 @@ def forecast(fit_result: ArimaFit, series: CountSeries, spec: ArimaSpec,
     differencing anchors of the final observed segment, and maps point and
     bounds through the inverse log transform when one was used. No
     back-transform bias correction is applied: the point path is the
-    transformed-scale path mapped directly. Everything is clamped at zero
-    on the count scale. The forecast origin is the period following the
-    last observed one.
+    transformed-scale path mapped directly. The forecast origin is the
+    period following the last observed one.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if horizon > MAX_HORIZON:
-        raise ModelError(f"horizon {horizon} exceeds {MAX_HORIZON} periods; extrapolation that far is not meaningful")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
+    check_request(horizon, level)
 
     segments = _observed_segments(series, spec.use_log)
     final = segments[-1]
@@ -237,14 +229,11 @@ def forecast(fit_result: ArimaFit, series: CountSeries, spec: ArimaSpec,
         w_path[h] = v
 
     psi = _psi_weights(fit_result.phi, fit_result.theta, spec.d, horizon)
-    half = normal_quantile(0.5 + level / 2.0) * np.sqrt(fit_result.sigma2 * np.cumsum(psi**2))
+    half = two_sided_z(level) * np.sqrt(fit_result.sigma2 * np.cumsum(psi**2))
     lower, upper = w_path - half, w_path + half
 
     if spec.use_log:
         w_path, lower, upper = np.expm1(w_path), np.expm1(lower), np.expm1(upper)
-    point = np.maximum(w_path, 0.0)
-    lower = np.maximum(lower, 0.0)
-    upper = np.maximum(upper, 0.0)
 
     origin = period_start(series.start, series.granularity, series.last_observed_index() + 1)
-    return Forecast(series.granularity, origin, point, lower, upper, level, interval_method="gaussian_psi")
+    return Forecast(series.granularity, origin, w_path, lower, upper, level, interval_method="gaussian_psi")

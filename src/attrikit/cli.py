@@ -75,11 +75,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     out: list[int] = []
     for chunk in str(text).split(","):
         chunk = chunk.strip()
-        if "-" in chunk[1:]:
-            lo, _, hi = chunk.partition("-")
-            out.extend(range(int(lo), int(hi) + 1))
-        elif chunk:
-            out.append(int(chunk))
+        try:
+            if "-" in chunk[1:]:
+                lo, _, hi = chunk.partition("-")
+                out.extend(range(int(lo), int(hi) + 1))
+            elif chunk:
+                out.append(int(chunk))
+        except ValueError as err:
+            raise SchemaError(f"bad integer list {text!r}: {err}") from err
     if not out:
         raise SchemaError(f"empty integer list {text!r}")
     return tuple(out)
@@ -270,7 +273,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     horizon = int(_merged(args, "horizon", 12))
     if horizon < 1:
         raise SchemaError(f"--horizon must be >= 1, got {horizon}")
-    level = float(_merged(args, "level", 0.95))
+    level = _level(args)
     seed = int(_merged(args, "seed", 0))
 
     series, windows = _load_series(args)
@@ -286,16 +289,27 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     return 0
 
 
+def _level(args: argparse.Namespace) -> float:
+    level = float(_merged(args, "level", 0.95))
+    if not 0.0 < level < 1.0:
+        raise SchemaError(f"--level must lie in (0, 1), got {level}")
+    return level
+
+
 def _backtest_spec(args: argparse.Namespace, granularity: str) -> BacktestSpec:
+    _level(args)  # backtests score points only, but a bad --level is still a usage error
     initial = _merged(args, "initial_train")
     if initial is None:
         raise SchemaError("--initial-train is required")
-    return BacktestSpec(
-        initial_train=int(initial),
-        step=int(_merged(args, "step", 1)),
-        horizon=int(_merged(args, "horizon", 1)),
-        granularity=granularity,
-    )
+    try:
+        return BacktestSpec(
+            initial_train=int(initial),
+            step=int(_merged(args, "step", 1)),
+            horizon=int(_merged(args, "horizon", 1)),
+            granularity=granularity,
+        )
+    except ValueError as err:
+        raise SchemaError(f"bad backtest settings: {err}") from err
 
 
 def _report_row(name: str, report: MetricReport) -> str:

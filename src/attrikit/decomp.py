@@ -18,8 +18,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ModelError
-from .series import DAILY, CountSeries, Forecast, period_index, period_start
-from .stats import normal_quantile
+from .series import DAILY, CountSeries, Forecast, check_request, period_index, period_start
+from .stats import two_sided_z
 
 WEEKLY_PERIOD = 7.0
 YEARLY_PERIOD_DAILY = 365.25
@@ -33,15 +33,14 @@ class DecompSpec:
     weekly_order: int = 3
     yearly_order: int = 10
     trend_penalty: float = 10.0
-    level: float = 0.95
 
     def __post_init__(self):
         if not 0.0 < self.changepoint_range <= 1.0:
             raise ValueError("changepoint_range must lie in (0, 1]")
         if self.weekly_order < 0 or self.yearly_order < 0:
             raise ValueError("Fourier orders must be >= 0")
-        if self.trend_penalty < 0:
-            raise ValueError("trend_penalty must be >= 0")
+        if not 0.0 <= self.trend_penalty < np.inf:
+            raise ValueError("trend_penalty must be finite and >= 0")
         if self.n_changepoints < 0:
             raise ValueError("n_changepoints must be >= 0")
 
@@ -59,7 +58,6 @@ class DecompFit:
     t_max: float              # last history period index
     weekly_order: int
     yearly_order: int
-    level: float
 
 
 def _yearly_period(granularity: str) -> float:
@@ -152,7 +150,6 @@ def fit(series: CountSeries, spec: DecompSpec) -> DecompFit:
         t_max=t_max,
         weekly_order=spec.weekly_order,
         yearly_order=yearly_order,
-        level=spec.level,
     )
 
 
@@ -167,7 +164,7 @@ def _trend(fit_result: DecompFit, t: np.ndarray) -> np.ndarray:
 
 
 def components(fit_result: DecompFit, dates: list[date]) -> dict[str, np.ndarray]:
-    """Trend, weekly, and yearly parts; they sum to the point forecast."""
+    """Trend, weekly, and yearly parts; they sum to the point forecast before clamping."""
     if not dates:
         raise ValueError("empty date list")
     t = _times_for(fit_result, dates)
@@ -178,20 +175,17 @@ def components(fit_result: DecompFit, dates: list[date]) -> dict[str, np.ndarray
     return {"trend": _trend(fit_result, t), "weekly": weekly, "yearly": yearly}
 
 
-def predict(fit_result: DecompFit, dates: list[date], level: float | None = None) -> Forecast:
+def predict(fit_result: DecompFit, dates: list[date], level: float = 0.95) -> Forecast:
     """Point = trend + seasonality; intervals widen past the history end.
 
     Half-width is z(level) * sigma * sqrt(1 + t_beyond / T), where t_beyond
     is periods past the end of history and T the history length. Beyond the
-    last changepoint the trend extrapolates with its final slope. Bounds
-    are clamped at zero. Dates must be consecutive periods (the Forecast
-    container is contiguous by construction).
+    last changepoint the trend extrapolates with its final slope. Point and
+    bounds are clamped at zero by the Forecast. Dates must be consecutive
+    periods (the Forecast container is contiguous by construction).
     """
     if not dates:
         raise ValueError("empty date list")
-    level = fit_result.level if level is None else level
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
 
     t = _times_for(fit_result, dates)
     if len(dates) > 1:
@@ -204,17 +198,14 @@ def predict(fit_result: DecompFit, dates: list[date], level: float | None = None
 
     t_beyond = np.maximum(t - fit_result.t_max, 0.0)
     history_len = fit_result.t_max + 1.0
-    half = normal_quantile(0.5 + level / 2.0) * fit_result.sigma * np.sqrt(1.0 + t_beyond / history_len)
-    lower = np.maximum(point - half, 0.0)
-    upper = np.maximum(point + half, 0.0)
-    return Forecast(fit_result.granularity, dates[0], point, lower, upper, level,
+    half = two_sided_z(level) * fit_result.sigma * np.sqrt(1.0 + t_beyond / history_len)
+    return Forecast(fit_result.granularity, dates[0], point, point - half, point + half, level,
                     interval_method="residual_sigma_widening")
 
 
-def forecast(fit_result: DecompFit, series: CountSeries, horizon: int, level: float | None = None) -> Forecast:
+def forecast(fit_result: DecompFit, series: CountSeries, horizon: int, level: float = 0.95) -> Forecast:
     """Forecast the ``horizon`` periods after the last observed one."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    check_request(horizon, level)
     first = series.last_observed_index() + 1
     dates = [period_start(series.start, series.granularity, first + i) for i in range(horizon)]
     return predict(fit_result, dates, level)

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
 The split matters to the CLI, which maps exception classes onto stable
-exit codes: SchemaError -> 2 (bad input/config), ModelError and
-ConvergenceError -> 3 (fit/forecast/evaluation failure), OSError -> 1.
+exit codes: SchemaError -> 2 (bad input/config, including model parameters
+a model spec rejects), ModelError and ConvergenceError -> 3
+(fit/forecast/evaluation failure), OSError -> 1.
 """
 
 
@@ -11,7 +12,8 @@ class AttrikitError(Exception):
 
 
 class SchemaError(AttrikitError):
-    """Malformed input: missing columns, bad config keys, invalid profiles."""
+    """Malformed input: missing columns, bad config keys, invalid profiles,
+    bad model parameters."""
 
 
 class ModelError(AttrikitError):

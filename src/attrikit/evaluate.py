@@ -155,8 +155,11 @@ def compare(factories: list[ForecastFactory], series: CountSeries, spec: Backtes
     for factory in factories:
         try:
             reports[factory.name] = rolling_backtest(factory, series, spec)
-        except Exception as err:  # attach the factory name to whatever went wrong
-            raise ModelError(f"factory {factory.name!r} failed: {err}") from err
+        except ModelError as err:
+            # Name the failing factory; the class and its attributes (such as
+            # a ConvergenceError's objective) stay as raised.
+            err.args = (f"factory {factory.name!r} failed: {err}", *err.args[1:])
+            raise
 
     ranking = sorted(reports, key=lambda name: (reports[name].rmse, name))
     return ModelComparison(reports=reports, spec=spec, fingerprint=series.fingerprint(),

@@ -9,7 +9,8 @@ forecasting through any trailing masked gap and dropping the gap steps.
 Monthly presets differ from the daily ones because monthly histories are
 short: smaller lookbacks/receptive fields, no weekday features, and more
 optimizer steps for the full-batch neural fits. Everything can be
-overridden per model through ``params``.
+overridden per model through ``params``; a parameter a spec rejects is a
+SchemaError.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import arima, decomp, gbtrees, neural
+from .errors import SchemaError
 from .evaluate import ForecastFactory
 from .series import DAILY, MONTHLY, CountSeries, Forecast
-
-MODEL_NAMES = ("arima", "decomp", "lstm", "tcn", "gbt")
 
 
 def _arima_spec(granularity: str, seed: int, p: dict) -> arima.ArimaSpec:
@@ -38,7 +38,6 @@ def _decomp_spec(granularity: str, seed: int, p: dict) -> decomp.DecompSpec:
         weekly_order=p.get("weekly_order", 0 if monthly else 3),
         yearly_order=p.get("yearly_order", 3 if monthly else 10),
         trend_penalty=p.get("trend_penalty", 10.0),
-        level=p.get("level", 0.95),
     )
 
 
@@ -78,8 +77,35 @@ def _gbt_spec(granularity: str, seed: int, p: dict) -> gbtrees.GbtSpec:
         lags=tuple(p.get("lags", (1, 2, 3, 6, 12) if monthly else tuple(range(1, 15)))),
         ma_windows=tuple(p.get("ma_windows", (3, 6) if monthly else (7, 28))),
         calendar=frozenset(p.get("calendar", calendar)),
-        seed=p.get("seed", seed),
     )
+
+
+# name -> (spec builder, fit(series, spec), forecast(fitted, series, spec,
+# horizon, level)). The lambdas look each model function up on its module at
+# call time, so a function replaced on the module (say, wrapped to time it)
+# is the one that runs.
+MODELS = {
+    "arima": (_arima_spec, lambda s, spec: arima.fit(s, spec),
+              lambda m, s, spec, h, level: arima.forecast(m, s, spec, h, level=level)),
+    "decomp": (_decomp_spec, lambda s, spec: decomp.fit(s, spec),
+               lambda m, s, spec, h, level: decomp.forecast(m, s, h, level=level)),
+    "lstm": (_lstm_spec, lambda s, spec: neural.lstm_fit(s, spec)[0],
+             lambda m, s, spec, h, level: neural.lstm_forecast(m, s, h, spec, level=level)),
+    "tcn": (_tcn_spec, lambda s, spec: neural.tcn_fit(s, spec)[0],
+            lambda m, s, spec, h, level: neural.tcn_forecast(m, s, h, spec, level=level)),
+    "gbt": (_gbt_spec, lambda s, spec: gbtrees.fit_series(s, spec),
+            lambda m, s, spec, h, level: gbtrees.forecast_recursive(m, s, spec, h, level=level)),
+}
+MODEL_NAMES = tuple(MODELS)
+
+
+def _spec(name: str, granularity: str, seed: int, params: dict):
+    if name not in MODELS:
+        raise ValueError(f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
+    try:
+        return MODELS[name][0](granularity, seed, params)
+    except ValueError as err:
+        raise SchemaError(f"bad {name} parameters: {err}") from err
 
 
 def forecast_model(name: str, series: CountSeries, horizon: int, seed: int = 0,
@@ -87,42 +113,25 @@ def forecast_model(name: str, series: CountSeries, horizon: int, seed: int = 0,
     """Fit the named model and forecast from the last observed period.
 
     The model trains on the masked series as given (only observed values
-    are ever read); the recursive models receive the series truncated at
-    the last observed period so their lookback windows end on real data.
+    are ever read) and forecasts from the series truncated at the last
+    observed period, so lookback windows end on real data.
     """
-    if name not in MODEL_NAMES:
-        raise ValueError(f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
-    p = dict(params or {})
-    granularity = series.granularity
+    spec = _spec(name, series.granularity, seed, dict(params or {}))
+    _, fit, forecast = MODELS[name]
+    fitted = fit(series, spec)
     trimmed = series.head(series.last_observed_index() + 1)
-
-    if name == "arima":
-        spec = _arima_spec(granularity, seed, p)
-        fitted = arima.fit(series, spec)
-        return arima.forecast(fitted, series, spec, horizon, level=level)
-    if name == "decomp":
-        spec = _decomp_spec(granularity, seed, p)
-        fitted = decomp.fit(series, spec)
-        return decomp.forecast(fitted, series, horizon, level=level)
-    if name == "lstm":
-        spec = _lstm_spec(granularity, seed, p)
-        model, _ = neural.lstm_fit(series, spec)
-        return neural.lstm_forecast(model, trimmed, horizon, spec, level=level)
-    if name == "tcn":
-        spec = _tcn_spec(granularity, seed, p)
-        model, _ = neural.tcn_fit(series, spec)
-        return neural.tcn_forecast(model, trimmed, horizon, spec, level=level)
-    spec = _gbt_spec(granularity, seed, p)
-    model = gbtrees.fit_series(series, spec)
-    return gbtrees.forecast_recursive(model, trimmed, spec, horizon, level=level)
+    return forecast(fitted, trimmed, spec, horizon, level)
 
 
 def build_factory(name: str, granularity: str = DAILY, seed: int = 0,
                   params: dict | None = None) -> ForecastFactory:
-    """Backtest adapter: points aligned to the periods after the train range."""
-    if name not in MODEL_NAMES:
-        raise ValueError(f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
+    """Backtest adapter: points aligned to the periods after the train range.
+
+    The spec is built once up front so that a bad parameter fails before
+    any fold is fitted.
+    """
     frozen_params = dict(params or {})
+    _spec(name, granularity, seed, frozen_params)
 
     def fit_forecast(train: CountSeries, horizon: int) -> np.ndarray:
         gap = len(train) - 1 - train.last_observed_index()

@@ -25,10 +25,8 @@ from .series import (
     feature_row,
     make_supervised,
     period_start,
+    recursive_forecast,
 )
-from .stats import normal_quantile
-
-MAX_HORIZON_RECURSIVE = 366
 
 
 @dataclass(frozen=True)
@@ -40,11 +38,12 @@ class GbtSpec:
     lags: tuple[int, ...] = tuple(range(1, 15))
     ma_windows: tuple[int, ...] = (7, 28)
     calendar: frozenset[str] = frozenset({"weekday", "month", "linear_index"})
-    seed: int = 0  # reserved; fitting is exhaustive and uses no randomness
 
     def __post_init__(self):
         if self.n_trees < 1 or self.max_depth < 1:
             raise ValueError("n_trees and max_depth must be >= 1")
+        if any(k < 1 for k in self.lags) or any(w < 1 for w in self.ma_windows):
+            raise ValueError("lags and moving-average windows must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
         if self.min_samples_leaf < 1:
@@ -210,12 +209,21 @@ def feature_importance(model: GbtModel) -> dict[str, float]:
     return dict(sorted(model.gains.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
+def _calendar(spec: GbtSpec, granularity: str) -> set[str]:
+    """The spec's calendar flags, less weekday on monthly data."""
+    calendar = set(spec.calendar)
+    if granularity != "daily":
+        calendar.discard("weekday")
+    return calendar
+
+
 def fit_series(series: CountSeries, spec: GbtSpec) -> GbtModel:
     """Convenience: build the supervised matrix from a series, then fit."""
-    calendar = set(spec.calendar)
-    if series.granularity != "daily":
-        calendar.discard("weekday")
-    matrix = make_supervised(series, list(spec.lags), list(spec.ma_windows), calendar)
+    try:
+        matrix = make_supervised(series, list(spec.lags), list(spec.ma_windows),
+                                 _calendar(spec, series.granularity))
+    except ValueError as err:
+        raise ModelError(f"cannot build features: {err}") from err
     return fit(matrix, spec)
 
 
@@ -226,47 +234,17 @@ def forecast_recursive(model: GbtModel, series: CountSeries, spec: GbtSpec,
     Calendar features advance with the calendar; intervals use the
     train-residual RMSE * sqrt(step) heuristic and are labeled as such.
     """
-    if not 1 <= horizon <= MAX_HORIZON_RECURSIVE:
-        raise ModelError(f"horizon must lie in 1..{MAX_HORIZON_RECURSIVE}, got {horizon}")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    calendar = set(spec.calendar)
-    if series.granularity != "daily":
-        calendar.discard("weekday")
-    expected = feature_names_for(list(spec.lags), list(spec.ma_windows), calendar, series.granularity)
-    if expected != tuple(model.feature_names):
+    lags, ma_windows = list(spec.lags), list(spec.ma_windows)
+    calendar = _calendar(spec, series.granularity)
+    if feature_names_for(lags, ma_windows, calendar, series.granularity) != tuple(model.feature_names):
         raise ModelError("model feature layout does not match the spec/series combination")
 
-    depth = max(list(spec.lags) + list(spec.ma_windows))
-    n = len(series)
-    if n < depth:
-        raise ModelError(f"series shorter than the deepest lag/window ({depth})")
-    if not series.mask[n - depth:].all():
-        raise ModelError("masked periods in the series tail; shift the origin to observed data")
-
-    idx, vals = series.observed()
-    history = np.full(n + horizon, np.nan)
-    history[idx] = vals
-
-    points = np.empty(horizon)
-    for step in range(horizon):
-        t = n + step
+    def step(history: np.ndarray, t: int) -> float:
         target_date = period_start(series.start, series.granularity, t)
-        row = feature_row(history, t, target_date, series.start,
-                          list(spec.lags), list(spec.ma_windows), calendar)
-        if row is None:
-            raise ModelError("forecast features touched a masked period")
-        value = max(predict(model, row), 0.0)
-        points[step] = value
-        history[t] = value
+        return predict(model, feature_row(history, t, target_date, series.start, lags, ma_windows, calendar))
 
-    z = normal_quantile(0.5 + level / 2.0)
-    half = z * model.rmse_train * np.sqrt(np.arange(1, horizon + 1))
-    lower = np.maximum(points - half, 0.0)
-    upper = np.maximum(points + half, 0.0)
-    origin = period_start(series.start, series.granularity, n)
-    return Forecast(series.granularity, origin, points, lower, upper, level,
-                    interval_method="train_rmse_sqrt_step_heuristic")
+    depth = max(lags + ma_windows, default=0)
+    return recursive_forecast(series, horizon, level, depth, model.rmse_train, step)
 
 
 # --------------------------------------------------------------------------

@@ -20,10 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
 from .errors import ModelError
-from .series import DAILY, CountSeries, Forecast, period_start
-from .stats import normal_quantile
+from .series import DAILY, CountSeries, Forecast, period_start, recursive_forecast
 
-MAX_HORIZON = 120
 MAGIC = b"ATFN1"
 
 
@@ -60,6 +58,8 @@ class TcnSpec:
             raise ValueError("dilations must be a non-empty list of positive ints")
         if self.channels < 1:
             raise ValueError("channels must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         object.__setattr__(self, "dilations", tuple(self.dilations))
 
 
@@ -221,50 +221,23 @@ def lstm_fit(series: CountSeries, spec: LstmSpec) -> tuple[LstmModel, TrainRepor
     return model, report
 
 
-def _recursive_forecast(model, series: CountSeries, horizon: int, lookback: int,
-                        use_weekday: bool, use_month: bool, level: float) -> Forecast:
-    if not 1 <= horizon <= MAX_HORIZON:
-        raise ModelError(f"horizon must lie in 1..{MAX_HORIZON}, got {horizon}")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    n = len(series)
-    if n < lookback:
-        raise ModelError(f"series shorter than the {lookback}-period lookback window")
-    if not series.mask[n - lookback:].all():
-        raise ModelError(
-            "masked periods in the final lookback window; shift the forecast origin "
-            "to end on observed data (e.g. truncate the series at the last observed period)"
-        )
-
-    std_tail = list((series.values[n - lookback:] - model.mean) / model.std)
-    tail_dates = [period_start(series.start, series.granularity, n - lookback + i) for i in range(lookback)]
-
-    points = np.empty(horizon)
-    for step in range(horizon):
+def _forecast(model, series: CountSeries, horizon: int, lookback: int,
+              use_weekday: bool, use_month: bool, level: float) -> Forecast:
+    def step(history: np.ndarray, t: int) -> float:
         window = np.stack([
-            _feature_vector(v, d, use_weekday, use_month)
-            for v, d in zip(std_tail[-lookback:], tail_dates[-lookback:])
+            _feature_vector((history[src] - model.mean) / model.std,
+                            period_start(series.start, series.granularity, src), use_weekday, use_month)
+            for src in range(t - lookback, t)
         ])
-        pred_std = float(model.forward(window[None]).value[0, 0])
-        value = max(pred_std * model.std + model.mean, 0.0)
-        points[step] = value
-        std_tail.append((value - model.mean) / model.std)
-        tail_dates.append(period_start(series.start, series.granularity, n + step))
+        return float(model.forward(window[None]).value[0, 0]) * model.std + model.mean
 
-    z = normal_quantile(0.5 + level / 2.0)
-    half = z * model.rmse_train * np.sqrt(np.arange(1, horizon + 1))
-    lower = np.maximum(points - half, 0.0)
-    upper = np.maximum(points + half, 0.0)
-    origin = period_start(series.start, series.granularity, n)
-    return Forecast(series.granularity, origin, points, lower, upper, level,
-                    interval_method="train_rmse_sqrt_step_heuristic")
+    return recursive_forecast(series, horizon, level, lookback, model.rmse_train, step)
 
 
 def lstm_forecast(model: LstmModel, series: CountSeries, horizon: int,
                   spec: LstmSpec | None = None, level: float = 0.95) -> Forecast:
     spec = spec or model.spec
-    return _recursive_forecast(model, series, horizon, spec.lookback,
-                               spec.use_weekday, spec.use_month, level)
+    return _forecast(model, series, horizon, spec.lookback, spec.use_weekday, spec.use_month, level)
 
 
 # --------------------------------------------------------------------------
@@ -370,7 +343,7 @@ def _longest_observed_run(mask: np.ndarray) -> int:
 def tcn_forecast(model: TcnModel, series: CountSeries, horizon: int,
                  spec: TcnSpec | None = None, level: float = 0.95) -> Forecast:
     spec = spec or model.spec
-    return _recursive_forecast(model, series, horizon, receptive_field(spec), False, False, level)
+    return _forecast(model, series, horizon, receptive_field(spec), False, False, level)
 
 
 # --------------------------------------------------------------------------

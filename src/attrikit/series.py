@@ -1,4 +1,5 @@
-"""Masked count series and the feature machinery shared by all models.
+"""Masked count series, the forecast contract, and the feature machinery
+shared by all models.
 
 A CountSeries is a contiguous run of daily or monthly counts with an
 observed mask. Days with no matching records are real zero observations;
@@ -13,12 +14,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
 
+from .errors import ModelError
 from .ingest import Category, LossRecord
+from .stats import two_sided_z
 
 DAILY = "daily"
 MONTHLY = "monthly"
@@ -27,6 +31,9 @@ WEEKDAY_FEATURES = 7   # Monday first
 MONTH_FEATURES = 12
 
 CALENDAR_FLAGS = ("weekday", "month", "linear_index")
+
+# Longest forecast any model will make; extrapolating further is not meaningful.
+MAX_HORIZON = 366
 
 
 def add_months(day: date, n: int) -> date:
@@ -151,7 +158,13 @@ class SupervisedMatrix:
 
 @dataclass(frozen=True)
 class Forecast:
-    """Point path plus interval bounds, anchored at the origin period."""
+    """Point path plus interval bounds, anchored at the origin period.
+
+    This is the forecast contract every model meets: point and bounds are
+    clamped at zero (counts cannot go negative) and must then satisfy
+    ``lower <= point <= upper``; a model whose arrays break that order
+    fails here instead of writing an inverted interval.
+    """
 
     granularity: str
     origin: date
@@ -163,15 +176,60 @@ class Forecast:
 
     def __post_init__(self):
         for name in ("point", "lower", "upper"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, np.maximum(np.asarray(getattr(self, name), dtype=float), 0.0))
         if not (len(self.point) == len(self.lower) == len(self.upper)):
             raise ValueError("forecast arrays must share one length")
+        if np.any(self.lower > self.point) or np.any(self.point > self.upper):
+            raise ValueError("forecast interval violates lower <= point <= upper")
 
     def __len__(self) -> int:
         return len(self.point)
 
     def period_starts(self) -> list[date]:
         return [period_start(self.origin, self.granularity, i) for i in range(len(self))]
+
+
+def check_request(horizon: int, level: float) -> None:
+    """The horizon and level check every model runs before forecasting."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if horizon > MAX_HORIZON:
+        raise ModelError(f"horizon {horizon} exceeds {MAX_HORIZON} periods; extrapolation that far is not meaningful")
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie in (0, 1)")
+
+
+def recursive_forecast(series: CountSeries, horizon: int, level: float, depth: int, rmse: float,
+                       step: Callable[[np.ndarray, int], float]) -> Forecast:
+    """Forecast the ``horizon`` periods after ``series`` one step at a time.
+
+    ``step(history, t)`` predicts period ``t`` from ``history``: the
+    observed counts, NaN at masked periods, then from ``len(series)`` on
+    every earlier prediction clamped at zero (the pseudo-history fed back).
+    The final ``depth`` periods must be observed, so every input window is
+    real data or fed-back predictions. Bounds are point +/- z * rmse *
+    sqrt(step), a heuristic and labeled as such; the origin is the period
+    after the series.
+    """
+    check_request(horizon, level)
+    n = len(series)
+    if n < depth:
+        raise ModelError(f"series shorter than the {depth}-period input window")
+    if not series.mask[n - depth:].all():
+        raise ModelError(
+            f"masked periods in the final {depth}-period input window; shift the forecast origin "
+            "to end on observed data (e.g. truncate the series at the last observed period)"
+        )
+    idx, vals = series.observed()
+    history = np.full(n + horizon, np.nan)
+    history[idx] = vals
+    for t in range(n, n + horizon):
+        history[t] = max(step(history, t), 0.0)
+    points = history[n:]
+    half = two_sided_z(level) * rmse * np.sqrt(np.arange(1, horizon + 1))
+    origin = period_start(series.start, series.granularity, n)
+    return Forecast(series.granularity, origin, points, points - half, points + half, level,
+                    interval_method="train_rmse_sqrt_step_heuristic")
 
 
 # --------------------------------------------------------------------------
@@ -239,51 +297,6 @@ def split(series: CountSeries, cutoff: date) -> tuple[CountSeries, CountSeries]:
     right_start = period_start(series.start, series.granularity, i)
     right = CountSeries(series.granularity, right_start, series.values[i:].copy(), series.mask[i:].copy())
     return left, right
-
-
-# --------------------------------------------------------------------------
-# Transforms
-
-
-def log_transform(series: CountSeries) -> CountSeries:
-    """Elementwise ln(1+v); the +1 offset keeps zero-count periods finite."""
-    if np.any(series.values < 0):
-        raise ValueError("log transform requires non-negative values")
-    return CountSeries(series.granularity, series.start, np.log1p(series.values), series.mask.copy())
-
-
-def inverse_log_transform(series: CountSeries) -> CountSeries:
-    """Elementwise exp(v)-1, clamped at zero."""
-    values = np.maximum(np.expm1(series.values), 0.0)
-    return CountSeries(series.granularity, series.start, values, series.mask.copy())
-
-
-def difference(values: np.ndarray, d: int) -> np.ndarray:
-    """d-th finite difference (d in 0..2)."""
-    if d not in (0, 1, 2):
-        raise ValueError(f"differencing order must be 0, 1, or 2, got {d}")
-    values = np.asarray(values, dtype=float)
-    if len(values) <= d:
-        raise ValueError(f"need more than {d} values to difference at order {d}")
-    return np.diff(values, n=d) if d else values.copy()
-
-
-def integrate(diffs: np.ndarray, anchors: list[float]) -> np.ndarray:
-    """Invert ``difference`` given the first value of each difference level.
-
-    anchors[k] is the first element of the k-th difference of the original
-    sequence, so integrate(difference(x, d), [x[0], diff(x)[0], ...]) == x.
-    """
-    out = np.asarray(diffs, dtype=float).copy()
-    for anchor in reversed(anchors):
-        out = np.concatenate(([anchor], anchor + np.cumsum(out)))
-    return out
-
-
-def anchors_of(values: np.ndarray, d: int) -> list[float]:
-    """The d retained values needed to undo differencing at order d."""
-    values = np.asarray(values, dtype=float)
-    return [float(np.diff(values, n=k)[0]) for k in range(d)]
 
 
 # --------------------------------------------------------------------------

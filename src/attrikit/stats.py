@@ -51,3 +51,8 @@ def normal_quantile(p: float) -> float:
     e = normal_cdf(x) - p
     u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
     return x - u / (1.0 + x * u / 2.0)
+
+
+def two_sided_z(level: float) -> float:
+    """z-value whose central normal interval holds probability ``level``."""
+    return normal_quantile(0.5 + level / 2.0)

@@ -7,7 +7,7 @@ import pytest
 
 from attrikit.arima import ArimaFit, ArimaSpec, fit, forecast
 from attrikit.errors import ConvergenceError, ModelError
-from attrikit.series import DAILY, CountSeries
+from attrikit.series import DAILY, MAX_HORIZON, CountSeries
 
 from conftest import within_taper_band
 
@@ -165,8 +165,8 @@ def test_horizon_guard():
     spec = ArimaSpec(0, 1, 0, use_log=False, intercept=False)
     s = make_series(y)
     result = fit(s, spec)
-    with pytest.raises(ModelError, match="121"):
-        forecast(result, s, spec, horizon=121)
+    with pytest.raises(ModelError, match=str(MAX_HORIZON + 1)):
+        forecast(result, s, spec, horizon=MAX_HORIZON + 1)
     with pytest.raises(ValueError):
         forecast(result, s, spec, horizon=0)
 

@@ -151,6 +151,32 @@ def test_forecast_zero_horizon_exit_2(records_csv, tmp_path):
                  "--horizon", "0", "--out", str(tmp_path / "o")]) == 2
 
 
+# A bad value for each kind of model parameter, with a model that reads it.
+BAD_MODEL_PARAMS = [
+    ("--level", "1.5", "arima"),
+    ("--lookback", "0", "lstm"),
+    ("--lags", "0", "gbt"),
+    ("--dilations", "1,a", "tcn"),
+    ("--trend-penalty", "nan", "decomp"),
+    ("--epochs", "0", "tcn"),
+]
+
+
+@pytest.mark.parametrize("command", ["forecast", "backtest", "compare"])
+@pytest.mark.parametrize("flag,value,model", BAD_MODEL_PARAMS)
+def test_bad_model_parameter_exit_2(records_csv, tmp_path, command, flag, value, model):
+    run = {"forecast": ["--model", model, "--horizon", "2"],
+           "backtest": ["--model", model, "--initial-train", "30"],
+           "compare": ["--initial-train", "30"]}[command]
+    assert main([command, "--data", str(records_csv), "--granularity", "monthly", *run,
+                 flag, value, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_backtest_zero_horizon_exit_2(records_csv, tmp_path):
+    assert main(["backtest", "--data", str(records_csv), "--model", "arima", "--initial-train", "30",
+                 "--horizon", "0", "--out", str(tmp_path / "o")]) == 2
+
+
 def test_forecast_model_error_exit_3(tmp_path):
     data = tmp_path / "tiny.csv"
     data.write_text(RECORDS_HEADER + "2022-03-01,tank,,destroyed,,,,\n")

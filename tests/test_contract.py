@@ -1,0 +1,137 @@
+"""Properties of the forecast contract that every model shares.
+
+Every model returns ``horizon`` finite, non-negative points with an ordered
+interval, accepts horizons up to ``MAX_HORIZON`` and rejects one more, and
+the CLI maps any model-flag input onto the documented exit codes.
+"""
+
+from datetime import date
+
+import numpy as np
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from attrikit.cli import main
+from attrikit.errors import ConvergenceError, ModelError
+from attrikit.factories import MODEL_NAMES, forecast_model
+from attrikit.series import MAX_HORIZON, MONTHLY, CountSeries
+
+# Small models, so each example fits in well under a second.
+FAST_PARAMS = {
+    "arima": {},
+    "decomp": {"n_changepoints": 5, "yearly_order": 2},
+    "lstm": {"lookback": 4, "hidden": 3, "epochs": 5},
+    "tcn": {"kernel": 2, "dilations": (1, 2), "channels": 3, "epochs": 5},
+    "gbt": {"n_trees": 5, "lags": (1, 2, 3), "ma_windows": (3,)},
+}
+
+# Fixed example draws keep the suite deterministic; no example database.
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def count_series(draw):
+    """40-60 months of trend plus noise, rounded and floored at zero,
+    with up to three masked periods at the tail."""
+    n = draw(st.integers(40, 60))
+    base = draw(st.integers(0, 200))
+    slope = draw(st.integers(-80, 30)) / 10.0
+    noise = draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.maximum(np.round(base + slope * np.arange(n) + rng.normal(0.0, noise, n)), 0.0)
+    mask = np.ones(n, dtype=bool)
+    gap = draw(st.integers(0, 3))
+    mask[n - gap:] = False
+    return CountSeries(MONTHLY, date(2022, 3, 1), values, mask)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+@settings(PROPERTY, max_examples=8)
+@given(series=count_series(), horizon=st.integers(1, 24), level=st.floats(0.5, 0.99))
+def test_forecast_is_nonnegative_and_ordered(name, series, horizon, level):
+    try:
+        fc = forecast_model(name, series, horizon, params=FAST_PARAMS[name], level=level)
+    except ConvergenceError:
+        reject()  # a reported fit failure (ARIMA on noiseless trends) makes no forecast to check
+    assert len(fc) == horizon
+    for values in (fc.point, fc.lower, fc.upper):
+        assert np.all(np.isfinite(values)) and np.all(values >= 0)
+    assert np.all(fc.lower <= fc.point) and np.all(fc.point <= fc.upper)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_one_horizon_cap_for_every_model(name):
+    rng = np.random.default_rng(1)
+    series = CountSeries(MONTHLY, date(2022, 3, 1), rng.poisson(20.0, 48).astype(float),
+                         np.ones(48, dtype=bool))
+    params = FAST_PARAMS[name]
+    assert len(forecast_model(name, series, MAX_HORIZON, params=params)) == MAX_HORIZON
+    with pytest.raises(ModelError, match=str(MAX_HORIZON + 1)):
+        forecast_model(name, series, MAX_HORIZON + 1, params=params)
+    with pytest.raises(ValueError):
+        forecast_model(name, series, 0, params=params)
+
+
+# -- CLI exit codes ---------------------------------------------------------
+
+SMALL_MODEL_FLAGS = [
+    "--epochs", "5", "--hidden", "4", "--lookback", "4", "--channels", "3",
+    "--kernel", "2", "--dilations", "1,2", "--n-trees", "5", "--lags", "1,2,3",
+    "--ma-windows", "3", "--changepoints", "5", "--yearly-order", "2",
+]
+
+_ints = st.integers(-3, 12).map(str)
+_floats = st.one_of(st.floats(-1.0, 2.0), st.sampled_from([float("nan"), float("inf")])).map(str)
+_int_lists = st.one_of(
+    st.lists(st.integers(-2, 50), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["1-3", "3-1", "a", "2,x", "1,,2"]),
+)
+MODEL_FLAG_VALUES = {
+    "--horizon": st.integers(-1, MAX_HORIZON + 2).map(str),
+    "--level": _floats,
+    "--order": st.one_of(
+        st.lists(st.integers(-1, 6), min_size=3, max_size=3).map(lambda xs: ",".join(map(str, xs))),
+        st.sampled_from(["1,1", "a,b,c"]),
+    ),
+    "--changepoints": _ints, "--changepoint-range": _floats, "--weekly-order": _ints,
+    "--yearly-order": _ints, "--trend-penalty": _floats,
+    "--lookback": _ints, "--hidden": _ints, "--epochs": _ints, "--lr": _floats,
+    "--kernel": _ints, "--dilations": _int_lists, "--channels": _ints,
+    "--n-trees": _ints, "--max-depth": _ints, "--min-leaf": _ints,
+    "--lags": _int_lists, "--ma-windows": _int_lists,
+}
+
+
+@st.composite
+def model_flags(draw):
+    flags = draw(st.lists(st.sampled_from(sorted(MODEL_FLAG_VALUES)), min_size=1, max_size=3, unique=True))
+    return [f"{flag}={draw(MODEL_FLAG_VALUES[flag])}" for flag in flags]
+
+
+@pytest.fixture(scope="module")
+def small_records(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    profile = root / "profile.csv"
+    profile.write_text("start,end,category,mean_per_day\n2022-03-01,2025-06-30,tank,1.0\n")
+    out = root / "records.csv"
+    assert main(["synth", "--seed", "2", "--profile", str(profile), "--out", str(out)]) == 0
+    return out
+
+
+def _exit_code(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejected the command line
+        return exc.code
+
+
+@settings(PROPERTY, max_examples=60)
+@given(command=st.sampled_from(["forecast", "backtest"]), model=st.sampled_from(MODEL_NAMES),
+       flags=model_flags())
+def test_cli_exit_code_is_documented(small_records, command, model, flags):
+    run = (["--horizon", "3"] if command == "forecast"
+           else ["--initial-train", "36", "--step", "2", "--horizon", "2"])
+    argv = [command, "--data", str(small_records), "--granularity", "monthly", "--model", model,
+            "--out", str(small_records.parent / "out"), *run, *SMALL_MODEL_FLAGS, *flags]
+    assert _exit_code(argv) in (0, 1, 2, 3)

@@ -203,3 +203,17 @@ def test_stored_sigma_matches_reconstruction():
     fitted = predict(result, dates_from(START, len(t))).point
     sigma = float(np.sqrt(np.mean((y - fitted) ** 2)))
     assert sigma == pytest.approx(result.sigma, rel=1e-9)
+
+
+def test_declining_monthly_forecast_is_clamped_and_ordered():
+    rng = np.random.default_rng(0)
+    y = np.round(np.maximum(np.linspace(200, 5, 40) + rng.normal(0, 5, 40), 0))
+    s = CountSeries(MONTHLY, date(2022, 3, 1), y, np.ones(40, dtype=bool))
+    spec = DecompSpec(n_changepoints=10, weekly_order=0, yearly_order=3)
+    result = fit(s, spec)
+    fc = forecast(result, s, horizon=12, level=0.95)
+    # The trend alone runs far below zero here; the forecast must not.
+    raw = sum(components(result, fc.period_starts()).values())
+    assert raw.min() < -40
+    assert np.all(fc.point >= 0)
+    assert np.all(fc.lower <= fc.point) and np.all(fc.point <= fc.upper)

@@ -5,7 +5,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from attrikit.errors import ModelError
+from attrikit.errors import ConvergenceError, ModelError
 from attrikit.evaluate import (
     BacktestSpec,
     ForecastFactory,
@@ -190,9 +190,17 @@ def test_compare_attaches_factory_name_to_errors():
     def broken(train, horizon):
         raise RuntimeError("boom")
 
+    def diverging(train, horizon):
+        raise ConvergenceError("no convergence", objective=4.5)
+
     series = daily(np.arange(30.0))
-    with pytest.raises(ModelError, match="'broken'"):
+    # A programmer bug propagates as raised, not renamed into a model failure.
+    with pytest.raises(RuntimeError, match="^boom$"):
         compare([ForecastFactory("broken", broken)], series, BacktestSpec(10, 5, 5))
+    # A model failure is named, keeping its class and its objective.
+    with pytest.raises(ConvergenceError, match="'diverging'") as err:
+        compare([ForecastFactory("diverging", diverging)], series, BacktestSpec(10, 5, 5))
+    assert err.value.objective == 4.5
 
 
 def test_compare_five_models_on_bundled_series(monthly_tanks_masked):

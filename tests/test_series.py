@@ -1,4 +1,4 @@
-"""Count-series construction, masking, transforms, and supervised features."""
+"""Count-series construction, masking, and supervised features."""
 
 from datetime import date
 
@@ -13,13 +13,8 @@ from attrikit.series import (
     ExclusionWindow,
     Forecast,
     aggregate,
-    anchors_of,
     apply_exclusions,
-    difference,
     forecast_to_csv,
-    integrate,
-    inverse_log_transform,
-    log_transform,
     make_supervised,
     period_index,
     period_start,
@@ -115,56 +110,6 @@ def test_exclusion_out_of_range_noop_and_idempotent_commuting():
 def test_exclusion_window_validates():
     with pytest.raises(ValueError):
         ExclusionWindow(date(2025, 7, 1), date(2025, 6, 1))
-
-
-# -- transforms --------------------------------------------------------------
-
-
-def test_log_transform_zero_maps_to_zero():
-    assert log_transform(daily_series([0])).values.tolist() == [0.0]
-
-
-def test_log_transform_definition_point():
-    s = daily_series([np.e - 1.0])
-    assert log_transform(s).values[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_log_roundtrip_identity():
-    s = daily_series([0, 5, 100])
-    back = inverse_log_transform(log_transform(s))
-    assert np.allclose(back.values, s.values, rtol=1e-12, atol=0)
-
-
-def test_log_transform_rejects_negative():
-    with pytest.raises(ValueError):
-        log_transform(CountSeries(DAILY, date(2022, 3, 1), np.array([-1.0]), np.array([True])))
-
-
-def test_inverse_log_clamps_at_zero():
-    s = CountSeries(DAILY, date(2022, 3, 1), np.array([-5.0]), np.array([True]))
-    assert inverse_log_transform(s).values[0] == 0.0
-
-
-def test_difference_and_integrate():
-    x = [1.0, 3.0, 6.0, 10.0]
-    assert difference(x, 1).tolist() == [2.0, 3.0, 4.0]
-    assert difference(x, 0).tolist() == x
-    assert integrate(np.array([2.0, 3.0, 4.0]), [1.0]).tolist() == x
-
-
-def test_difference_integrate_roundtrip_exact_on_counts():
-    rng = np.random.default_rng(0)
-    x = rng.integers(0, 50, size=40).astype(float)
-    for d in (0, 1, 2):
-        back = integrate(difference(x, d), anchors_of(x, d))
-        assert np.array_equal(back, x)
-
-
-def test_difference_too_short():
-    with pytest.raises(ValueError):
-        difference([1.0], 1)
-    with pytest.raises(ValueError):
-        difference([1.0, 2.0], 2)
 
 
 # -- supervised matrix -------------------------------------------------------
