@@ -29,7 +29,6 @@ from .series import (
     aggregate,
     apply_exclusions,
     make_supervised,
-    split,
 )
 
 __version__ = "0.1.0"
@@ -42,6 +41,6 @@ __all__ = [
     "Category", "GeoIndex", "IngestReport", "LossRecord", "Profile", "Regime",
     "Status", "default_profile", "generate_synthetic", "normalize_geo", "parse_records",
     "CountSeries", "ExclusionWindow", "Forecast", "SupervisedMatrix",
-    "aggregate", "apply_exclusions", "make_supervised", "split",
+    "aggregate", "apply_exclusions", "make_supervised",
     "__version__",
 ]

@@ -13,10 +13,12 @@ import json
 import sys
 from datetime import date
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
+from .arima import ArimaSpec
 from .errors import ConvergenceError, ModelError, SchemaError
 from .evaluate import BacktestSpec, MetricReport, ModelComparison, compare, rolling_backtest
-from .factories import MODEL_NAMES, build_factory, default_factories, forecast_model
+from .factories import MODEL_NAMES, build_factory, forecast_model
 from .ingest import (
     default_profile,
     generate_synthetic,
@@ -41,51 +43,176 @@ from .series import (
 )
 from .svg import FigureSpec, emit_svg
 
-CONFIG_KEYS = {
-    "data", "out", "granularity", "category", "range", "exclude", "model", "models",
-    "horizon", "level", "seed", "svg", "geo_index", "geo_policy", "corrections",
-    "schema", "profile", "initial_train", "step",
-    "order", "no_log", "no_intercept",
-    "changepoints", "changepoint_range", "weekly_order", "yearly_order", "trend_penalty",
-    "lookback", "hidden", "epochs", "lr", "use_month", "no_weekday",
-    "kernel", "dilations", "channels",
-    "n_trees", "max_depth", "min_leaf", "lags", "ma_windows",
-}
-
-_BOOL_KEYS = {"svg", "no_log", "no_intercept", "use_month", "no_weekday"}
-
 
 def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+# --------------------------------------------------------------------------
+# Options: one table declares every flag and config key. A flag value and a
+# config value pass through the same converter, which raises ValueError on a
+# bad value.
 
 
 def _parse_date(text: str) -> date:
     return date.fromisoformat(text.strip())
 
 
-def _parse_window(text: str) -> ExclusionWindow:
+def _date_pair(text: str) -> tuple[date, date]:
+    start_text, _, end_text = text.partition(":")
     try:
-        start_text, _, end_text = text.partition(":")
-        return ExclusionWindow(_parse_date(start_text), _parse_date(end_text))
-    except ValueError as err:
-        raise SchemaError(f"bad exclusion window {text!r}: expected START:END ISO dates") from err
+        return _parse_date(start_text), _parse_date(end_text)
+    except ValueError:
+        raise ValueError("expected START:END ISO dates") from None
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _window(text: str) -> ExclusionWindow:
+    return ExclusionWindow(*_date_pair(text))
+
+
+def _date_range(text: str) -> tuple[date, date] | None:
+    return _date_pair(text) if text else None
+
+
+def _categories(text: str) -> set | None:
+    return {parse_category(c) for c in text.split(",")} if text else None
+
+
+def _schema(text: str) -> dict[str, str] | None:
+    if not text:
+        return None
+    schema = {}
+    for pair in text.split(","):
+        logical, sep, column = pair.partition("=")
+        if not sep:
+            raise ValueError(f"entry {pair!r} is not logical=column")
+        schema[logical.strip()] = column.strip()
+    return schema
+
+
+def _int_list(text: str) -> tuple[int, ...]:
     out: list[int] = []
-    for chunk in str(text).split(","):
+    for chunk in text.split(","):
         chunk = chunk.strip()
-        try:
-            if "-" in chunk[1:]:
-                lo, _, hi = chunk.partition("-")
-                out.extend(range(int(lo), int(hi) + 1))
-            elif chunk:
-                out.append(int(chunk))
-        except ValueError as err:
-            raise SchemaError(f"bad integer list {text!r}: {err}") from err
+        if "-" in chunk[1:]:
+            lo, _, hi = chunk.partition("-")
+            out.extend(range(int(lo), int(hi) + 1))
+        elif chunk:
+            out.append(int(chunk))
     if not out:
-        raise SchemaError(f"empty integer list {text!r}")
+        raise ValueError("empty integer list")
     return tuple(out)
+
+
+def _order(text: str) -> tuple[int, ...]:
+    order = tuple(int(x) for x in text.split(","))
+    if len(order) != 3:
+        raise ValueError("expected p,d,q")
+    return order
+
+
+def _at_least(lo: int) -> Callable[[str], int]:
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise ValueError(f"must be >= {lo}")
+        return value
+    return convert
+
+
+def _level(text: str) -> float:
+    level = float(text)
+    if not 0.0 < level < 1.0:
+        raise ValueError("must lie in (0, 1)")
+    return level
+
+
+def _models(text: str) -> list[str]:
+    names = [m.strip() for m in text.split(",") if m.strip()]
+    for name in names:
+        if name not in MODEL_NAMES:
+            raise ValueError(f"unknown model {name!r}")
+    if not names:
+        raise ValueError("need at least one model")
+    if len(set(names)) < len(names):
+        raise ValueError("model names must be unique")
+    return names
+
+
+def _switch(text: str) -> bool | None:
+    """An on/off flag: True when on, None (sets nothing) when off. In a
+    config file, 1, true, yes and on turn it on."""
+    return True if text.lower() in ("1", "true", "yes", "on") else None
+
+
+def _negated_switch(text: str) -> bool | None:
+    """A --no-X flag: False when on, so that it turns its spec field off."""
+    return False if _switch(text) else None
+
+
+class Option(NamedTuple):
+    """A config key and the flag of the same name (``_`` becomes ``-``)."""
+
+    convert: Callable[[str], Any]
+    help: str | None = None
+    field: str | tuple[str, ...] | None = None  # model spec field(s) the value sets
+    metavar: str | None = None
+    many: bool = False  # a repeatable flag; comma-separated in a config file
+
+
+def _pick(*choices: str) -> Option:
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return text
+    return Option(convert, metavar="{" + ",".join(choices) + "}")
+
+
+OPTIONS = {
+    "data": Option(str, "records CSV path"),
+    "out": Option(Path, "output directory or file"),
+    "granularity": _pick(DAILY, MONTHLY),
+    "category": Option(_categories, "comma-separated category filter"),
+    "range": Option(_date_range, "START:END inclusive date range"),
+    "exclude": Option(_window, "START:END exclusion window (repeatable)", many=True),
+    "seed": Option(_at_least(0)),
+    "geo_index": Option(str, "location,raion/oblast CSV"),
+    "geo_policy": _pick("leave_blank", "error"),
+    "corrections": Option(str, "model_text,category CSV"),
+    "schema": Option(_schema, "logical=column overrides, comma-separated"),
+    "profile": Option(str, "regime profile CSV (start,end,category,mean_per_day)"),
+    "model": _pick(*MODEL_NAMES),
+    "models": Option(_models, "comma list (default: all five)"),
+    "initial_train": Option(_at_least(1)),
+    "step": Option(_at_least(1)),
+    "horizon": Option(_at_least(1)),
+    "level": Option(_level, "interval probability (default 0.95)"),
+    "svg": Option(_switch, "also emit SVG figures"),
+    # Model parameters: each value sets its field in every model spec that has it.
+    "order": Option(_order, f"ARIMA p,d,q (default {ArimaSpec.p},{ArimaSpec.d},{ArimaSpec.q})",
+                    field=("p", "d", "q")),
+    "no_log": Option(_negated_switch, field="use_log"),
+    "no_intercept": Option(_negated_switch, field="intercept"),
+    "changepoints": Option(int, field="n_changepoints"),
+    "changepoint_range": Option(float, field="changepoint_range"),
+    "weekly_order": Option(int, field="weekly_order"),
+    "yearly_order": Option(int, field="yearly_order"),
+    "trend_penalty": Option(float, field="trend_penalty"),
+    "lookback": Option(int, field="lookback"),
+    "hidden": Option(int, field="hidden"),
+    "epochs": Option(int, field="epochs"),
+    "lr": Option(float, field="learning_rate"),
+    "use_month": Option(_switch, field="use_month"),
+    "no_weekday": Option(_negated_switch, field="use_weekday"),
+    "kernel": Option(int, field="kernel"),
+    "dilations": Option(_int_list, "comma list, e.g. 1,2,4,8", field="dilations"),
+    "channels": Option(int, field="channels"),
+    "n_trees": Option(int, field="n_trees"),
+    "max_depth": Option(int, field="max_depth"),
+    "min_leaf": Option(int, field="min_samples_leaf"),
+    "lags": Option(_int_list, "comma list or range, e.g. 1-14", field="lags"),
+    "ma_windows": Option(_int_list, "comma list, e.g. 7,28", field="ma_windows"),
+}
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -99,101 +226,62 @@ def load_config(path: str) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if not sep:
             raise SchemaError(f"config line {line_no}: expected key=value, got {raw!r}")
-        if key not in CONFIG_KEYS:
+        if key not in OPTIONS:
             raise SchemaError(f"config line {line_no}: unknown key {key!r}")
         config[key] = value.strip()
     return config
 
 
-def _merged(args: argparse.Namespace, key: str, default=None):
-    """Flag value if given, else config value, else default."""
-    flag = getattr(args, key, None)
-    if key in _BOOL_KEYS:
-        if flag:
-            return True
-        return str(args.config_values.get(key, "")).lower() in ("1", "true", "yes", "on")
-    if flag is not None:
-        return flag
-    if key in args.config_values:
-        return args.config_values[key]
-    return default
+def _convert(key: str, text: str):
+    try:
+        return OPTIONS[key].convert(text)
+    except ValueError as err:
+        raise SchemaError(f"bad {key} {text!r}: {err}") from err
+
+
+def _option(args: argparse.Namespace, key: str, default=None):
+    """Flag value if given, else config value, else default; converted."""
+    raw = getattr(args, key, None)
+    if raw is None and key in args.config_values:
+        raw = args.config_values[key]
+        if OPTIONS[key].many:
+            raw = [item for item in raw.split(",") if item.strip()]
+    if raw is None:
+        return default
+    return [_convert(key, item) for item in raw] if OPTIONS[key].many else _convert(key, raw)
+
+
+def _required(args: argparse.Namespace, key: str):
+    value = _option(args, key)
+    if value is None:
+        raise SchemaError(f"--{key.replace('_', '-')} is required")
+    return value
 
 
 def _model_params(args: argparse.Namespace) -> dict:
     """Collect model-specific overrides from flags/config into one dict."""
     params: dict = {}
-    order = _merged(args, "order")
-    if order is not None:
-        try:
-            p, d, q = (int(x) for x in str(order).split(","))
-        except ValueError as err:
-            raise SchemaError(f"bad --order {order!r}: expected p,d,q") from err
-        params.update(p=p, d=d, q=q)
-    if _merged(args, "no_log"):
-        params["use_log"] = False
-    if _merged(args, "no_intercept"):
-        params["intercept"] = False
-
-    for key, name, conv in (
-        ("changepoints", "n_changepoints", int),
-        ("changepoint_range", "changepoint_range", float),
-        ("weekly_order", "weekly_order", int),
-        ("yearly_order", "yearly_order", int),
-        ("trend_penalty", "trend_penalty", float),
-        ("lookback", "lookback", int),
-        ("hidden", "hidden", int),
-        ("epochs", "epochs", int),
-        ("lr", "learning_rate", float),
-        ("kernel", "kernel", int),
-        ("channels", "channels", int),
-        ("n_trees", "n_trees", int),
-        ("max_depth", "max_depth", int),
-        ("min_leaf", "min_samples_leaf", int),
-    ):
-        value = _merged(args, key)
-        if value is not None:
-            params[name] = conv(value)
-    for key, name in (("dilations", "dilations"), ("lags", "lags"), ("ma_windows", "ma_windows")):
-        value = _merged(args, key)
-        if value is not None:
-            params[name] = _parse_int_list(value)
-    if _merged(args, "use_month"):
-        params["use_month"] = True
-    if _merged(args, "no_weekday"):
-        params["use_weekday"] = False
+    for key, option in OPTIONS.items():
+        value = _option(args, key) if option.field else None
+        if value is None:
+            continue
+        if isinstance(option.field, tuple):
+            params.update(zip(option.field, value))
+        else:
+            params[option.field] = value
     return params
 
 
 def _load_series(args: argparse.Namespace) -> tuple[CountSeries, list[ExclusionWindow]]:
-    granularity = _merged(args, "granularity", DAILY)
-    if granularity not in (DAILY, MONTHLY):
-        raise SchemaError(f"granularity must be daily or monthly, got {granularity!r}")
-    records, _ = parse_records(_read_text(_merged(args, "data")))
-
-    categories = None
-    category_value = _merged(args, "category")
-    if category_value:
-        categories = {parse_category(c) for c in str(category_value).split(",")}
-
-    date_range = None
-    range_value = _merged(args, "range")
-    if range_value:
-        lo_text, _, hi_text = str(range_value).partition(":")
-        try:
-            date_range = (_parse_date(lo_text), _parse_date(hi_text))
-        except ValueError as err:
-            raise SchemaError(f"bad --range {range_value!r}: expected START:END ISO dates") from err
-
-    windows = [_parse_window(w) for w in _exclusions(args)]
-    series = aggregate(records, granularity, categories, date_range)
+    granularity = _option(args, "granularity", DAILY)
+    records, _ = parse_records(_read_text(_option(args, "data")))
+    categories, date_range = _option(args, "category"), _option(args, "range")
+    windows = _option(args, "exclude", [])
+    try:
+        series = aggregate(records, granularity, categories, date_range)
+    except ValueError as err:
+        raise SchemaError(f"cannot build the series: {err}") from err
     return apply_exclusions(series, windows), windows
-
-
-def _exclusions(args: argparse.Namespace) -> list[str]:
-    if getattr(args, "exclude", None):
-        return list(args.exclude)
-    raw = args.config_values.get("exclude", "")
-    return [w for w in str(raw).split(",") if w.strip()] if raw else []
 
 
 def _write(path: Path, text: str) -> None:
@@ -206,30 +294,21 @@ def _write(path: Path, text: str) -> None:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    schema = None
-    schema_value = _merged(args, "schema")
-    if schema_value:
-        schema = {}
-        for pair in str(schema_value).split(","):
-            logical, sep, column = pair.partition("=")
-            if not sep:
-                raise SchemaError(f"bad --schema entry {pair!r}: expected logical=column")
-            schema[logical.strip()] = column.strip()
-
+    schema = _option(args, "schema")
     corrections = None
-    corrections_path = _merged(args, "corrections")
+    corrections_path = _option(args, "corrections")
     if corrections_path:
         corrections = load_corrections(_read_text(corrections_path))
 
-    records, report = parse_records(_read_text(_merged(args, "data")), schema=schema,
+    records, report = parse_records(_read_text(_option(args, "data")), schema=schema,
                                     corrections=corrections)
 
-    geo_path = _merged(args, "geo_index")
+    geo_path = _option(args, "geo_index")
     if geo_path:
-        index = load_geo_index(_read_text(geo_path), _merged(args, "geo_policy", "leave_blank"))
+        index = load_geo_index(_read_text(geo_path), _option(args, "geo_policy", "leave_blank"))
         records = normalize_geo(records, index)
 
-    out_dir = Path(_merged(args, "out"))
+    out_dir = _option(args, "out")
     _write(out_dir / "records.csv", records_to_csv(records))
     _write(out_dir / "ingest_report.json", json.dumps({
         "rows_read": report.rows_read,
@@ -244,10 +323,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    profile_path = _merged(args, "profile")
+    profile_path = _option(args, "profile")
     profile = load_profile(_read_text(profile_path)) if profile_path else default_profile()
-    records = generate_synthetic(int(_merged(args, "seed", 0)), profile)
-    out = Path(_merged(args, "out"))
+    records = generate_synthetic(_option(args, "seed", 0), profile)
+    out = _option(args, "out")
     _write(out, records_to_csv(records))
     print(f"wrote {len(records)} synthetic records to {out}")
     return 0
@@ -255,7 +334,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
     series, _ = _load_series(args)
-    out = Path(_merged(args, "out"))
+    out = _option(args, "out")
     _write(out, series_to_csv(series))
     print(f"wrote {len(series)} {series.granularity} periods to {out}")
     return 0
@@ -267,21 +346,17 @@ def _forecast_figure(series: CountSeries, fc: Forecast, windows, title: str) -> 
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
-    model = _merged(args, "model")
-    if model not in MODEL_NAMES:
-        raise SchemaError(f"--model must be one of {', '.join(MODEL_NAMES)}, got {model!r}")
-    horizon = int(_merged(args, "horizon", 12))
-    if horizon < 1:
-        raise SchemaError(f"--horizon must be >= 1, got {horizon}")
-    level = _level(args)
-    seed = int(_merged(args, "seed", 0))
+    model = _required(args, "model")
+    horizon = _option(args, "horizon", 12)
+    level = _option(args, "level", 0.95)
+    seed = _option(args, "seed", 0)
 
     series, windows = _load_series(args)
     fc = forecast_model(model, series, horizon, seed=seed, params=_model_params(args), level=level)
 
-    out_dir = Path(_merged(args, "out"))
+    out_dir = _option(args, "out")
     _write(out_dir / f"forecast_{model}.csv", forecast_to_csv(fc))
-    if _merged(args, "svg"):
+    if _option(args, "svg"):
         title = f"{model} forecast, {series.granularity} horizon {horizon}"
         _write(out_dir / f"forecast_{model}.svg", _forecast_figure(series, fc, windows, title))
     print(f"forecast_{model}.csv: {len(fc)} periods from {fc.origin.isoformat()} "
@@ -289,27 +364,14 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     return 0
 
 
-def _level(args: argparse.Namespace) -> float:
-    level = float(_merged(args, "level", 0.95))
-    if not 0.0 < level < 1.0:
-        raise SchemaError(f"--level must lie in (0, 1), got {level}")
-    return level
-
-
 def _backtest_spec(args: argparse.Namespace, granularity: str) -> BacktestSpec:
-    _level(args)  # backtests score points only, but a bad --level is still a usage error
-    initial = _merged(args, "initial_train")
-    if initial is None:
-        raise SchemaError("--initial-train is required")
-    try:
-        return BacktestSpec(
-            initial_train=int(initial),
-            step=int(_merged(args, "step", 1)),
-            horizon=int(_merged(args, "horizon", 1)),
-            granularity=granularity,
-        )
-    except ValueError as err:
-        raise SchemaError(f"bad backtest settings: {err}") from err
+    _option(args, "level")  # backtests score points only, but a bad --level is still a usage error
+    return BacktestSpec(
+        initial_train=_required(args, "initial_train"),
+        step=_option(args, "step", 1),
+        horizon=_option(args, "horizon", 1),
+        granularity=granularity,
+    )
 
 
 def _report_row(name: str, report: MetricReport) -> str:
@@ -330,21 +392,19 @@ def _report_json(report: MetricReport) -> dict:
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
-    model = _merged(args, "model")
-    if model not in MODEL_NAMES:
-        raise SchemaError(f"--model must be one of {', '.join(MODEL_NAMES)}, got {model!r}")
-    seed = int(_merged(args, "seed", 0))
+    model = _required(args, "model")
+    seed = _option(args, "seed", 0)
     series, _ = _load_series(args)
     spec = _backtest_spec(args, series.granularity)
 
     factory = build_factory(model, series.granularity, seed, _model_params(args))
     report = rolling_backtest(factory, series, spec)
 
-    out_dir = Path(_merged(args, "out"))
+    out_dir = _option(args, "out")
     header = "model,mae,rmse,smape,n_points,n_folds"
     _write(out_dir / f"backtest_{model}.csv", header + "\n" + _report_row(model, report) + "\n")
     _write(out_dir / f"backtest_{model}.json", json.dumps(_report_json(report), indent=2, sort_keys=True))
-    if _merged(args, "svg"):
+    if _option(args, "svg"):
         fig = FigureSpec(kind="backtest_folds", title=f"{model} backtest folds (mae)")
         folds = [(f.origin, f.mae) for f in report.per_fold]
         _write(out_dir / f"backtest_{model}.svg", emit_svg(fig, {"metric": "mae", "folds": folds}))
@@ -361,12 +421,8 @@ def _comparison_csv(comparison: ModelComparison) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    models_value = _merged(args, "models", ",".join(MODEL_NAMES))
-    names = [m.strip() for m in str(models_value).split(",") if m.strip()]
-    for name in names:
-        if name not in MODEL_NAMES:
-            raise SchemaError(f"unknown model {name!r} in --models")
-    seed = int(_merged(args, "seed", 0))
+    names = _option(args, "models", list(MODEL_NAMES))
+    seed = _option(args, "seed", 0)
     series, _ = _load_series(args)
     spec = _backtest_spec(args, series.granularity)
     params = _model_params(args)
@@ -374,7 +430,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     factories = [build_factory(name, series.granularity, seed, params) for name in names]
     comparison = compare(factories, series, spec)
 
-    out_dir = Path(_merged(args, "out"))
+    out_dir = _option(args, "out")
     _write(out_dir / "comparison.csv", _comparison_csv(comparison))
     _write(out_dir / "comparison.json", json.dumps({
         "fingerprint": comparison.fingerprint,
@@ -383,7 +439,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "ranking": comparison.ranking,
         "models": {name: _report_json(r) for name, r in comparison.reports.items()},
     }, indent=2, sort_keys=True))
-    if _merged(args, "svg"):
+    if _option(args, "svg"):
         for metric in ("mae", "rmse", "smape"):
             rows = [(name, getattr(comparison.reports[name], metric)) for name in sorted(comparison.reports)]
             fig = FigureSpec(kind="comparison_bars", title=f"model comparison ({metric})")
@@ -398,40 +454,33 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _add_common(parser: argparse.ArgumentParser, with_model_params: bool = True) -> None:
-    parser.add_argument("--data", help="records CSV path")
-    parser.add_argument("--out", help="output directory or file")
-    parser.add_argument("--granularity", choices=(DAILY, MONTHLY))
-    parser.add_argument("--category", help="comma-separated category filter")
-    parser.add_argument("--range", help="START:END inclusive date range")
-    parser.add_argument("--exclude", action="append", help="START:END exclusion window (repeatable)")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--config", help="flat key=value config file; flags win")
-    if with_model_params:
-        parser.add_argument("--level", type=float, help="interval probability (default 0.95)")
-        parser.add_argument("--svg", action="store_true", help="also emit SVG figures")
-        parser.add_argument("--order", help="ARIMA p,d,q (default 1,1,1)")
-        parser.add_argument("--no-log", dest="no_log", action="store_true")
-        parser.add_argument("--no-intercept", dest="no_intercept", action="store_true")
-        parser.add_argument("--changepoints", type=int)
-        parser.add_argument("--changepoint-range", dest="changepoint_range", type=float)
-        parser.add_argument("--weekly-order", dest="weekly_order", type=int)
-        parser.add_argument("--yearly-order", dest="yearly_order", type=int)
-        parser.add_argument("--trend-penalty", dest="trend_penalty", type=float)
-        parser.add_argument("--lookback", type=int)
-        parser.add_argument("--hidden", type=int)
-        parser.add_argument("--epochs", type=int)
-        parser.add_argument("--lr", type=float)
-        parser.add_argument("--use-month", dest="use_month", action="store_true")
-        parser.add_argument("--no-weekday", dest="no_weekday", action="store_true")
-        parser.add_argument("--kernel", type=int)
-        parser.add_argument("--dilations", help="comma list, e.g. 1,2,4,8")
-        parser.add_argument("--channels", type=int)
-        parser.add_argument("--n-trees", dest="n_trees", type=int)
-        parser.add_argument("--max-depth", dest="max_depth", type=int)
-        parser.add_argument("--min-leaf", dest="min_leaf", type=int)
-        parser.add_argument("--lags", help="comma list or range, e.g. 1-14")
-        parser.add_argument("--ma-windows", dest="ma_windows", help="comma list, e.g. 7,28")
+_COMMON = ("data", "out", "granularity", "category", "range", "exclude", "seed")
+_MODEL_PARAMS = ("level", "svg") + tuple(key for key, option in OPTIONS.items() if option.field)
+
+# command -> (handler, help, its own options, whether it takes model parameters)
+COMMANDS = {
+    "ingest": (cmd_ingest, "parse, dedupe, and geo-normalize a records CSV",
+               ("geo_index", "geo_policy", "corrections", "schema"), False),
+    "synth": (cmd_synth, "write a deterministic synthetic records CSV", ("profile",), False),
+    "aggregate": (cmd_aggregate, "aggregate records into a masked count series CSV", (), False),
+    "forecast": (cmd_forecast, "fit one model and write forecast CSV (+SVG)", ("model", "horizon"), True),
+    "backtest": (cmd_backtest, "rolling-origin backtest for one model",
+                 ("model", "initial_train", "step", "horizon"), True),
+    "compare": (cmd_compare, "backtest several models on identical folds",
+                ("models", "initial_train", "step", "horizon"), True),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
+    """Every value reaches the command as given, a string, for ``_option`` to convert."""
+    for key in keys:
+        option = OPTIONS[key]
+        flag = "--" + key.replace("_", "-")
+        if option.convert in (_switch, _negated_switch):
+            parser.add_argument(flag, dest=key, action="store_const", const="true", help=option.help)
+        else:
+            parser.add_argument(flag, dest=key, action="append" if option.many else "store",
+                                metavar=option.metavar, help=option.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,60 +490,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "count series, fit five model families, backtest, and plot.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ingest = sub.add_parser("ingest", help="parse, dedupe, and geo-normalize a records CSV")
-    p_ingest.add_argument("--geo-index", dest="geo_index", help="location,raion/oblast CSV")
-    p_ingest.add_argument("--geo-policy", dest="geo_policy", choices=("leave_blank", "error"))
-    p_ingest.add_argument("--corrections", help="model_text,category CSV")
-    p_ingest.add_argument("--schema", help="logical=column overrides, comma-separated")
-    _add_common(p_ingest, with_model_params=False)
-    p_ingest.set_defaults(func=cmd_ingest)
-
-    p_synth = sub.add_parser("synth", help="write a deterministic synthetic records CSV")
-    p_synth.add_argument("--profile", help="regime profile CSV (start,end,category,mean_per_day)")
-    _add_common(p_synth, with_model_params=False)
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_agg = sub.add_parser("aggregate", help="aggregate records into a masked count series CSV")
-    _add_common(p_agg, with_model_params=False)
-    p_agg.set_defaults(func=cmd_aggregate)
-
-    p_fc = sub.add_parser("forecast", help="fit one model and write forecast CSV (+SVG)")
-    p_fc.add_argument("--model", choices=MODEL_NAMES)
-    p_fc.add_argument("--horizon", type=int)
-    _add_common(p_fc)
-    p_fc.set_defaults(func=cmd_forecast)
-
-    p_bt = sub.add_parser("backtest", help="rolling-origin backtest for one model")
-    p_bt.add_argument("--model", choices=MODEL_NAMES)
-    p_bt.add_argument("--initial-train", dest="initial_train", type=int)
-    p_bt.add_argument("--step", type=int)
-    p_bt.add_argument("--horizon", type=int)
-    _add_common(p_bt)
-    p_bt.set_defaults(func=cmd_backtest)
-
-    p_cmp = sub.add_parser("compare", help="backtest several models on identical folds")
-    p_cmp.add_argument("--models", help="comma list (default: all five)")
-    p_cmp.add_argument("--initial-train", dest="initial_train", type=int)
-    p_cmp.add_argument("--step", type=int)
-    p_cmp.add_argument("--horizon", type=int)
-    _add_common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
-
+    for name, (func, help_text, own, with_model_params) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        _add_flags(command, own + _COMMON)
+        command.add_argument("--config", help="flat key=value config file; flags win")
+        if with_model_params:
+            _add_flags(command, _MODEL_PARAMS)
+        command.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     try:
-        args.config_values = load_config(args.config) if getattr(args, "config", None) else {}
-        if args.command in ("ingest", "synth", "aggregate", "forecast", "backtest", "compare"):
-            if _merged(args, "out") is None:
-                raise SchemaError("--out is required")
-            if args.command != "synth" and _merged(args, "data") is None:
-                raise SchemaError("--data is required")
+        args.config_values = load_config(args.config) if args.config else {}
+        _required(args, "out")
+        if args.command != "synth":
+            _required(args, "data")
         return args.func(args)
     except SchemaError as err:
         print(f"error: {err}", file=sys.stderr)

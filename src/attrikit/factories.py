@@ -6,14 +6,17 @@ window simply moves the origin back onto observed data. The backtest
 factories built on top realign those forecasts to absolute periods by
 forecasting through any trailing masked gap and dropping the gap steps.
 
-Monthly presets differ from the daily ones because monthly histories are
-short: smaller lookbacks/receptive fields, no weekday features, and more
-optimizer steps for the full-batch neural fits. Everything can be
-overridden per model through ``params``; a parameter a spec rejects is a
+The daily presets are the spec dataclass defaults. Monthly presets differ
+because monthly histories are short: smaller lookbacks/receptive fields, no
+weekday features, and more optimizer steps for the full-batch neural fits
+(gbt drops its weekday features on monthly data by itself). Everything can
+be overridden per model through ``params``; a parameter a spec rejects is a
 SchemaError.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -23,87 +26,48 @@ from .evaluate import ForecastFactory
 from .series import DAILY, MONTHLY, CountSeries, Forecast
 
 
-def _arima_spec(granularity: str, seed: int, p: dict) -> arima.ArimaSpec:
-    return arima.ArimaSpec(
-        p=p.get("p", 1), d=p.get("d", 1), q=p.get("q", 1),
-        use_log=p.get("use_log", True), intercept=p.get("intercept", True),
-    )
+# Spec fields that differ on monthly data; every other value, and every daily
+# one, is the spec dataclass default.
+MONTHLY_PRESETS = {
+    "decomp": {"n_changepoints": 10, "weekly_order": 0, "yearly_order": 3},
+    "lstm": {"lookback": 6, "hidden": 16, "epochs": 2500, "learning_rate": 5e-3, "use_weekday": False},
+    "tcn": {"kernel": 2, "dilations": (1, 2, 4), "channels": 8, "epochs": 2500, "learning_rate": 5e-3},
+    "gbt": {"lags": (1, 2, 3, 6, 12), "ma_windows": (3, 6)},
+}
 
 
-def _decomp_spec(granularity: str, seed: int, p: dict) -> decomp.DecompSpec:
-    monthly = granularity == MONTHLY
-    return decomp.DecompSpec(
-        n_changepoints=p.get("n_changepoints", 10 if monthly else 25),
-        changepoint_range=p.get("changepoint_range", 0.8),
-        weekly_order=p.get("weekly_order", 0 if monthly else 3),
-        yearly_order=p.get("yearly_order", 3 if monthly else 10),
-        trend_penalty=p.get("trend_penalty", 10.0),
-    )
-
-
-def _lstm_spec(granularity: str, seed: int, p: dict) -> neural.LstmSpec:
-    monthly = granularity == MONTHLY
-    return neural.LstmSpec(
-        lookback=p.get("lookback", 6 if monthly else 28),
-        hidden=p.get("hidden", 16 if monthly else 32),
-        epochs=p.get("epochs", 2500 if monthly else 200),
-        learning_rate=p.get("learning_rate", 5e-3 if monthly else 1e-3),
-        seed=p.get("seed", seed),
-        use_weekday=p.get("use_weekday", not monthly),
-        use_month=p.get("use_month", False),
-    )
-
-
-def _tcn_spec(granularity: str, seed: int, p: dict) -> neural.TcnSpec:
-    monthly = granularity == MONTHLY
-    return neural.TcnSpec(
-        kernel=p.get("kernel", 2 if monthly else 3),
-        dilations=tuple(p.get("dilations", (1, 2, 4) if monthly else (1, 2, 4, 8))),
-        channels=p.get("channels", 8 if monthly else 16),
-        epochs=p.get("epochs", 2500 if monthly else 200),
-        learning_rate=p.get("learning_rate", 5e-3 if monthly else 1e-3),
-        seed=p.get("seed", seed),
-    )
-
-
-def _gbt_spec(granularity: str, seed: int, p: dict) -> gbtrees.GbtSpec:
-    monthly = granularity == MONTHLY
-    calendar = {"month", "linear_index"} if monthly else {"weekday", "month", "linear_index"}
-    return gbtrees.GbtSpec(
-        n_trees=p.get("n_trees", 200),
-        max_depth=p.get("max_depth", 4),
-        learning_rate=p.get("learning_rate", 0.1),
-        min_samples_leaf=p.get("min_samples_leaf", 5),
-        lags=tuple(p.get("lags", (1, 2, 3, 6, 12) if monthly else tuple(range(1, 15)))),
-        ma_windows=tuple(p.get("ma_windows", (3, 6) if monthly else (7, 28))),
-        calendar=frozenset(p.get("calendar", calendar)),
-    )
-
-
-# name -> (spec builder, fit(series, spec), forecast(fitted, series, spec,
+# name -> (spec class, fit(series, spec), forecast(fitted, series, spec,
 # horizon, level)). The lambdas look each model function up on its module at
 # call time, so a function replaced on the module (say, wrapped to time it)
 # is the one that runs.
 MODELS = {
-    "arima": (_arima_spec, lambda s, spec: arima.fit(s, spec),
+    "arima": (arima.ArimaSpec, lambda s, spec: arima.fit(s, spec),
               lambda m, s, spec, h, level: arima.forecast(m, s, spec, h, level=level)),
-    "decomp": (_decomp_spec, lambda s, spec: decomp.fit(s, spec),
+    "decomp": (decomp.DecompSpec, lambda s, spec: decomp.fit(s, spec),
                lambda m, s, spec, h, level: decomp.forecast(m, s, h, level=level)),
-    "lstm": (_lstm_spec, lambda s, spec: neural.lstm_fit(s, spec)[0],
+    "lstm": (neural.LstmSpec, lambda s, spec: neural.lstm_fit(s, spec)[0],
              lambda m, s, spec, h, level: neural.lstm_forecast(m, s, h, spec, level=level)),
-    "tcn": (_tcn_spec, lambda s, spec: neural.tcn_fit(s, spec)[0],
+    "tcn": (neural.TcnSpec, lambda s, spec: neural.tcn_fit(s, spec)[0],
             lambda m, s, spec, h, level: neural.tcn_forecast(m, s, h, spec, level=level)),
-    "gbt": (_gbt_spec, lambda s, spec: gbtrees.fit_series(s, spec),
+    "gbt": (gbtrees.GbtSpec, lambda s, spec: gbtrees.fit_series(s, spec),
             lambda m, s, spec, h, level: gbtrees.forecast_recursive(m, s, spec, h, level=level)),
 }
 MODEL_NAMES = tuple(MODELS)
 
 
 def _spec(name: str, granularity: str, seed: int, params: dict):
+    """The model's spec: its monthly presets on monthly data, then ``seed``,
+    then every ``params`` key that names a spec field."""
     if name not in MODELS:
         raise ValueError(f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
+    spec_class = MODELS[name][0]
+    fields = {f.name for f in dataclasses.fields(spec_class)}
+    values = dict(MONTHLY_PRESETS.get(name, {})) if granularity == MONTHLY else {}
+    if "seed" in fields:
+        values["seed"] = seed
+    values.update((key, value) for key, value in params.items() if key in fields)
     try:
-        return MODELS[name][0](granularity, seed, params)
+        return spec_class(**values)
     except ValueError as err:
         raise SchemaError(f"bad {name} parameters: {err}") from err
 

@@ -40,6 +40,8 @@ class LstmSpec:
             raise ValueError("lookback and hidden must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,8 @@ class TcnSpec:
             raise ValueError("channels must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         object.__setattr__(self, "dilations", tuple(self.dilations))
 
 

@@ -99,9 +99,6 @@ class CountSeries:
         """Last day covered by the final period."""
         return period_end(self.start, self.granularity, len(self) - 1)
 
-    def index_of(self, day: date) -> int:
-        return period_index(self.start, self.granularity, day)
-
     def observed(self) -> tuple[np.ndarray, np.ndarray]:
         """Indices and values of masked-in periods.
 
@@ -286,19 +283,6 @@ def apply_exclusions(series: CountSeries, windows: list[ExclusionWindow]) -> Cou
     return CountSeries(series.granularity, series.start, series.values.copy(), mask)
 
 
-def split(series: CountSeries, cutoff: date) -> tuple[CountSeries, CountSeries]:
-    """Periods ending strictly before ``cutoff`` on the left, the rest right."""
-    i = period_index(series.start, series.granularity, cutoff)
-    if not 0 <= i <= len(series) - 1:
-        raise ValueError(f"cutoff {cutoff} outside series range")
-    if i == 0:
-        raise ValueError("cutoff at series start would leave an empty left part")
-    left = CountSeries(series.granularity, series.start, series.values[:i].copy(), series.mask[:i].copy())
-    right_start = period_start(series.start, series.granularity, i)
-    right = CountSeries(series.granularity, right_start, series.values[i:].copy(), series.mask[i:].copy())
-    return left, right
-
-
 # --------------------------------------------------------------------------
 # Supervised matrix
 
@@ -454,15 +438,6 @@ def series_from_csv(text: str) -> CountSeries:
     if expect != starts:
         raise ValueError("series periods are not contiguous")
     return CountSeries(granularity, starts[0], values, mask)
-
-
-def supervised_to_csv(matrix: SupervisedMatrix) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(matrix.feature_names) + ["target", "target_date"])
-    for row, target, day in zip(matrix.x, matrix.y, matrix.target_dates):
-        writer.writerow([_fmt(v) for v in row] + [_fmt(target), day.isoformat()])
-    return out.getvalue()
 
 
 def forecast_to_csv(forecast: Forecast) -> str:

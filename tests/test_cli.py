@@ -1,11 +1,14 @@
 """End-to-end command tests: flows, exit codes, config files, determinism."""
 
+import dataclasses
 import json
 from datetime import date
+from pathlib import Path
 
 import pytest
 
-from attrikit.cli import main
+from attrikit import factories
+from attrikit.cli import OPTIONS, _int_list, main
 from attrikit.ingest import Category, Profile, Regime, load_profile
 
 RECORDS_HEADER = "date,type,model,status,location,raion,oblast,url\n"
@@ -159,6 +162,8 @@ BAD_MODEL_PARAMS = [
     ("--dilations", "1,a", "tcn"),
     ("--trend-penalty", "nan", "decomp"),
     ("--epochs", "0", "tcn"),
+    ("--lr", "nan", "lstm"),
+    ("--lr", "-0.1", "tcn"),
 ]
 
 
@@ -175,6 +180,27 @@ def test_bad_model_parameter_exit_2(records_csv, tmp_path, command, flag, value,
 def test_backtest_zero_horizon_exit_2(records_csv, tmp_path):
     assert main(["backtest", "--data", str(records_csv), "--model", "arima", "--initial-train", "30",
                  "--horizon", "0", "--out", str(tmp_path / "o")]) == 2
+
+
+# Input the library rejects with a ValueError, which the CLI reports as a usage error.
+USAGE_ERRORS = {
+    "no models": ("records", ["compare", "--models", ",", "--initial-train", "30"]),
+    "repeated model": ("records", ["compare", "--models", "arima,arima", "--initial-train", "30"]),
+    "reversed range": ("records", ["aggregate", "--range", "2024-01-01:2023-01-01"]),
+    "aggregate no records": ("unparsable", ["aggregate"]),
+    "forecast no records": ("unparsable", ["forecast", "--model", "arima"]),
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_usage_error_exit_2(records_csv, tmp_path, case):
+    data, argv = USAGE_ERRORS[case]
+    if data == "unparsable":
+        data = tmp_path / "unparsable.csv"
+        data.write_text(RECORDS_HEADER + "not-a-date,tank,,destroyed,,,,\n")
+    else:
+        data = records_csv
+    assert main([*argv, "--data", str(data), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_forecast_model_error_exit_3(tmp_path):
@@ -258,6 +284,14 @@ def test_config_unknown_key_exit_2(records_csv, tmp_path):
                  "--model", "arima", "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("line", ["horizon=abc", "seed=x", "level=abc", "epochs=1.5"])
+def test_config_bad_value_exit_2(records_csv, tmp_path, line):
+    config = tmp_path / "bad.conf"
+    config.write_text(line + "\n")
+    assert main(["forecast", "--config", str(config), "--data", str(records_csv),
+                 "--model", "arima", "--out", str(tmp_path / "o")]) == 2
+
+
 def test_missing_required_flags_exit_2(tmp_path):
     assert main(["forecast", "--model", "arima", "--out", str(tmp_path / "o")]) == 2
     assert main(["aggregate", "--data", "x.csv"]) == 2
@@ -288,3 +322,36 @@ def test_backtest_equals_compare_of_one(records_csv, tmp_path, capsys):
     printed = capsys.readouterr().out
     n_folds = int(bt_row.split(",")[-1])
     assert f"over {n_folds} folds" in printed
+
+
+def _preset_cell(text: str):
+    """A README preset: true/false, calendar words, an integer list in flag syntax, or a number."""
+    if text in ("true", "false"):
+        return text == "true"
+    if text[0].isalpha():
+        return frozenset(word.strip() for word in text.split(","))
+    if "," in text or "-" in text[1:]:
+        return _int_list(text)
+    return float(text)
+
+
+def test_readme_presets_table_matches_specs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Defaults per granularity", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")][2:]
+    documented = set()
+    for model, field_text, flag, daily, monthly in rows:
+        fields = tuple(field_text.split(", "))
+        documented.update((model, field) for field in fields)
+        for granularity, cell in (("daily", daily), ("monthly", monthly)):
+            spec = factories._spec(model, granularity, 0, {})
+            value = tuple(getattr(spec, f) for f in fields) if len(fields) > 1 else getattr(spec, fields[0])
+            assert _preset_cell(cell) == value, (model, field_text, granularity)
+        if flag != "none":
+            option = OPTIONS[flag.strip("`-").replace("-", "_")]
+            # --seed reaches the spec through forecast_model's seed argument.
+            assert option.field == (fields if len(fields) > 1 else fields[0]) or fields == ("seed",), flag
+    every_field = {(name, f.name) for name, (spec_class, _, _) in factories.MODELS.items()
+                   for f in dataclasses.fields(spec_class)}
+    assert documented == every_field

@@ -2,7 +2,8 @@
 
 Every model returns ``horizon`` finite, non-negative points with an ordered
 interval, accepts horizons up to ``MAX_HORIZON`` and rejects one more, and
-the CLI maps any model-flag input onto the documented exit codes.
+the CLI maps any setting, given as a flag or in a config file, onto the
+documented exit codes.
 """
 
 from datetime import date
@@ -75,11 +76,13 @@ def test_one_horizon_cap_for_every_model(name):
 
 # -- CLI exit codes ---------------------------------------------------------
 
-SMALL_MODEL_FLAGS = [
-    "--epochs", "5", "--hidden", "4", "--lookback", "4", "--channels", "3",
-    "--kernel", "2", "--dilations", "1,2", "--n-trees", "5", "--lags", "1,2,3",
-    "--ma-windows", "3", "--changepoints", "5", "--yearly-order", "2",
-]
+# Small models and a short backtest, so each example runs in well under a second.
+SMALL_SETTINGS = {
+    "horizon": "3", "initial_train": "36", "step": "2",
+    "epochs": "5", "hidden": "4", "lookback": "4", "channels": "3", "kernel": "2",
+    "dilations": "1,2", "n_trees": "5", "lags": "1,2,3", "ma_windows": "3",
+    "changepoints": "5", "yearly_order": "2",
+}
 
 _ints = st.integers(-3, 12).map(str)
 _floats = st.one_of(st.floats(-1.0, 2.0), st.sampled_from([float("nan"), float("inf")])).map(str)
@@ -87,26 +90,48 @@ _int_lists = st.one_of(
     st.lists(st.integers(-2, 50), max_size=4).map(lambda xs: ",".join(map(str, xs))),
     st.sampled_from(["1-3", "3-1", "a", "2,x", "1,,2"]),
 )
-MODEL_FLAG_VALUES = {
-    "--horizon": st.integers(-1, MAX_HORIZON + 2).map(str),
-    "--level": _floats,
-    "--order": st.one_of(
+_dates = st.dates(date(2021, 6, 1), date(2026, 1, 31)).map(str)
+# Config key -> its values; each is passed as a flag or in a --config file.
+SETTING_VALUES = {
+    "horizon": st.integers(-1, MAX_HORIZON + 2).map(str),
+    "level": _floats,
+    "seed": st.one_of(st.integers(-2, 2**32).map(str), st.sampled_from(["x", "1.5", ""])),
+    "range": st.one_of(st.tuples(_dates, _dates).map(":".join), st.sampled_from(["", "2024-01-01", "a:b"])),
+    "models": st.one_of(st.lists(st.sampled_from([*MODEL_NAMES, "nope"]), max_size=3).map(",".join),
+                        st.just(",")),
+    "initial_train": st.integers(-1, 45).map(str),
+    "step": st.integers(-1, 12).map(str),
+    "order": st.one_of(
         st.lists(st.integers(-1, 6), min_size=3, max_size=3).map(lambda xs: ",".join(map(str, xs))),
         st.sampled_from(["1,1", "a,b,c"]),
     ),
-    "--changepoints": _ints, "--changepoint-range": _floats, "--weekly-order": _ints,
-    "--yearly-order": _ints, "--trend-penalty": _floats,
-    "--lookback": _ints, "--hidden": _ints, "--epochs": _ints, "--lr": _floats,
-    "--kernel": _ints, "--dilations": _int_lists, "--channels": _ints,
-    "--n-trees": _ints, "--max-depth": _ints, "--min-leaf": _ints,
-    "--lags": _int_lists, "--ma-windows": _int_lists,
+    "changepoints": _ints, "changepoint_range": _floats, "weekly_order": _ints,
+    "yearly_order": _ints, "trend_penalty": _floats,
+    "lookback": _ints, "hidden": _ints, "epochs": _ints, "lr": _floats,
+    "kernel": _ints, "dilations": _int_lists, "channels": _ints,
+    "n_trees": _ints, "max_depth": _ints, "min_leaf": _ints,
+    "lags": _int_lists, "ma_windows": _int_lists,
 }
 
 
+# Keys a command has no flag for; a config file may still hold them.
+NO_FLAG = {"forecast": {"initial_train", "step", "models"}, "backtest": {"models"}, "compare": set()}
+
+
 @st.composite
-def model_flags(draw):
-    flags = draw(st.lists(st.sampled_from(sorted(MODEL_FLAG_VALUES)), min_size=1, max_size=3, unique=True))
-    return [f"{flag}={draw(MODEL_FLAG_VALUES[flag])}" for flag in flags]
+def cli_runs(draw):
+    """(command, flags, config): SMALL_SETTINGS in the config, then 1-3 drawn
+    settings, each given as a flag or as a config line."""
+    command = draw(st.sampled_from(sorted(NO_FLAG)))
+    config = dict(SMALL_SETTINGS)
+    flags = []
+    for key in draw(st.lists(st.sampled_from(sorted(SETTING_VALUES)), min_size=1, max_size=3, unique=True)):
+        value = draw(SETTING_VALUES[key])
+        if key not in NO_FLAG[command] and draw(st.booleans()):
+            flags.append(f"--{key.replace('_', '-')}={value}")
+        else:
+            config[key] = value
+    return command, flags, config
 
 
 @pytest.fixture(scope="module")
@@ -119,19 +144,14 @@ def small_records(tmp_path_factory):
     return out
 
 
-def _exit_code(argv: list[str]) -> int:
-    try:
-        return main(argv)
-    except SystemExit as exc:  # argparse rejected the command line
-        return exc.code
-
-
-@settings(PROPERTY, max_examples=60)
-@given(command=st.sampled_from(["forecast", "backtest"]), model=st.sampled_from(MODEL_NAMES),
-       flags=model_flags())
-def test_cli_exit_code_is_documented(small_records, command, model, flags):
-    run = (["--horizon", "3"] if command == "forecast"
-           else ["--initial-train", "36", "--step", "2", "--horizon", "2"])
-    argv = [command, "--data", str(small_records), "--granularity", "monthly", "--model", model,
-            "--out", str(small_records.parent / "out"), *run, *SMALL_MODEL_FLAGS, *flags]
-    assert _exit_code(argv) in (0, 1, 2, 3)
+@settings(PROPERTY, max_examples=100)
+@given(run=cli_runs(), model=st.sampled_from(MODEL_NAMES))
+def test_cli_exit_code_is_documented(small_records, run, model):
+    command, flags, config = run
+    config_file = small_records.parent / "run.conf"
+    config_file.write_text("".join(f"{key}={value}\n" for key, value in config.items()))
+    argv = [command, "--data", str(small_records), "--granularity", "monthly", "--config", str(config_file),
+            "--out", str(small_records.parent / "out"), *flags]
+    if command != "compare":
+        argv += ["--model", model]
+    assert main(argv) in (0, 1, 2, 3)

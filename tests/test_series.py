@@ -20,8 +20,6 @@ from attrikit.series import (
     period_start,
     series_from_csv,
     series_to_csv,
-    split,
-    supervised_to_csv,
 )
 
 
@@ -176,38 +174,6 @@ def test_make_supervised_depth_exceeds_history():
         make_supervised(daily_series([1, 2, 3]), lags=[5], ma_windows=[])
 
 
-# -- split -------------------------------------------------------------------
-
-
-def test_split_lengths():
-    s = daily_series(np.arange(10.0))
-    left, right = split(s, s.start + (date(2022, 3, 9) - date(2022, 3, 1)))
-    assert (len(left), len(right)) == (8, 2)
-    l2, r2 = split(s, date(2022, 3, 8))
-    assert (len(l2), len(r2)) == (7, 3)
-
-
-def test_split_at_start_rejected():
-    s = daily_series([1, 2, 3])
-    with pytest.raises(ValueError):
-        split(s, s.start)
-
-
-def test_split_outside_range_rejected():
-    s = daily_series([1, 2, 3])
-    with pytest.raises(ValueError):
-        split(s, date(2023, 1, 1))
-
-
-def test_split_preserves_masks_bit_for_bit():
-    mask = [True, False, True, True, False]
-    s = daily_series([1, 2, 3, 4, 5], mask=mask)
-    left, right = split(s, date(2022, 3, 4))
-    assert left.mask.tolist() == mask[:3]
-    assert right.mask.tolist() == mask[3:]
-    assert np.concatenate([left.values, right.values]).tolist() == s.values.tolist()
-
-
 # -- serialization -----------------------------------------------------------
 
 
@@ -220,14 +186,6 @@ def test_series_csv_roundtrip_daily_and_monthly():
     m = CountSeries(MONTHLY, date(2025, 5, 1), np.array([5.0, 6.0]), np.array([True, False]))
     back = series_from_csv(series_to_csv(m))
     assert back.granularity == MONTHLY and np.array_equal(back.mask, m.mask)
-
-
-def test_supervised_csv_has_header_and_rows():
-    s = daily_series([1, 2, 3, 4])
-    text = supervised_to_csv(make_supervised(s, lags=[1], ma_windows=[]))
-    lines = text.strip().split("\n")
-    assert lines[0] == "lag_1,target,target_date"
-    assert len(lines) == 4
 
 
 def test_forecast_csv_layout():
