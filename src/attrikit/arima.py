@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ModelError
 from .optim import nelder_mead
@@ -94,6 +93,8 @@ def _diff_segments(segments: list[np.ndarray], d: int) -> list[np.ndarray]:
 def _css(zsegs: list[np.ndarray], phi: np.ndarray, theta: np.ndarray, mu: float) -> tuple[float, int]:
     """Conditional sum of squares; each segment conditions on its first p
     values with pre-segment innovations at zero."""
+    from scipy.signal import lfilter  # imported here: it takes ~1 s to load, and most runs fit no ARIMA
+
     p = len(phi)
     ma_poly = np.concatenate(([1.0], theta))
     total, n_used = 0.0, 0
@@ -201,6 +202,8 @@ def forecast(fit_result: ArimaFit, series: CountSeries, spec: ArimaSpec,
     # Innovations over the final segment, conditioned exactly as in fitting.
     e_hist = [0.0] * p
     if len(z) > p:
+        from scipy.signal import lfilter  # imported here, as in _css
+
         u = (z - fit_result.mu)[p:].copy()
         for i in range(1, p + 1):
             u -= fit_result.phi[i - 1] * (z - fit_result.mu)[p - i:len(z) - i]

@@ -141,8 +141,14 @@ def _models(text: str) -> list[str]:
 
 def _switch(text: str) -> bool | None:
     """An on/off flag: True when on, None (sets nothing) when off. In a
-    config file, 1, true, yes and on turn it on."""
-    return True if text.lower() in ("1", "true", "yes", "on") else None
+    config file, 1, true, yes and on turn it on and 0, false, no and off
+    turn it off, in any case; any other value is rejected."""
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return None
+    raise ValueError("expected 1/true/yes/on or 0/false/no/off")
 
 
 def _negated_switch(text: str) -> bool | None:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ModelError
 from .series import DAILY, CountSeries, Forecast, check_request, period_index, period_start
@@ -128,6 +127,8 @@ def fit(series: CountSeries, spec: DecompSpec) -> DecompFit:
     penalty = np.zeros(x.shape[1])
     penalty[2:2 + len(cps)] = spec.trend_penalty
     gram = x.T @ x + np.diag(penalty)
+    from scipy.linalg import cho_factor, cho_solve  # imported here: slow to load, and most runs fit no decomp
+
     try:
         factor = cho_factor(gram)
     except np.linalg.LinAlgError as err:

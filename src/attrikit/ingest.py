@@ -7,6 +7,7 @@ since real visually-confirmed loss datasets are not redistributable.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 from dataclasses import dataclass, field, replace
@@ -162,6 +163,13 @@ def parse_status(text: str | None) -> Status | None:
 def parse_loss_date(text: str) -> date:
     """ISO 8601 first, then DD.MM.YYYY, then MM/DD/YYYY."""
     cleaned = text.strip()
+    # Fast path for YYYY-MM-DD only: fromisoformat also takes forms such as
+    # 20220224 and 2022-W08-4, which the formats below reject.
+    if len(cleaned) == 10 and cleaned[4] == cleaned[7] == "-" and cleaned.isascii():
+        try:
+            return date.fromisoformat(cleaned)
+        except ValueError:
+            pass
     for fmt in _DATE_FORMATS:
         try:
             return datetime.strptime(cleaned, fmt).date()
@@ -216,13 +224,6 @@ def make_record(
     )
 
 
-def _clean_cell(value: str | None) -> str | None:
-    if value is None:
-        return None
-    stripped = value.strip()
-    return stripped if stripped else None
-
-
 def parse_records(
     csv_text: str,
     schema: dict[str, str] | None = None,
@@ -249,30 +250,43 @@ def parse_records(
         _normalize_token(text): cat for text, cat in (corrections or {}).items()
     }
 
-    reader = csv.DictReader(io.StringIO(csv_text))
-    header = reader.fieldnames or []
+    reader = csv.reader(io.StringIO(csv_text))
+    header = next(reader, [])
     for logical in MANDATORY_COLUMNS:
         if colmap[logical] not in header:
             raise SchemaError(f"mandatory column {colmap[logical]!r} (logical {logical!r}) missing from header")
-    present = {logical: colmap[logical] for logical in LOGICAL_COLUMNS if colmap[logical] in header}
+    # Rows are read as csv.DictReader reads them: a repeated header name
+    # reads its last column, cells past the end of a short row are blank,
+    # extra cells are ignored, and blank lines are skipped unnumbered.
+    position = {name: i for i, name in enumerate(header)}
+    columns = [position.get(colmap[logical]) for logical in LOGICAL_COLUMNS]
+
+    # Many rows share a date, type or status, so each distinct string is
+    # parsed once per call.
+    day_of = functools.cache(parse_loss_date)
+    status_of = functools.cache(parse_status)
+    category_of = functools.cache(parse_category)
 
     report = IngestReport()
     records: list[LossRecord] = []
     seen_ids: set[int] = set()
 
-    for line_no, row in enumerate(reader, start=2):
+    line_no = 1
+    for row in reader:
+        if not row:
+            continue
+        line_no += 1
         report.rows_read += 1
+        width = len(row)
+        raw_date, raw_type, model_text, raw_status, location, raion, oblast, url = [  # LOGICAL_COLUMNS
+            (row[i].strip() or None) if i is not None and i < width else None for i in columns
+        ]
 
-        def cell(logical: str) -> str | None:
-            name = present.get(logical)
-            return _clean_cell(row.get(name)) if name else None
-
-        raw_date = cell("date")
         if raw_date is None:
             report.unparsable_rows.append((line_no, "missing date"))
             continue
         try:
-            day = parse_loss_date(raw_date)
+            day = day_of(raw_date)
         except ValueError as err:
             report.unparsable_rows.append((line_no, str(err)))
             continue
@@ -280,13 +294,12 @@ def parse_records(
             report.unparsable_rows.append((line_no, f"date {day.isoformat()} outside coverage window"))
             continue
 
-        status = parse_status(cell("status"))
+        status = status_of(raw_status)
         if status is None:
-            report.unparsable_rows.append((line_no, f"unknown status {cell('status')!r}"))
+            report.unparsable_rows.append((line_no, f"unknown status {raw_status!r}"))
             continue
 
-        category = parse_category(cell("type"))
-        model_text = cell("model")
+        category = category_of(raw_type)
         if model_text is not None:
             corrected = norm_corrections.get(_normalize_token(model_text))
             if corrected is not None and corrected != category:
@@ -298,10 +311,10 @@ def parse_records(
             category=category,
             status=status,
             model_text=model_text,
-            location_text=cell("location"),
-            raion=cell("raion"),
-            oblast=cell("oblast"),
-            source_url=cell("url"),
+            location_text=location,
+            raion=raion,
+            oblast=oblast,
+            source_url=url,
         )
         if record.record_id in seen_ids:
             report.duplicates_removed += 1

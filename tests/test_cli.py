@@ -2,11 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
 import pytest
 
+import attrikit
 from attrikit import factories
 from attrikit.cli import OPTIONS, _int_list, main
 from attrikit.ingest import Category, Profile, Regime, load_profile
@@ -284,12 +288,41 @@ def test_config_unknown_key_exit_2(records_csv, tmp_path):
                  "--model", "arima", "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("line", ["horizon=abc", "seed=x", "level=abc", "epochs=1.5"])
+@pytest.mark.parametrize("line", ["horizon=abc", "seed=x", "level=abc", "epochs=1.5", "svg=tru", "no_log=maybe"])
 def test_config_bad_value_exit_2(records_csv, tmp_path, line):
     config = tmp_path / "bad.conf"
     config.write_text(line + "\n")
     assert main(["forecast", "--config", str(config), "--data", str(records_csv),
                  "--model", "arima", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("value, svg", [("no", False), ("OFF", False), ("Yes", True)])
+def test_config_switch_values(records_csv, tmp_path, value, svg):
+    config = tmp_path / "switch.conf"
+    config.write_text(f"svg={value}\n")
+    out = tmp_path / "o"
+    assert main(["forecast", "--config", str(config), "--data", str(records_csv),
+                 "--model", "arima", "--horizon", "2", "--out", str(out)]) == 0
+    assert (out / "forecast_arima.svg").exists() == svg
+
+
+NO_SCIPY_RUN = """
+import sys
+from attrikit import cli
+assert cli.main(["ingest", "--data", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert cli.main(["aggregate", "--data", sys.argv[1], "--granularity", "monthly", "--out", sys.argv[3]]) == 0
+print(sorted(name for name in sys.modules if name.startswith(("scipy.signal", "scipy.linalg"))))
+"""
+
+
+def test_ingest_and_aggregate_import_no_scipy(records_csv, tmp_path):
+    """scipy takes about a second to import; only the ARIMA and decomp fits load it."""
+    package_root = str(Path(attrikit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(records_csv), str(tmp_path / "ingest"),
+                          str(tmp_path / "monthly.csv")], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_missing_required_flags_exit_2(tmp_path):

@@ -1,14 +1,17 @@
 """Record parsing, dedup, geo normalization, and the synthetic generator."""
 
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from attrikit.errors import SchemaError
 from attrikit.ingest import (
     Category,
     GeoIndex,
+    IngestReport,
     Profile,
     Regime,
     Status,
@@ -19,6 +22,7 @@ from attrikit.ingest import (
     load_profile,
     make_record,
     normalize_geo,
+    parse_loss_date,
     parse_records,
     record_id_of,
     records_to_csv,
@@ -93,6 +97,124 @@ def test_unparsable_and_out_of_coverage_rows_skipped_not_raised():
     assert len(report.unparsable_rows) == 2
     assert report.unparsable_rows[0][0] == 2  # 1-based line numbers, header is line 1
     report.check()
+
+
+def _strptime_dates(text):
+    """Reference for parse_loss_date: the documented formats, in order."""
+    for fmt in ("%Y-%m-%d", "%d.%m.%Y", "%m/%d/%Y"):
+        try:
+            return datetime.strptime(text.strip(), fmt).date()
+        except ValueError:
+            continue
+    raise ValueError(f"unparsable date {text!r}")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@st.composite
+def formatted_dates(draw):
+    """A real date in one of the three formats, padded or not, with whitespace around it."""
+    day = draw(st.dates(date(1, 1, 1), date(9999, 12, 31)))
+    fmt = draw(st.sampled_from([
+        "{y:04d}-{m:02d}-{d:02d}", "{d:02d}.{m:02d}.{y:04d}", "{m:02d}/{d:02d}/{y:04d}",
+        "{y}-{m}-{d}", "{d}.{m}.{y}", "{m}/{d}/{y}",
+    ]))
+    pad = st.sampled_from(["", " ", "\t", "\n ", "\u00a0"])
+    return draw(pad) + fmt.format(y=day.year, m=day.month, d=day.day) + draw(pad)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=400)
+@given(text=st.one_of(st.text(), st.text("0123456789-./ TW+٢０"), formatted_dates()))
+@example(text="2022-02-30")
+@example(text="2022-13-01")
+@example(text="20220224")
+@example(text="2022-W08-4")
+@example(text="２０２２-０２-２４")  # fullwidth digits
+@example(text="2022-0٢-24")  # one Arabic-Indic digit
+@example(text=" 2022-02-24\t")
+def test_parse_loss_date_matches_strptime_reference(text):
+    assert _outcome(parse_loss_date, text) == _outcome(_strptime_dates, text)
+
+
+# parse_records reads rows as csv.DictReader does; these pin its semantics.
+
+
+def test_repeated_header_name_maps_to_its_last_column():
+    text = (
+        "date,type,model,status,location,raion,oblast,url,model\n"
+        "2022-03-01,tank,T-72A,destroyed,Bucha,,,,T-90M\n"
+        "2022-03-02,tank,T-72A,destroyed,Irpin,,,\n"  # short: the last model column is missing
+    )
+    records, report = parse_records(text)
+    assert [r.model_text for r in records] == ["T-90M", None]
+    assert [r.record_id for r in records] == [
+        record_id_of(date(2022, 3, 1), Category.TANK, "T-90M", "Bucha", None),
+        record_id_of(date(2022, 3, 2), Category.TANK, None, "Irpin", None),
+    ]
+    assert report == IngestReport(rows_read=2, rows_parsed=2)
+
+
+def test_short_rows_read_missing_cells_as_blank():
+    text = HEADER + (
+        "2022-03-01,ifv,BMP-2\n"
+        "2022-03-02\n"  # only a date: type blank is OTHER, status blank is destroyed
+    )
+    records, report = parse_records(text)
+    assert [(r.category, r.status, r.model_text) for r in records] == [
+        (Category.IFV, Status.DESTROYED, "BMP-2"),
+        (Category.OTHER, Status.DESTROYED, None),
+    ]
+    assert [r.record_id for r in records] == [
+        record_id_of(date(2022, 3, 1), Category.IFV, "BMP-2", None, None),
+        record_id_of(date(2022, 3, 2), Category.OTHER, None, None, None),
+    ]
+    assert report == IngestReport(rows_read=2, rows_parsed=2)
+
+
+def test_long_row_ignores_extra_cells():
+    records, report = parse_records(HEADER + "2022-03-01,tank,,damaged,Bucha,,,http://a,extra,cells\n")
+    assert records[0].source_url == "http://a" and records[0].status is Status.DAMAGED
+    assert [r.record_id for r in records] == [
+        record_id_of(date(2022, 3, 1), Category.TANK, None, "Bucha", "http://a"),
+    ]
+    assert report == IngestReport(rows_read=1, rows_parsed=1)
+
+
+def test_blank_lines_are_skipped_and_not_numbered():
+    text = HEADER + (
+        "\n"
+        "2022-03-01,tank,,,,,,\n"
+        "\n"
+        "bad-date,tank,,,,,,\n"
+        "\n\n"
+        " \n"  # whitespace is a row, with a blank date
+        "2021-01-01,tank,,,,,,\n"
+        "\n"
+    )
+    records, report = parse_records(text)
+    assert [r.record_id for r in records] == [record_id_of(date(2022, 3, 1), Category.TANK, None, None, None)]
+    assert report == IngestReport(rows_read=4, rows_parsed=1, unparsable_rows=[
+        (3, "unparsable date 'bad-date'"),
+        (4, "missing date"),
+        (5, "date 2021-01-01 outside coverage window"),
+    ])
+
+
+def test_quoted_field_with_newline_and_comma():
+    text = HEADER + (
+        '2022-03-01,tank,"T-72B3, obr. 2016\nupgraded",destroyed,Bucha,,,\n'
+        "bad-date,tank,,,,,,\n"  # one row later, although two physical lines later
+    )
+    records, report = parse_records(text)
+    assert [r.record_id for r in records] == [
+        record_id_of(date(2022, 3, 1), Category.TANK, "T-72B3, obr. 2016\nupgraded", "Bucha", None),
+    ]
+    assert report == IngestReport(rows_read=2, rows_parsed=1, unparsable_rows=[(3, "unparsable date 'bad-date'")])
 
 
 def test_missing_mandatory_column_names_it():
