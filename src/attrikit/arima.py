@@ -12,6 +12,7 @@ slightly from exact-MLE implementations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -90,11 +91,10 @@ def _diff_segments(segments: list[np.ndarray], d: int) -> list[np.ndarray]:
     return out
 
 
-def _css(zsegs: list[np.ndarray], phi: np.ndarray, theta: np.ndarray, mu: float) -> tuple[float, int]:
+def _css(zsegs: list[np.ndarray], phi: np.ndarray, theta: np.ndarray, mu: float,
+         lfilter: Callable) -> tuple[float, int]:
     """Conditional sum of squares; each segment conditions on its first p
     values with pre-segment innovations at zero."""
-    from scipy.signal import lfilter  # imported here: it takes ~1 s to load, and most runs fit no ARIMA
-
     p = len(phi)
     ma_poly = np.concatenate(([1.0], theta))
     total, n_used = 0.0, 0
@@ -128,6 +128,8 @@ def fit(series: CountSeries, spec: ArimaSpec, max_iter: int = 2000) -> ArimaFit:
     if pooled.size <= spec.p:
         raise ModelError("not enough contiguous observed data after differencing")
     mu0 = float(pooled.mean()) if spec.intercept else 0.0
+    # Imported here, once per fit: it takes ~1 s to load, and most runs fit no ARIMA.
+    from scipy.signal import lfilter
 
     n_params = spec.p + spec.q + (1 if spec.intercept else 0)
     x0 = np.zeros(n_params)
@@ -136,7 +138,7 @@ def fit(series: CountSeries, spec: ArimaSpec, max_iter: int = 2000) -> ArimaFit:
 
     def objective(x: np.ndarray) -> float:
         phi, theta, mu = _unpack(x, spec, 0.0)
-        total, n_used = _css(zsegs, phi, theta, mu)
+        total, n_used = _css(zsegs, phi, theta, mu, lfilter)
         if n_used == 0:
             return np.inf
         return total
@@ -147,7 +149,7 @@ def fit(series: CountSeries, spec: ArimaSpec, max_iter: int = 2000) -> ArimaFit:
     else:
         x_best = x0
     phi, theta, mu = _unpack(x_best, spec, 0.0)
-    css, n_used = _css(zsegs, phi, theta, mu)
+    css, n_used = _css(zsegs, phi, theta, mu, lfilter)
     if n_used == 0:
         raise ModelError("no usable residuals: observed segments too short for the AR order")
 
@@ -202,7 +204,7 @@ def forecast(fit_result: ArimaFit, series: CountSeries, spec: ArimaSpec,
     # Innovations over the final segment, conditioned exactly as in fitting.
     e_hist = [0.0] * p
     if len(z) > p:
-        from scipy.signal import lfilter  # imported here, as in _css
+        from scipy.signal import lfilter  # imported here, as in fit
 
         u = (z - fit_result.mu)[p:].copy()
         for i in range(1, p + 1):

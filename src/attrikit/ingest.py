@@ -163,13 +163,6 @@ def parse_status(text: str | None) -> Status | None:
 def parse_loss_date(text: str) -> date:
     """ISO 8601 first, then DD.MM.YYYY, then MM/DD/YYYY."""
     cleaned = text.strip()
-    # Fast path for YYYY-MM-DD only: fromisoformat also takes forms such as
-    # 20220224 and 2022-W08-4, which the formats below reject.
-    if len(cleaned) == 10 and cleaned[4] == cleaned[7] == "-" and cleaned.isascii():
-        try:
-            return date.fromisoformat(cleaned)
-        except ValueError:
-            pass
     for fmt in _DATE_FORMATS:
         try:
             return datetime.strptime(cleaned, fmt).date()

@@ -1,11 +1,9 @@
 """Record parsing, dedup, geo normalization, and the synthetic generator."""
 
-from datetime import date, datetime, timedelta
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from attrikit.errors import SchemaError
 from attrikit.ingest import (
@@ -22,7 +20,6 @@ from attrikit.ingest import (
     load_profile,
     make_record,
     normalize_geo,
-    parse_loss_date,
     parse_records,
     record_id_of,
     records_to_csv,
@@ -97,48 +94,6 @@ def test_unparsable_and_out_of_coverage_rows_skipped_not_raised():
     assert len(report.unparsable_rows) == 2
     assert report.unparsable_rows[0][0] == 2  # 1-based line numbers, header is line 1
     report.check()
-
-
-def _strptime_dates(text):
-    """Reference for parse_loss_date: the documented formats, in order."""
-    for fmt in ("%Y-%m-%d", "%d.%m.%Y", "%m/%d/%Y"):
-        try:
-            return datetime.strptime(text.strip(), fmt).date()
-        except ValueError:
-            continue
-    raise ValueError(f"unparsable date {text!r}")
-
-
-def _outcome(parse, text):
-    try:
-        return parse(text)
-    except ValueError as err:
-        return f"ValueError: {err}"
-
-
-@st.composite
-def formatted_dates(draw):
-    """A real date in one of the three formats, padded or not, with whitespace around it."""
-    day = draw(st.dates(date(1, 1, 1), date(9999, 12, 31)))
-    fmt = draw(st.sampled_from([
-        "{y:04d}-{m:02d}-{d:02d}", "{d:02d}.{m:02d}.{y:04d}", "{m:02d}/{d:02d}/{y:04d}",
-        "{y}-{m}-{d}", "{d}.{m}.{y}", "{m}/{d}/{y}",
-    ]))
-    pad = st.sampled_from(["", " ", "\t", "\n ", "\u00a0"])
-    return draw(pad) + fmt.format(y=day.year, m=day.month, d=day.day) + draw(pad)
-
-
-@settings(deadline=None, derandomize=True, database=None, max_examples=400)
-@given(text=st.one_of(st.text(), st.text("0123456789-./ TW+٢０"), formatted_dates()))
-@example(text="2022-02-30")
-@example(text="2022-13-01")
-@example(text="20220224")
-@example(text="2022-W08-4")
-@example(text="２０２２-０２-２４")  # fullwidth digits
-@example(text="2022-0٢-24")  # one Arabic-Indic digit
-@example(text=" 2022-02-24\t")
-def test_parse_loss_date_matches_strptime_reference(text):
-    assert _outcome(parse_loss_date, text) == _outcome(_strptime_dates, text)
 
 
 # parse_records reads rows as csv.DictReader does; these pin its semantics.
