@@ -1,12 +1,18 @@
 """Gradient-boosted regression trees with exhaustive exact split search.
 
 Plain squared-error boosting: every tree greedily fits the current
-residuals, scanning each feature and every midpoint between consecutive
+residuals, trying every feature and every midpoint between consecutive
 distinct sorted values for the split with the largest variance reduction.
 Ties break toward the lowest feature index, then the lowest threshold,
 and routing sends values <= threshold left, so fits are bit-reproducible.
 Datasets here are small enough that exactness beats histogram tricks.
-"""
+
+Each column's dense value ranks are computed once per fit. A node sorts
+all features' rows by rank in one stable sort, so tied rows keep the
+node's order, and scores every cut of every feature in one array pass;
+this gives the same splits and the same floating-point sums as scanning
+one column at a time. Residuals are updated by routing the whole matrix
+through each new tree with the ``x <= threshold`` rule prediction uses."""
 
 from __future__ import annotations
 
@@ -106,49 +112,72 @@ class GbtModel:
     stage_rmse: list[float] = field(default_factory=list)
 
 
-def _best_split(x: np.ndarray, residual: np.ndarray, idx: np.ndarray, min_leaf: int):
-    """Exhaustive scan; returns (gain, feature, threshold, left_idx, right_idx)
-    or None. Strictly-greater comparisons with features and thresholds
-    scanned in ascending order realize the normative tie-break."""
+def _rank_columns(x: np.ndarray) -> np.ndarray:
+    """Dense rank of each value within its column, as a (features, rows)
+    array in the smallest signed integer type that holds them, so that
+    numpy's stable sort of a node's ranks is a radix sort."""
+    ranks = np.empty(x.shape[::-1], dtype=np.int64)
+    for j, col in enumerate(x.T):
+        ranks[j] = np.unique(col, return_inverse=True)[1]
+    top = int(ranks.max(initial=0))
+    dtype = next(t for t in (np.int8, np.int16, np.int32) if top <= np.iinfo(t).max)
+    return ranks.astype(dtype)
+
+
+def _best_split(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.ndarray,
+                min_leaf: int):
+    """Exhaustive scan of every feature at once; returns (gain, feature,
+    threshold, left_idx, right_idx) or None.
+
+    Each feature's rows are sorted stably by rank, so equal values keep the
+    node's row order and every prefix sum adds in the same order as a
+    per-column scan. Cuts inside a run of equal values score -inf; the
+    first maximum per feature and a strictly-greater pass over features in
+    ascending order realize the normative tie-break."""
     n = idx.size
-    total = residual[idx].sum()
+    lo, hi = min_leaf, n - min_leaf + 1   # cut c puts sorted rows [0, c) left
+    if lo >= hi:
+        return None
+    r = residual[idx]
+    total = r.sum()
     base_term = total * total / n
-    best = None
-    best_gain = 0.0
-    for j in range(x.shape[1]):
-        col = x[idx, j]
-        order = np.argsort(col, kind="stable")
-        xv = col[order]
-        rv = residual[idx][order]
-        prefix = np.cumsum(rv)
+    node_ranks = ranks[:, idx]
+    order = np.argsort(node_ranks, axis=1, kind="stable")
+    prefix = r[order]
+    np.cumsum(prefix, axis=1, out=prefix)
 
-        cuts = np.arange(min_leaf, n - min_leaf + 1)
-        if cuts.size == 0:
-            continue
-        boundary = xv[cuts] != xv[cuts - 1]
-        if not boundary.any():
-            continue
-        cuts = cuts[boundary]
-        left_sum = prefix[cuts - 1]
-        right_sum = total - left_sum
-        gains = left_sum**2 / cuts + right_sum**2 / (n - cuts) - base_term
+    # gain = left**2 / c + right**2 / (n - c) - base_term: the same operations
+    # in the same order as that expression, done in place where they can be
+    cuts = np.arange(lo, hi, dtype=float)
+    left_sum = prefix[:, lo - 1:hi - 1]
+    gains = np.square(left_sum)
+    gains /= cuts
+    right_sum = np.subtract(total, left_sum, out=left_sum)
+    np.square(right_sum, out=right_sum)
+    right_sum /= n - cuts
+    gains += right_sum
+    gains -= base_term
+    sorted_ranks = node_ranks.take(order + np.arange(0, node_ranks.size, n)[:, None])
+    gains[sorted_ranks[:, lo:hi] == sorted_ranks[:, lo - 1:hi - 1]] = -np.inf
 
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            cut = int(cuts[k])
-            threshold = (xv[cut - 1] + xv[cut]) / 2.0
-            left_idx = idx[order[:cut]]
-            right_idx = idx[order[cut:]]
-            best = (float(gains[k]), j, float(threshold), left_idx, right_idx)
-            best_gain = float(gains[k])
-    return best
+    ks = np.argmax(gains, axis=1)
+    best_gain, feature = 0.0, None
+    for j, gain in enumerate(gains[np.arange(ks.size), ks].tolist()):
+        if gain > best_gain:
+            best_gain, feature = gain, j
+    if feature is None:
+        return None
+    cut = lo + int(ks[feature])
+    rows = idx[order[feature]]
+    threshold = (x[rows[cut - 1], feature] + x[rows[cut], feature]) / 2.0
+    return best_gain, feature, float(threshold), rows[:cut], rows[cut:]
 
 
-def _build_tree(x: np.ndarray, residual: np.ndarray, idx: np.ndarray, depth: int,
-                spec: GbtSpec, model: GbtModel) -> Node:
+def _build_tree(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.ndarray,
+                depth: int, spec: GbtSpec, model: GbtModel) -> Node:
     if depth >= spec.max_depth or idx.size < 2 * spec.min_samples_leaf:
         return Node(value=float(residual[idx].mean()))
-    found = _best_split(x, residual, idx, spec.min_samples_leaf)
+    found = _best_split(x, ranks, residual, idx, spec.min_samples_leaf)
     if found is None:
         return Node(value=float(residual[idx].mean()))
     gain, feature, threshold, left_idx, right_idx = found
@@ -158,9 +187,20 @@ def _build_tree(x: np.ndarray, residual: np.ndarray, idx: np.ndarray, depth: int
     return Node(
         feature=feature,
         threshold=threshold,
-        left=_build_tree(x, residual, left_idx, depth + 1, spec, model),
-        right=_build_tree(x, residual, right_idx, depth + 1, spec, model),
+        left=_build_tree(x, ranks, residual, left_idx, depth + 1, spec, model),
+        right=_build_tree(x, ranks, residual, right_idx, depth + 1, spec, model),
     )
+
+
+def _route(node: Node, x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Write the leaf value each row of ``x[rows]`` reaches into ``out``,
+    by the same ``x <= threshold`` rule as ``Node.predict_one``."""
+    if node.is_leaf():
+        out[rows] = node.value
+        return
+    goes_left = x[rows, node.feature] <= node.threshold
+    _route(node.left, x, rows[goes_left], out)
+    _route(node.right, x, rows[~goes_left], out)
 
 
 def fit(matrix: SupervisedMatrix, spec: GbtSpec) -> GbtModel:
@@ -182,10 +222,12 @@ def fit(matrix: SupervisedMatrix, spec: GbtSpec) -> GbtModel:
         gains={name: 0.0 for name in matrix.feature_names},
     )
     residual = y - model.base_score
+    ranks = _rank_columns(x)
     all_idx = np.arange(x.shape[0])
+    preds = np.empty(x.shape[0])
     for _ in range(spec.n_trees):
-        tree = _build_tree(x, residual, all_idx, 0, spec, model)
-        preds = np.array([tree.predict_one(row) for row in x])
+        tree = _build_tree(x, ranks, residual, all_idx, 0, spec, model)
+        _route(tree, x, all_idx, preds)
         residual = residual - spec.learning_rate * preds
         model.trees.append(tree)
         model.stage_rmse.append(float(np.sqrt(np.mean(residual**2))))

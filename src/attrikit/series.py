@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ModelError
 from .ingest import Category, LossRecord
@@ -360,6 +361,8 @@ def make_supervised(
 
     Rows whose target, any lag, or any moving-average span touches a
     masked period are dropped outright; masked data is never imputed.
+    Each row equals ``feature_row`` at its target period, bit for bit,
+    built here for all periods at once.
     """
     calendar = set(calendar or ())
     unknown = calendar - set(CALENDAR_FLAGS)
@@ -385,20 +388,33 @@ def make_supervised(
         raise ValueError(f"max lag/window {depth} exceeds observed length {idx.size}")
 
     names = feature_names_for(lags, ma_windows, calendar, series.granularity)
-    rows, targets, dates = [], [], []
-    for t in range(depth, len(series)):
-        if np.isnan(history[t]):
-            continue
-        target_date = period_start(series.start, series.granularity, t)
-        row = feature_row(history, t, target_date, series.start, lags, ma_windows, calendar)
-        if row is None:
-            continue
-        rows.append(row)
-        targets.append(history[t])
-        dates.append(target_date)
+    n = len(series)
+    missing = np.isnan(history)
+    dropped = missing[depth:].copy()
+    columns = []
+    for k in sorted(lags):
+        columns.append(history[depth - k:n - k])
+        dropped |= missing[depth - k:n - k]
+    for w in sorted(ma_windows):
+        columns.append(sliding_window_view(history, w)[depth - w:n - w].mean(axis=1))
+        dropped |= sliding_window_view(missing, w)[depth - w:n - w].any(axis=1)
+    days = _period_days(series, np.arange(depth, n))
+    if "weekday" in calendar:
+        columns.append(np.eye(WEEKDAY_FEATURES)[(days.astype(np.int64) + 3) % 7])  # 1970-01-01 was a Thursday
+    if "month" in calendar:
+        columns.append(np.eye(MONTH_FEATURES)[days.astype("M8[M]").astype(np.int64) % 12])
+    if "linear_index" in calendar:
+        columns.append((days - np.datetime64(series.start, "D")).astype(float))
+    keep = ~dropped
+    x = np.column_stack(columns)[keep]
+    return SupervisedMatrix(names, x, history[depth:][keep], tuple(days[keep].tolist()))
 
-    x = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
-    return SupervisedMatrix(names, x, np.array(targets, dtype=float), tuple(dates))
+
+def _period_days(series: CountSeries, t: np.ndarray) -> np.ndarray:
+    """First day of each period ``t`` as ``datetime64[D]`` (``period_start`` over an array)."""
+    if series.granularity == DAILY:
+        return np.datetime64(series.start, "D") + t
+    return (np.datetime64(series.start, "M") + t).astype("M8[D]")
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Count-series construction, masking, and supervised features."""
 
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from attrikit.ingest import Category, Status, make_record
 from attrikit.series import (
@@ -14,6 +16,7 @@ from attrikit.series import (
     Forecast,
     aggregate,
     apply_exclusions,
+    feature_row,
     forecast_to_csv,
     make_supervised,
     period_index,
@@ -156,6 +159,49 @@ def test_make_supervised_feature_order_and_recompute():
         assert row[11 + day.month - 1] == 1.0 and row[11:23].sum() == 1.0
         assert row[23] == float(t)
         assert target == vals[t]
+
+
+@st.composite
+def feature_requests(draw):
+    """A masked daily or monthly series with non-integer values (so a
+    moving average's summation order shows) and a feature request."""
+    granularity = draw(st.sampled_from([DAILY, MONTHLY]))
+    n = draw(st.integers(5, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.poisson(draw(st.integers(0, 30)), n) + rng.random(n) * draw(st.sampled_from([0.0, 1.0, 1e3]))
+    mask = np.ones(n, dtype=bool)
+    for _ in range(draw(st.integers(0, 3))):
+        first = draw(st.integers(0, n - 1))
+        mask[first:first + draw(st.integers(1, 10))] = False
+    day = date(2021, 1, 1) + timedelta(days=draw(st.integers(0, 2000)))
+    start = day if granularity == DAILY else day.replace(day=1)
+    lags = draw(st.lists(st.integers(1, 15), max_size=4))
+    ma_windows = draw(st.lists(st.integers(1, 40), max_size=3))
+    flags = ["month", "linear_index"] + (["weekday"] if granularity == DAILY else [])
+    calendar = set(draw(st.lists(st.sampled_from(flags), max_size=3)))
+    return CountSeries(granularity, start, values, mask), lags, ma_windows, calendar
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(request=feature_requests())
+def test_make_supervised_rows_are_feature_rows(request):
+    # Training features must be the very vectors a forecast step builds.
+    series, lags, ma_windows, calendar = request
+    depth = max(lags + ma_windows, default=0)
+    assume((lags or ma_windows or calendar) and depth < series.mask.sum())
+    m = make_supervised(series, lags, ma_windows, calendar)
+    history = np.where(series.mask, series.values, np.nan)
+    expected = {}
+    for t in range(len(series)):
+        day = period_start(series.start, series.granularity, t)
+        row = feature_row(history, t, day, series.start, lags, ma_windows, calendar)
+        if row is not None and series.mask[t]:
+            expected[day] = (row, series.values[t])
+    assert list(m.target_dates) == list(expected)
+    assert m.x.shape == (len(expected), len(m.feature_names))
+    for row, target, day in zip(m.x, m.y, m.target_dates):
+        assert np.array_equal(row.view(np.int64), expected[day][0].view(np.int64))
+        assert target == expected[day][1]
 
 
 def test_make_supervised_monthly_rejects_weekday():
