@@ -135,9 +135,7 @@ def _best_split(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.
     first maximum per feature and a strictly-greater pass over features in
     ascending order realize the normative tie-break."""
     n = idx.size
-    lo, hi = min_leaf, n - min_leaf + 1   # cut c puts sorted rows [0, c) left
-    if lo >= hi:
-        return None
+    lo, hi = min_leaf, n - min_leaf + 1   # cut c puts sorted rows [0, c) left; n >= 2 * min_leaf
     r = residual[idx]
     total = r.sum()
     base_term = total * total / n
@@ -157,6 +155,7 @@ def _best_split(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.
     right_sum /= n - cuts
     gains += right_sum
     gains -= base_term
+    # flat indices into node_ranks: feature j's row starts at j * n
     sorted_ranks = node_ranks.take(order + np.arange(0, node_ranks.size, n)[:, None])
     gains[sorted_ranks[:, lo:hi] == sorted_ranks[:, lo - 1:hi - 1]] = -np.inf
 
