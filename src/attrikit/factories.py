@@ -46,9 +46,9 @@ MODELS = {
     "decomp": (decomp.DecompSpec, lambda s, spec: decomp.fit(s, spec),
                lambda m, s, spec, h, level: decomp.forecast(m, s, h, level=level)),
     "lstm": (neural.LstmSpec, lambda s, spec: neural.lstm_fit(s, spec)[0],
-             lambda m, s, spec, h, level: neural.lstm_forecast(m, s, h, spec, level=level)),
+             lambda m, s, spec, h, level: neural.lstm_forecast(m, s, h, level=level)),
     "tcn": (neural.TcnSpec, lambda s, spec: neural.tcn_fit(s, spec)[0],
-            lambda m, s, spec, h, level: neural.tcn_forecast(m, s, h, spec, level=level)),
+            lambda m, s, spec, h, level: neural.tcn_forecast(m, s, h, level=level)),
     "gbt": (gbtrees.GbtSpec, lambda s, spec: gbtrees.fit_series(s, spec),
             lambda m, s, spec, h, level: gbtrees.forecast_recursive(m, s, spec, h, level=level)),
 }

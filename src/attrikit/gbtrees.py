@@ -16,7 +16,6 @@ through each new tree with the ``x <= threshold`` rule prediction uses."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -77,27 +76,6 @@ class Node:
         while not node.is_leaf():
             node = node.left if row[node.feature] <= node.threshold else node.right
         return node.value
-
-    def to_dict(self) -> dict:
-        if self.is_leaf():
-            return {"value": self.value}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "Node":
-        if "value" in obj:
-            return Node(value=float(obj["value"]))
-        return Node(
-            feature=int(obj["feature"]),
-            threshold=float(obj["threshold"]),
-            left=Node.from_dict(obj["left"]),
-            right=Node.from_dict(obj["right"]),
-        )
 
 
 @dataclass
@@ -286,33 +264,3 @@ def forecast_recursive(model: GbtModel, series: CountSeries, spec: GbtSpec,
 
     depth = max(lags + ma_windows, default=0)
     return recursive_forecast(series, horizon, level, depth, model.rmse_train, step)
-
-
-# --------------------------------------------------------------------------
-# JSON round-trip
-
-
-def model_to_json(model: GbtModel) -> str:
-    payload = {
-        "base_score": model.base_score,
-        "learning_rate": model.learning_rate,
-        "feature_names": list(model.feature_names),
-        "trees": [tree.to_dict() for tree in model.trees],
-        "gains": model.gains,
-        "rmse_train": model.rmse_train,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def model_from_json(text: str) -> GbtModel:
-    payload = json.loads(text)
-    model = GbtModel(
-        base_score=float(payload["base_score"]),
-        learning_rate=float(payload["learning_rate"]),
-        feature_names=tuple(payload["feature_names"]),
-        trees=[Node.from_dict(obj) for obj in payload["trees"]],
-        gains={k: float(v) for k, v in payload.get("gains", {}).items()},
-        rmse_train=float(payload.get("rmse_train", 0.0)),
-    )
-    model.total_gain = sum(model.gains.values())
-    return model

@@ -9,11 +9,8 @@ deterministic for a fixed (seed, data, spec) triple.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 from datetime import date
-from pathlib import Path
 
 import numpy as np
 
@@ -21,8 +18,6 @@ from . import autodiff as ad
 from .autodiff import Adam, Tensor
 from .errors import ModelError
 from .series import DAILY, CountSeries, Forecast, period_start, recursive_forecast
-
-MAGIC = b"ATFN1"
 
 
 @dataclass(frozen=True)
@@ -146,27 +141,21 @@ class LstmModel:
     """Single LSTM layer (gates: input, forget, output, candidate) plus a
     linear head on the final hidden state."""
 
-    def __init__(self, spec: LstmSpec, granularity: str, mean: float, std: float, seed_arrays=None):
+    def __init__(self, spec: LstmSpec, mean: float, std: float):
         self.spec = spec
-        self.granularity = granularity
         self.mean = mean
         self.std = std
         self.rmse_train = float("nan")
         n_in = _calendar_width(spec.use_weekday, spec.use_month)
         h = spec.hidden
-        if seed_arrays is None:
-            rng = np.random.default_rng(spec.seed)
-            scale = 1.0 / np.sqrt(h)
-            self.wx = ad.parameter((n_in, 4 * h), rng, scale)
-            self.wh = ad.parameter((h, 4 * h), rng, scale)
-            self.b = ad.parameter((4 * h,), rng, scale)
-            self.b.value[h:2 * h] = 1.0  # forget gate starts open
-            self.w_out = ad.parameter((h, 1), rng, scale)
-            self.b_out = ad.parameter((1,), rng, scale)
-        else:
-            self.wx, self.wh, self.b, self.w_out, self.b_out = (
-                Tensor(a, requires_grad=True) for a in seed_arrays
-            )
+        rng = np.random.default_rng(spec.seed)
+        scale = 1.0 / np.sqrt(h)
+        self.wx = ad.parameter((n_in, 4 * h), rng, scale)
+        self.wh = ad.parameter((h, 4 * h), rng, scale)
+        self.b = ad.parameter((4 * h,), rng, scale)
+        self.b.value[h:2 * h] = 1.0  # forget gate starts open
+        self.w_out = ad.parameter((h, 1), rng, scale)
+        self.b_out = ad.parameter((1,), rng, scale)
 
     def parameters(self) -> list[Tensor]:
         return [self.wx, self.wh, self.b, self.w_out, self.b_out]
@@ -220,7 +209,7 @@ def lstm_fit(series: CountSeries, spec: LstmSpec) -> tuple[LstmModel, TrainRepor
         raise ModelError(f"need at least lookback+30={spec.lookback + 30} observed periods, have {n_obs}")
     mean, std = _standardization(series)
     x, y = _train_windows(series, spec.lookback, spec.use_weekday, spec.use_month, mean, std)
-    model = LstmModel(spec, series.granularity, mean, std)
+    model = LstmModel(spec, mean, std)
     report = _train(model, x, y, spec.epochs, spec.learning_rate)
     return model, report
 
@@ -239,8 +228,8 @@ def _forecast(model, series: CountSeries, horizon: int, lookback: int,
 
 
 def lstm_forecast(model: LstmModel, series: CountSeries, horizon: int,
-                  spec: LstmSpec | None = None, level: float = 0.95) -> Forecast:
-    spec = spec or model.spec
+                  level: float = 0.95) -> Forecast:
+    spec = model.spec
     return _forecast(model, series, horizon, spec.lookback, spec.use_weekday, spec.use_month, level)
 
 
@@ -252,9 +241,8 @@ class TcnModel:
     """Stack of residual blocks (causal conv -> ReLU -> residual add, with a
     1x1 projection when channel counts differ) and a head on the last step."""
 
-    def __init__(self, spec: TcnSpec, granularity: str, mean: float, std: float):
+    def __init__(self, spec: TcnSpec, mean: float, std: float):
         self.spec = spec
-        self.granularity = granularity
         self.mean = mean
         self.std = std
         self.rmse_train = float("nan")
@@ -331,7 +319,7 @@ def tcn_fit(series: CountSeries, spec: TcnSpec) -> tuple[TcnModel, TrainReport]:
         )
     mean, std = _standardization(series)
     x, y = _train_windows(series, rf, False, False, mean, std)
-    model = TcnModel(spec, series.granularity, mean, std)
+    model = TcnModel(spec, mean, std)
     report = _train(model, x, y, spec.epochs, spec.learning_rate)
     return model, report
 
@@ -345,9 +333,8 @@ def _longest_observed_run(mask: np.ndarray) -> int:
 
 
 def tcn_forecast(model: TcnModel, series: CountSeries, horizon: int,
-                 spec: TcnSpec | None = None, level: float = 0.95) -> Forecast:
-    spec = spec or model.spec
-    return _forecast(model, series, horizon, receptive_field(spec), False, False, level)
+                 level: float = 0.95) -> Forecast:
+    return _forecast(model, series, horizon, receptive_field(model.spec), False, False, level)
 
 
 # --------------------------------------------------------------------------
@@ -386,77 +373,3 @@ def grad_check(model, sample_window: tuple[np.ndarray, np.ndarray], h: float = 1
             denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
             worst = max(worst, abs(a_flat[i] - numeric) / denom)
     return worst
-
-
-# --------------------------------------------------------------------------
-# Serialization: "ATFN1" + shape-prefixed little-endian float64 arrays, with
-# a JSON sidecar for the spec and standardization parameters.
-
-
-def _model_arrays(model) -> list[np.ndarray]:
-    return [p.value for p in model.parameters()]
-
-
-def save_model(model, path: str | Path) -> None:
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        for arr in _model_arrays(model):
-            fh.write(struct.pack("<q", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<q", dim))
-            fh.write(arr.astype("<f8").tobytes(order="C"))
-
-    if isinstance(model, LstmModel):
-        arch = "lstm"
-        spec_dict = {
-            "lookback": model.spec.lookback, "hidden": model.spec.hidden,
-            "epochs": model.spec.epochs, "learning_rate": model.spec.learning_rate,
-            "seed": model.spec.seed, "use_weekday": model.spec.use_weekday,
-            "use_month": model.spec.use_month,
-        }
-    else:
-        arch = "tcn"
-        spec_dict = {
-            "kernel": model.spec.kernel, "dilations": list(model.spec.dilations),
-            "channels": model.spec.channels, "epochs": model.spec.epochs,
-            "learning_rate": model.spec.learning_rate, "seed": model.spec.seed,
-        }
-    sidecar = {
-        "arch": arch, "spec": spec_dict, "granularity": model.granularity,
-        "mean": model.mean, "std": model.std, "rmse_train": model.rmse_train,
-    }
-    with open(path.with_suffix(path.suffix + ".json"), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-
-
-def load_model(path: str | Path):
-    path = Path(path)
-    with open(path.with_suffix(path.suffix + ".json"), "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-
-    arrays = []
-    with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise ModelError(f"{path} is not a model container (bad magic)")
-        while True:
-            head = fh.read(8)
-            if not head:
-                break
-            ndim = struct.unpack("<q", head)[0]
-            shape = tuple(struct.unpack("<q", fh.read(8))[0] for _ in range(ndim))
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-            arrays.append(data.astype(float))
-
-    if sidecar["arch"] == "lstm":
-        spec = LstmSpec(**sidecar["spec"])
-        model = LstmModel(spec, sidecar["granularity"], sidecar["mean"], sidecar["std"],
-                          seed_arrays=arrays)
-    else:
-        spec = TcnSpec(**{**sidecar["spec"], "dilations": tuple(sidecar["spec"]["dilations"])})
-        model = TcnModel(spec, sidecar["granularity"], sidecar["mean"], sidecar["std"])
-        for param, arr in zip(model.parameters(), arrays):
-            param.value = arr.copy()
-    model.rmse_train = sidecar["rmse_train"]
-    return model

@@ -115,7 +115,7 @@ def test_criterion_04_gradient_correctness():
         window = (rng.normal(size=(6, 1)), np.array([0.3]))
         series = daily_series(10 + 3 * np.sin(np.arange(60) / 3.0) + rng.normal(0, 0.2, 60))
 
-        fresh = LstmModel(lstm_spec, DAILY, 0.0, 1.0)
+        fresh = LstmModel(lstm_spec, 0.0, 1.0)
         worst = max(worst, grad_check(fresh, window))
         from attrikit.neural import lstm_fit, tcn_fit
         trained, _ = lstm_fit(series, lstm_spec)
@@ -124,7 +124,7 @@ def test_criterion_04_gradient_correctness():
         tcn_spec = TcnSpec(kernel=2, dilations=(1, 2), channels=3, epochs=10,
                            learning_rate=0.01, seed=seed)
         t_window = (rng.normal(size=(receptive_field(tcn_spec), 1)), np.array([-0.4]))
-        fresh_tcn = TcnModel(tcn_spec, DAILY, 0.0, 1.0)
+        fresh_tcn = TcnModel(tcn_spec, 0.0, 1.0)
         worst = max(worst, grad_check(fresh_tcn, t_window))
         trained_tcn, _ = tcn_fit(series, tcn_spec)
         worst = max(worst, grad_check(trained_tcn, t_window))
@@ -135,7 +135,7 @@ def test_criterion_04_gradient_correctness():
 def test_criterion_05_tcn_structure_and_causality():
     assert receptive_field(TcnSpec()) == 31
 
-    model = TcnModel(TcnSpec(kernel=3, dilations=(1, 2, 4), channels=4, seed=9), DAILY, 0.0, 1.0)
+    model = TcnModel(TcnSpec(kernel=3, dilations=(1, 2, 4), channels=4, seed=9), 0.0, 1.0)
     rng = np.random.default_rng(13)
     length = 48
     x = rng.normal(size=(1, length, 1))

@@ -2,8 +2,8 @@
 
 Every model returns ``horizon`` finite, non-negative points with an ordered
 interval, accepts horizons up to ``MAX_HORIZON`` and rejects one more, and
-the CLI maps any setting, given as a flag or in a config file, onto the
-documented exit codes.
+never reads the values at masked periods. The CLI maps any setting, given
+as a flag or in a config file, onto the documented exit codes.
 """
 
 from datetime import date
@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from attrikit.cli import main
 from attrikit.errors import ConvergenceError, ModelError
-from attrikit.factories import MODEL_NAMES, forecast_model
+from attrikit.evaluate import BacktestSpec, MetricReport, rolling_backtest
+from attrikit.factories import MODEL_NAMES, build_factory, forecast_model
 from attrikit.series import MAX_HORIZON, MONTHLY, CountSeries
 
 # Small models, so each example fits in well under a second.
@@ -72,6 +73,55 @@ def test_one_horizon_cap_for_every_model(name):
         forecast_model(name, series, MAX_HORIZON + 1, params=params)
     with pytest.raises(ValueError):
         forecast_model(name, series, 0, params=params)
+
+
+# -- masked periods are never read --------------------------------------------
+
+
+@st.composite
+def masked_pairs(draw):
+    """A count series as ``count_series`` draws it, with a masked interior
+    gap of 1-4 periods and up to three masked periods at the tail, and a
+    copy whose masked values are replaced by arbitrary finite counts."""
+    series = draw(count_series())
+    n = len(series)
+    mask = series.mask.copy()
+    start = draw(st.integers(5, n - 8))
+    mask[start:start + draw(st.integers(1, 4))] = False
+    clean = CountSeries(MONTHLY, series.start, series.values, mask)
+    poisoned = series.values.copy()
+    poisoned[~mask] = draw(st.lists(st.integers(0, 10**9), min_size=int((~mask).sum()),
+                                    max_size=int((~mask).sum())))
+    return clean, CountSeries(MONTHLY, series.start, poisoned, mask)
+
+
+def _outcome(call):
+    """What ``call`` shows of its input: its result as text that keeps
+    every float's bits, or the class and message of the ModelError it
+    raised."""
+    try:
+        result = call()
+    except ModelError as err:
+        return type(err), str(err)
+    if isinstance(result, MetricReport):
+        return repr(result)
+    return tuple(getattr(result, part).tobytes() for part in ("point", "lower", "upper"))
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+@settings(PROPERTY, max_examples=6)
+@given(pair=masked_pairs())
+def test_masked_values_are_never_read(name, pair):
+    clean, poisoned = pair
+    params = FAST_PARAMS[name]
+    backtest = BacktestSpec(initial_train=len(clean) - 6, step=2, horizon=2)
+    factory = build_factory(name, MONTHLY, params=params)
+
+    def outcomes(series):
+        return (_outcome(lambda: forecast_model(name, series, 3, params=params)),
+                _outcome(lambda: rolling_backtest(factory, series, backtest)))
+
+    assert outcomes(poisoned) == outcomes(clean)
 
 
 # -- CLI exit codes ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Boosted trees against brute-force split enumeration and hand oracles."""
 
+import dataclasses
 import itertools
 from datetime import date
 
@@ -18,8 +19,6 @@ from attrikit.gbtrees import (
     fit,
     fit_series,
     forecast_recursive,
-    model_from_json,
-    model_to_json,
     predict,
 )
 from attrikit.series import DAILY, CountSeries, SupervisedMatrix
@@ -36,6 +35,12 @@ def matrix_from(x, y):
     names = tuple(f"f{j}" for j in range(x.shape[1]))
     dates = tuple(date(2022, 3, 1 + i % 28) for i in range(len(y)))
     return SupervisedMatrix(names, x, y, dates)
+
+
+def model_key(model):
+    """Every field of a fitted model, trees included, as text. Float repr
+    round-trips, so equal keys mean bit-equal models."""
+    return repr(dataclasses.asdict(model))
 
 
 def brute_force_stump(x, y, min_leaf):
@@ -132,8 +137,8 @@ def test_deterministic_fit():
     x = rng.normal(size=(80, 5))
     y = rng.normal(size=80)
     spec = GbtSpec(n_trees=20)
-    a = model_to_json(fit(matrix_from(x, y), spec))
-    b = model_to_json(fit(matrix_from(x, y), spec))
+    a = model_key(fit(matrix_from(x, y), spec))
+    b = model_key(fit(matrix_from(x, y), spec))
     assert a == b
 
 
@@ -219,17 +224,6 @@ def test_recursive_forecast_masked_tail_rejected():
     spec = GbtSpec(n_trees=2, lags=(1, 2), ma_windows=(), calendar=frozenset())
     with pytest.raises(ModelError, match="masked"):
         forecast_recursive(GbtModel(0.0, 0.1, ("lag_1", "lag_2")), series, spec, horizon=3)
-
-
-def test_json_roundtrip_preserves_predictions():
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(60, 3))
-    y = x[:, 0] - 2 * x[:, 1] + rng.normal(0, 0.2, 60)
-    model = fit(matrix_from(x, y), GbtSpec(n_trees=25))
-    clone = model_from_json(model_to_json(model))
-    for row in x[:10]:
-        assert predict(clone, row) == predict(model, row)
-    assert feature_importance(clone) == feature_importance(model)
 
 
 def test_spec_validation():
@@ -372,7 +366,7 @@ def test_fit_matches_per_column_oracle(problem):
     matrix, spec = problem
     model = fit(matrix, spec)
     oracle = oracle_fit(matrix, spec)
-    assert model_to_json(model) == model_to_json(oracle)
+    assert model_key(model) == model_key(oracle)
     assert model.stage_rmse == oracle.stage_rmse
     assert model.total_gain == oracle.total_gain
 

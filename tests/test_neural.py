@@ -1,4 +1,4 @@
-"""LSTM/TCN training, forecasting, causality, gradients, serialization."""
+"""LSTM/TCN training, forecasting, causality, gradients."""
 
 from datetime import date, timedelta
 
@@ -12,11 +12,9 @@ from attrikit.neural import (
     TcnModel,
     TcnSpec,
     grad_check,
-    load_model,
     lstm_fit,
     lstm_forecast,
     receptive_field,
-    save_model,
     tcn_fit,
     tcn_forecast,
 )
@@ -49,7 +47,7 @@ def fitted_loss_slope(losses):
 
 
 def test_zero_weight_lstm_outputs_head_bias():
-    model = LstmModel(LstmSpec(lookback=5, hidden=4, use_weekday=False), DAILY, 0.0, 1.0)
+    model = LstmModel(LstmSpec(lookback=5, hidden=4, use_weekday=False), 0.0, 1.0)
     for p in model.parameters():
         p.value[...] = 0.0
     model.b_out.value[...] = 0.7
@@ -61,7 +59,7 @@ def test_zero_weight_lstm_outputs_head_bias():
 def test_zero_weight_lstm_gradient_symmetry():
     # All hidden units are interchangeable at zero weights, so gradients
     # within each gate bias block and across the head weights coincide.
-    model = LstmModel(LstmSpec(lookback=4, hidden=5, use_weekday=False), DAILY, 0.0, 1.0)
+    model = LstmModel(LstmSpec(lookback=4, hidden=5, use_weekday=False), 0.0, 1.0)
     for p in model.parameters():
         p.value[...] = 0.0
     rng = np.random.default_rng(1)
@@ -99,7 +97,7 @@ def test_lstm_constant_series_forecast_near_constant():
     series = daily(np.full(80, 10.0))
     spec = LstmSpec(lookback=6, hidden=4, epochs=150, learning_rate=0.02, seed=2, use_weekday=False)
     model, _ = lstm_fit(series, spec)
-    fc = lstm_forecast(model, series, horizon=10, spec=spec)
+    fc = lstm_forecast(model, series, horizon=10)
     assert np.all(np.abs(fc.point - 10.0) <= 1.0)
 
 
@@ -108,13 +106,34 @@ def test_lstm_forecast_shape_dates_and_standard_horizons():
     spec = LstmSpec(**SMALL_LSTM, use_weekday=True)
     model, _ = lstm_fit(series, spec)
     for horizon in (7, 30, 70):
-        fc = lstm_forecast(model, series, horizon=horizon, spec=spec)
+        fc = lstm_forecast(model, series, horizon=horizon)
         assert len(fc) == horizon
         dates = fc.period_starts()
         assert fc.origin == series.end() + timedelta(days=1)
         assert (np.diff([d.toordinal() for d in dates]) == 1).all()
         assert np.all(fc.lower <= fc.point) and np.all(fc.point <= fc.upper)
         assert fc.interval_method.endswith("heuristic")
+
+
+def test_forecast_window_comes_from_the_fitted_spec():
+    # A forecast must read the window the model was trained on. Neither the
+    # forecast functions nor the factory table let another spec change it.
+    from attrikit.factories import MODELS
+
+    series = sine_series()
+    cases = (
+        ("lstm", lstm_forecast, lstm_fit(series, LstmSpec(**SMALL_LSTM, use_weekday=False))[0],
+         LstmSpec(**{**SMALL_LSTM, "lookback": 20}, use_weekday=False)),
+        ("tcn", tcn_forecast, tcn_fit(series, TcnSpec(**SMALL_TCN))[0],
+         TcnSpec(**{**SMALL_TCN, "dilations": (1, 2, 4, 8)})),
+    )
+    for name, forecast, model, other_spec in cases:
+        own = forecast(model, series, horizon=5)
+        via_table = MODELS[name][2](model, series, other_spec, 5, 0.95)
+        assert np.array_equal(via_table.point, own.point)
+        assert np.array_equal(via_table.upper, own.upper)
+        with pytest.raises(TypeError):
+            forecast(model, series, horizon=5, spec=other_spec)
 
 
 def test_lstm_masked_tail_rejected():
@@ -125,7 +144,7 @@ def test_lstm_masked_tail_rejected():
     spec = LstmSpec(**SMALL_LSTM, use_weekday=False)
     model, _ = lstm_fit(series, spec)
     with pytest.raises(ModelError, match="shift"):
-        lstm_forecast(model, series, horizon=5, spec=spec)
+        lstm_forecast(model, series, horizon=5)
 
 
 def test_lstm_windows_skip_masked_periods():
@@ -159,7 +178,7 @@ def test_receptive_field_default_is_31():
 
 def test_tcn_causality_perturbation():
     spec = TcnSpec(kernel=3, dilations=(1, 2), channels=3, seed=3)
-    model = TcnModel(spec, DAILY, 0.0, 1.0)
+    model = TcnModel(spec, 0.0, 1.0)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(1, 20, 1))
     base = model.features(x).value
@@ -185,7 +204,7 @@ def test_tcn_deterministic_forecast_bytes():
     out = []
     for _ in range(2):
         model, _ = tcn_fit(series, spec)
-        fc = tcn_forecast(model, series, horizon=12, spec=spec)
+        fc = tcn_forecast(model, series, horizon=12)
         out.append(forecast_to_csv(fc))
     assert out[0] == out[1]
 
@@ -200,7 +219,7 @@ def test_tcn_forecast_shape():
     series = sine_series()
     spec = TcnSpec(**SMALL_TCN)
     model, _ = tcn_fit(series, spec)
-    fc = tcn_forecast(model, series, horizon=9, spec=spec)
+    fc = tcn_forecast(model, series, horizon=9)
     assert len(fc) == 9
     assert fc.origin == series.end() + timedelta(days=1)
 
@@ -212,7 +231,7 @@ def test_tcn_tracks_terminal_regime(monthly_tanks_masked):
                    learning_rate=5e-3, seed=5)
     model, _ = tcn_fit(monthly_tanks_masked, spec)
     trimmed = monthly_tanks_masked.head(monthly_tanks_masked.last_observed_index() + 1)
-    fc = tcn_forecast(model, trimmed, horizon=6, spec=spec)
+    fc = tcn_forecast(model, trimmed, horizon=6)
     assert fc.origin == date(2025, 6, 1)
     assert sum(within_taper_band(fc.point, fc.period_starts())) >= 5
 
@@ -225,7 +244,7 @@ def test_grad_check_lstm_at_init_and_after_training():
     spec = LstmSpec(lookback=6, hidden=5, epochs=10, learning_rate=0.01, seed=7, use_weekday=False)
     window = (rng.normal(size=(6, 1)), np.array([0.4]))
 
-    fresh = LstmModel(spec, DAILY, 0.0, 1.0)
+    fresh = LstmModel(spec, 0.0, 1.0)
     assert grad_check(fresh, window) <= 1e-4
 
     series = sine_series(n=60)
@@ -238,53 +257,12 @@ def test_grad_check_tcn_at_init_and_after_training():
     spec = TcnSpec(kernel=2, dilations=(1, 2), channels=3, epochs=10, learning_rate=0.01, seed=9)
     window = (rng.normal(size=(receptive_field(spec), 1)), np.array([-0.2]))
 
-    fresh = TcnModel(spec, DAILY, 0.0, 1.0)
+    fresh = TcnModel(spec, 0.0, 1.0)
     assert grad_check(fresh, window) <= 1e-4
 
     series = sine_series(n=60)
     trained, _ = tcn_fit(series, spec)
     assert grad_check(trained, window) <= 1e-4
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def test_save_load_roundtrip_lstm(tmp_path):
-    series = sine_series()
-    spec = LstmSpec(**SMALL_LSTM, use_weekday=False)
-    model, _ = lstm_fit(series, spec)
-    path = tmp_path / "model.atfn"
-    save_model(model, path)
-
-    raw = path.read_bytes()
-    assert raw[:5] == b"ATFN1"
-
-    loaded = load_model(path)
-    for pa, pb in zip(model.parameters(), loaded.parameters()):
-        assert np.array_equal(pa.value, pb.value)
-    assert loaded.mean == model.mean and loaded.std == model.std
-    fc_a = lstm_forecast(model, series, horizon=5, spec=spec)
-    fc_b = lstm_forecast(loaded, series, horizon=5, spec=spec)
-    assert np.array_equal(fc_a.point, fc_b.point)
-
-
-def test_save_load_roundtrip_tcn(tmp_path):
-    series = sine_series()
-    spec = TcnSpec(**SMALL_TCN)
-    model, _ = tcn_fit(series, spec)
-    path = tmp_path / "model.atfn"
-    save_model(model, path)
-    loaded = load_model(path)
-    for pa, pb in zip(model.parameters(), loaded.parameters()):
-        assert np.array_equal(pa.value, pb.value)
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.atfn"
-    path.write_bytes(b"NOPE!" + b"\0" * 16)
-    (tmp_path / "junk.atfn.json").write_text('{"arch": "tcn", "spec": {}, "granularity": "daily", "mean": 0, "std": 1, "rmse_train": 0}')
-    with pytest.raises(ModelError, match="magic"):
-        load_model(path)
 
 
 def test_destandardization_inverts_standardization():
@@ -301,7 +279,7 @@ def test_destandardization_inverts_standardization():
 def test_divergence_error_names_epoch():
     from attrikit.neural import _train
 
-    model = LstmModel(LstmSpec(lookback=4, hidden=3, use_weekday=False), DAILY, 0.0, 1.0)
+    model = LstmModel(LstmSpec(lookback=4, hidden=3, use_weekday=False), 0.0, 1.0)
     model.w_out.value[0, 0] = np.inf
     rng = np.random.default_rng(11)
     with pytest.raises(ModelError, match="epoch 0"):
