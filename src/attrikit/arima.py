@@ -91,21 +91,26 @@ def _diff_segments(segments: list[np.ndarray], d: int) -> list[np.ndarray]:
     return out
 
 
+def _innovations(z: np.ndarray, phi: np.ndarray, theta: np.ndarray, mu: float,
+                 lfilter: Callable) -> np.ndarray:
+    """MA-filtered residuals of one segment longer than p, conditioned on its
+    first p values with pre-segment innovations at zero."""
+    p = len(phi)
+    zt = z - mu
+    u = zt[p:].copy()
+    for i in range(1, p + 1):
+        u -= phi[i - 1] * zt[p - i:len(zt) - i]
+    return lfilter([1.0], np.concatenate(([1.0], theta)), u)
+
+
 def _css(zsegs: list[np.ndarray], phi: np.ndarray, theta: np.ndarray, mu: float,
          lfilter: Callable) -> tuple[float, int]:
-    """Conditional sum of squares; each segment conditions on its first p
-    values with pre-segment innovations at zero."""
-    p = len(phi)
-    ma_poly = np.concatenate(([1.0], theta))
+    """Conditional sum of squares over the segments longer than p."""
     total, n_used = 0.0, 0
     for z in zsegs:
-        if len(z) <= p:
+        if len(z) <= len(phi):
             continue
-        zt = z - mu
-        u = zt[p:].copy()
-        for i in range(1, p + 1):
-            u -= phi[i - 1] * zt[p - i:len(zt) - i]
-        e = lfilter([1.0], ma_poly, u)
+        e = _innovations(z, phi, theta, mu, lfilter)
         total += float(e @ e)
         n_used += len(e)
     return total, n_used
@@ -206,10 +211,7 @@ def forecast(fit_result: ArimaFit, series: CountSeries, spec: ArimaSpec,
     if len(z) > p:
         from scipy.signal import lfilter  # imported here, as in fit
 
-        u = (z - fit_result.mu)[p:].copy()
-        for i in range(1, p + 1):
-            u -= fit_result.phi[i - 1] * (z - fit_result.mu)[p - i:len(z) - i]
-        e_hist += list(lfilter([1.0], np.concatenate(([1.0], fit_result.theta)), u))
+        e_hist += list(_innovations(z, fit_result.phi, fit_result.theta, fit_result.mu, lfilter))
 
     z_future = []
     for _ in range(horizon):

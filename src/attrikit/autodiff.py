@@ -232,14 +232,15 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
     return mean(mul(diff, diff))
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Standard Adam with bias correction; full-batch use keeps it deterministic."""
 
-    def __init__(self, params: list[Tensor], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
@@ -252,8 +253,8 @@ class Adam:
         self.t += 1
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.value)
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1**self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2**self.t)
-            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[i] = _BETA1 * self.m[i] + (1.0 - _BETA1) * g
+            self.v[i] = _BETA2 * self.v[i] + (1.0 - _BETA2) * g * g
+            m_hat = self.m[i] / (1.0 - _BETA1**self.t)
+            v_hat = self.v[i] / (1.0 - _BETA2**self.t)
+            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + _EPS)

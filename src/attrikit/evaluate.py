@@ -107,8 +107,12 @@ def rolling_backtest(factory: ForecastFactory, series: CountSeries, spec: Backte
 
     folds: list[FoldMetrics] = []
     for origin in origins:
-        train = series.head(origin)
-        preds = np.asarray(factory.fit_forecast(train, spec.horizon), dtype=float)
+        day = period_start(series.start, series.granularity, origin)
+        try:
+            preds = np.asarray(factory.fit_forecast(series.head(origin), spec.horizon), dtype=float)
+        except ModelError as err:
+            err.args = (f"fold at {day}: {err}", *err.args[1:])
+            raise
         if preds.shape != (spec.horizon,):
             raise ModelError(
                 f"factory {factory.name!r} returned {preds.shape} predictions, expected {(spec.horizon,)}"
@@ -120,7 +124,7 @@ def rolling_backtest(factory: ForecastFactory, series: CountSeries, spec: Backte
             continue  # the whole horizon is masked; nothing to score
         fold = metrics(actual, predicted)
         folds.append(FoldMetrics(
-            origin=period_start(series.start, series.granularity, origin),
+            origin=day,
             mae=fold.mae, rmse=fold.rmse, smape=fold.smape, n_points=fold.n_points,
         ))
 

@@ -10,14 +10,14 @@ deterministic for a fixed (seed, data, spec) triple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
 from .errors import ModelError
-from .series import DAILY, CountSeries, Forecast, period_start, recursive_forecast
+from .series import (DAILY, CountSeries, Forecast, calendar_columns, check_request, period_days,
+                     recursive_forecast)
 
 
 @dataclass(frozen=True)
@@ -74,63 +74,36 @@ def receptive_field(spec: TcnSpec) -> int:
 
 
 # --------------------------------------------------------------------------
-# Feature layout
+# Inputs
 
 
-def _calendar_width(use_weekday: bool, use_month: bool) -> int:
-    return 1 + (7 if use_weekday else 0) + (12 if use_month else 0)
-
-
-def _feature_vector(std_value: float, day: date, use_weekday: bool, use_month: bool) -> np.ndarray:
-    parts = [std_value]
-    if use_weekday:
-        onehot = [0.0] * 7
-        onehot[day.weekday()] = 1.0
-        parts.extend(onehot)
-    if use_month:
-        onehot = [0.0] * 12
-        onehot[day.month - 1] = 1.0
-        parts.extend(onehot)
-    return np.array(parts)
-
-
-def _standardization(series: CountSeries) -> tuple[float, float]:
-    _, vals = series.observed()
-    mean = float(vals.mean())
-    std = float(vals.std())
-    if std < 1e-12:
-        std = 1.0
-    return mean, std
-
-
-def _window_targets(mask: np.ndarray, lookback: int) -> list[int]:
-    """Target indices whose window [t-lookback, t] is fully observed."""
-    out = []
-    for t in range(lookback, len(mask)):
-        if mask[t - lookback:t + 1].all():
-            out.append(t)
-    return out
-
-
-def _train_windows(series: CountSeries, lookback: int, use_weekday: bool, use_month: bool,
-                   mean: float, std: float) -> tuple[np.ndarray, np.ndarray]:
+def _inputs(model, series: CountSeries, n: int) -> np.ndarray:
+    """One row per period 0..n-1: the standardized count (NaN where masked
+    and past the series), then the calendar one-hots of the period's date."""
+    days = period_days(series.start, series.granularity, np.arange(n))
+    inputs = np.column_stack([np.full(n, np.nan), calendar_columns(days, model.calendar)])
     idx, vals = series.observed()
-    std_full = np.full(len(series), np.nan)
-    std_full[idx] = (vals - mean) / std
-    targets = _window_targets(series.mask, lookback)
-    if not targets:
+    inputs[idx, 0] = (vals - model.mean) / model.std
+    return inputs
+
+
+def _run_lengths(mask: np.ndarray) -> np.ndarray:
+    """Length of the observed run ending at each period (0 where masked)."""
+    count = np.cumsum(mask)
+    return count - np.maximum.accumulate(np.where(mask, 0, count))
+
+
+def _train_windows(model, series: CountSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Every window [t-lookback, t] that is fully observed: inputs
+    (windows, lookback, features) and standardized targets (windows, 1)."""
+    lookback = model.lookback
+    targets = np.flatnonzero(_run_lengths(series.mask) > lookback)
+    if not targets.size:
         raise ModelError(
             f"no training windows: need {lookback + 1} consecutive observed periods"
         )
-    n_feat = _calendar_width(use_weekday, use_month)
-    x = np.empty((len(targets), lookback, n_feat))
-    y = np.empty((len(targets), 1))
-    for row, t in enumerate(targets):
-        for j, src in enumerate(range(t - lookback, t)):
-            day = period_start(series.start, series.granularity, src)
-            x[row, j] = _feature_vector(std_full[src], day, use_weekday, use_month)
-        y[row, 0] = std_full[t]
-    return x, y
+    inputs = _inputs(model, series, len(series))
+    return inputs[targets[:, None] + np.arange(-lookback, 0)], inputs[targets, :1]
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +119,9 @@ class LstmModel:
         self.mean = mean
         self.std = std
         self.rmse_train = float("nan")
-        n_in = _calendar_width(spec.use_weekday, spec.use_month)
+        self.lookback = spec.lookback
+        self.calendar = ("weekday",) * spec.use_weekday + ("month",) * spec.use_month
+        n_in = 1 + calendar_columns(np.empty(0, "M8[D]"), self.calendar).shape[1]
         h = spec.hidden
         rng = np.random.default_rng(spec.seed)
         scale = 1.0 / np.sqrt(h)
@@ -201,27 +176,32 @@ def _train(model, x: np.ndarray, y: np.ndarray, epochs: int, lr: float) -> Train
     return report
 
 
+def _fit(model_class, spec, series: CountSeries) -> tuple:
+    """Standardize by the observed counts, then train on every window."""
+    _, vals = series.observed()
+    std = float(vals.std())
+    model = model_class(spec, float(vals.mean()), 1.0 if std < 1e-12 else std)
+    x, y = _train_windows(model, series)
+    return model, _train(model, x, y, spec.epochs, spec.learning_rate)
+
+
 def lstm_fit(series: CountSeries, spec: LstmSpec) -> tuple[LstmModel, TrainReport]:
     if spec.use_weekday and series.granularity != DAILY:
         raise ModelError("weekday features require a daily series; set use_weekday=False")
     n_obs = int(series.mask.sum())
     if n_obs < spec.lookback + 30:
         raise ModelError(f"need at least lookback+30={spec.lookback + 30} observed periods, have {n_obs}")
-    mean, std = _standardization(series)
-    x, y = _train_windows(series, spec.lookback, spec.use_weekday, spec.use_month, mean, std)
-    model = LstmModel(spec, mean, std)
-    report = _train(model, x, y, spec.epochs, spec.learning_rate)
-    return model, report
+    return _fit(LstmModel, spec, series)
 
 
-def _forecast(model, series: CountSeries, horizon: int, lookback: int,
-              use_weekday: bool, use_month: bool, level: float) -> Forecast:
+def _forecast(model, series: CountSeries, horizon: int, level: float) -> Forecast:
+    check_request(horizon, level)  # before the horizon sizes the inputs
+    lookback = model.lookback
+    inputs = _inputs(model, series, len(series) + horizon)
+
     def step(history: np.ndarray, t: int) -> float:
-        window = np.stack([
-            _feature_vector((history[src] - model.mean) / model.std,
-                            period_start(series.start, series.granularity, src), use_weekday, use_month)
-            for src in range(t - lookback, t)
-        ])
+        window = inputs[t - lookback:t].copy()
+        window[:, 0] = (history[t - lookback:t] - model.mean) / model.std
         return float(model.forward(window[None]).value[0, 0]) * model.std + model.mean
 
     return recursive_forecast(series, horizon, level, lookback, model.rmse_train, step)
@@ -229,8 +209,7 @@ def _forecast(model, series: CountSeries, horizon: int, lookback: int,
 
 def lstm_forecast(model: LstmModel, series: CountSeries, horizon: int,
                   level: float = 0.95) -> Forecast:
-    spec = model.spec
-    return _forecast(model, series, horizon, spec.lookback, spec.use_weekday, spec.use_month, level)
+    return _forecast(model, series, horizon, level)
 
 
 # --------------------------------------------------------------------------
@@ -246,6 +225,8 @@ class TcnModel:
         self.mean = mean
         self.std = std
         self.rmse_train = float("nan")
+        self.lookback = receptive_field(spec)
+        self.calendar = ()
         rng = np.random.default_rng(spec.seed)
         scale = 1.0 / np.sqrt(spec.channels)
         self.blocks: list[dict] = []
@@ -310,31 +291,18 @@ def _squeeze_mid(t: Tensor, n: int) -> Tensor:
 
 def tcn_fit(series: CountSeries, spec: TcnSpec) -> tuple[TcnModel, TrainReport]:
     rf = receptive_field(spec)
-    targets = _window_targets(series.mask, rf)
-    if not targets:
-        runs = _longest_observed_run(series.mask)
+    longest = int(_run_lengths(series.mask).max(initial=0))
+    if longest <= rf:
         raise ModelError(
             f"receptive field {rf} exceeds the usable window length "
-            f"{max(runs - 1, 0)} (need {rf + 1} consecutive observed periods)"
+            f"{max(longest - 1, 0)} (need {rf + 1} consecutive observed periods)"
         )
-    mean, std = _standardization(series)
-    x, y = _train_windows(series, rf, False, False, mean, std)
-    model = TcnModel(spec, mean, std)
-    report = _train(model, x, y, spec.epochs, spec.learning_rate)
-    return model, report
-
-
-def _longest_observed_run(mask: np.ndarray) -> int:
-    best = run = 0
-    for flag in mask:
-        run = run + 1 if flag else 0
-        best = max(best, run)
-    return best
+    return _fit(TcnModel, spec, series)
 
 
 def tcn_forecast(model: TcnModel, series: CountSeries, horizon: int,
                  level: float = 0.95) -> Forecast:
-    return _forecast(model, series, horizon, receptive_field(model.spec), False, False, level)
+    return _forecast(model, series, horizon, level)
 
 
 # --------------------------------------------------------------------------

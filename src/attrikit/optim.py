@@ -16,6 +16,8 @@ from .errors import ConvergenceError
 
 # Standard Nelder-Mead coefficients (reflection, expansion, contraction, shrink).
 _RHO, _CHI, _GAMMA, _SIGMA = 1.0, 2.0, 0.5, 0.5
+# Initial simplex offset; relative objective and point spreads that stop the search.
+_INITIAL_STEP, _F_TOL, _X_TOL = 0.1, 1e-12, 1e-9
 
 
 @dataclass(frozen=True)
@@ -26,18 +28,12 @@ class MinimizeResult:
     converged: bool
 
 
-def nelder_mead(
-    objective: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    initial_step: float = 0.1,
-    max_iter: int = 2000,
-    f_tol: float = 1e-12,
-    x_tol: float = 1e-9,
-) -> MinimizeResult:
+def nelder_mead(objective: Callable[[np.ndarray], float], x0: np.ndarray,
+                max_iter: int = 2000) -> MinimizeResult:
     """Minimize ``objective`` starting from ``x0``.
 
     The initial simplex is x0 plus one vertex per coordinate offset by
-    ``initial_step`` (scaled by |x0_i| when that is larger than 1).
+    ``_INITIAL_STEP`` (scaled by |x0_i| when that is larger than 1).
     Raises ConvergenceError carrying the best objective seen when the
     iteration budget is exhausted.
     """
@@ -48,7 +44,7 @@ def nelder_mead(
 
     simplex = np.tile(x0, (n + 1, 1))
     for i in range(n):
-        simplex[i + 1, i] += initial_step * max(1.0, abs(x0[i]))
+        simplex[i + 1, i] += _INITIAL_STEP * max(1.0, abs(x0[i]))
     fvals = np.array([objective(v) for v in simplex], dtype=float)
 
     n_iter = 0
@@ -58,7 +54,7 @@ def nelder_mead(
 
         f_spread = abs(fvals[-1] - fvals[0])
         x_spread = np.max(np.abs(simplex[1:] - simplex[0]))
-        if f_spread <= f_tol * (1.0 + abs(fvals[0])) and x_spread <= x_tol * (1.0 + np.max(np.abs(simplex[0]))):
+        if f_spread <= _F_TOL * (1.0 + abs(fvals[0])) and x_spread <= _X_TOL * (1.0 + np.max(np.abs(simplex[0]))):
             return MinimizeResult(x=simplex[0], fun=float(fvals[0]), n_iter=n_iter, converged=True)
 
         n_iter += 1

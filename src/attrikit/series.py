@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -398,11 +398,8 @@ def make_supervised(
     for w in sorted(ma_windows):
         columns.append(sliding_window_view(history, w)[depth - w:n - w].mean(axis=1))
         dropped |= sliding_window_view(missing, w)[depth - w:n - w].any(axis=1)
-    days = _period_days(series, np.arange(depth, n))
-    if "weekday" in calendar:
-        columns.append(np.eye(WEEKDAY_FEATURES)[(days.astype(np.int64) + 3) % 7])  # 1970-01-01 was a Thursday
-    if "month" in calendar:
-        columns.append(np.eye(MONTH_FEATURES)[days.astype("M8[M]").astype(np.int64) % 12])
+    days = period_days(series.start, series.granularity, np.arange(depth, n))
+    columns.append(calendar_columns(days, calendar))
     if "linear_index" in calendar:
         columns.append((days - np.datetime64(series.start, "D")).astype(float))
     keep = ~dropped
@@ -410,11 +407,22 @@ def make_supervised(
     return SupervisedMatrix(names, x, history[depth:][keep], tuple(days[keep].tolist()))
 
 
-def _period_days(series: CountSeries, t: np.ndarray) -> np.ndarray:
+def period_days(start: date, granularity: str, t: np.ndarray) -> np.ndarray:
     """First day of each period ``t`` as ``datetime64[D]`` (``period_start`` over an array)."""
-    if series.granularity == DAILY:
-        return np.datetime64(series.start, "D") + t
-    return (np.datetime64(series.start, "M") + t).astype("M8[D]")
+    if granularity == DAILY:
+        return np.datetime64(start, "D") + t
+    return (np.datetime64(start, "M") + t).astype("M8[D]")
+
+
+def calendar_columns(days: np.ndarray, flags: Collection[str]) -> np.ndarray:
+    """One-hot weekday (Monday first), then month, columns of ``days``
+    (``datetime64[D]``) for each of ``"weekday"``/``"month"`` in ``flags``."""
+    blocks = [np.empty((len(days), 0))]
+    if "weekday" in flags:
+        blocks.append(np.eye(WEEKDAY_FEATURES)[(days.astype(np.int64) + 3) % 7])  # 1970-01-01 was a Thursday
+    if "month" in flags:
+        blocks.append(np.eye(MONTH_FEATURES)[days.astype("M8[M]").astype(np.int64) % 12])
+    return np.hstack(blocks)
 
 
 # --------------------------------------------------------------------------

@@ -325,6 +325,33 @@ def test_ingest_and_aggregate_import_no_scipy(records_csv, tmp_path):
     assert run.stdout.splitlines()[-1] == "[]"
 
 
+# Each runs in its own process. The daily gbt forecast uses every calendar flag.
+HASH_SEED_COMMANDS = {
+    "gbt": ["forecast", "--model", "gbt", "--granularity", "daily", "--n-trees", "5"],
+    "lstm": ["forecast", "--model", "lstm", "--granularity", "monthly", "--use-month", "--epochs", "20"],
+    "compare": ["compare", "--granularity", "monthly", "--models", "arima,decomp,gbt",
+                "--initial-train", "30", "--horizon", "2"],
+}
+
+
+def test_outputs_identical_across_hash_seeds(records_csv, tmp_path):
+    """Set order and str hashes change with PYTHONHASHSEED; no output file may."""
+    package_root = str(Path(attrikit.__file__).resolve().parents[1])
+    outputs = {}
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        root = tmp_path / hash_seed
+        for name, command in HASH_SEED_COMMANDS.items():
+            run = subprocess.run([sys.executable, "-c", "import sys; from attrikit.cli import main; sys.exit(main())",
+                                  *command, "--data", str(records_csv), "--svg", "--out", str(root / name)],
+                                 capture_output=True, text=True, env=env, timeout=120)
+            assert run.returncode == 0, run.stderr
+        outputs[hash_seed] = {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    assert len(outputs["0"]) >= 8
+    assert outputs["0"] == outputs["12345"]
+
+
 def test_missing_required_flags_exit_2(tmp_path):
     assert main(["forecast", "--model", "arima", "--out", str(tmp_path / "o")]) == 2
     assert main(["aggregate", "--data", "x.csv"]) == 2

@@ -15,7 +15,7 @@ from attrikit.evaluate import (
     rolling_backtest,
 )
 from attrikit.factories import build_factory, default_factories, forecast_model
-from attrikit.series import DAILY, CountSeries, ExclusionWindow, apply_exclusions
+from attrikit.series import DAILY, MONTHLY, CountSeries, ExclusionWindow, apply_exclusions
 
 START = date(2022, 3, 1)
 
@@ -200,6 +200,22 @@ def test_compare_attaches_factory_name_to_errors():
     # A model failure is named, keeping its class and its objective.
     with pytest.raises(ConvergenceError, match="'diverging'") as err:
         compare([ForecastFactory("diverging", diverging)], series, BacktestSpec(10, 5, 5))
+    assert err.value.objective == 4.5
+
+
+def test_backtest_error_names_the_fold(monthly_tanks):
+    # March-April 2024 excluded: the fold at 2024-06-01 trains on data that
+    # ends one period after the gap, short of gbt's 12-period input window.
+    series = apply_exclusions(monthly_tanks, [ExclusionWindow(date(2024, 3, 1), date(2024, 4, 30))])
+    with pytest.raises(ModelError, match=r"^fold at 2024-06-01: masked periods in the final 12-period"):
+        rolling_backtest(build_factory("gbt", MONTHLY), series, BacktestSpec(24, 1, 2))
+
+    def diverging(train, horizon):
+        raise ConvergenceError("no convergence", objective=4.5)
+
+    # The class and its objective survive the renaming.
+    with pytest.raises(ConvergenceError, match=r"^fold at 2022-03-11: no convergence$") as err:
+        rolling_backtest(ForecastFactory("diverging", diverging), daily(np.arange(30.0)), BacktestSpec(10, 5, 5))
     assert err.value.objective == 4.5
 
 

@@ -1,9 +1,11 @@
-"""LSTM/TCN training, forecasting, causality, gradients."""
+"""LSTM/TCN inputs, training, forecasting, causality, gradients."""
 
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attrikit.errors import ModelError
 from attrikit.neural import (
@@ -11,6 +13,7 @@ from attrikit.neural import (
     LstmSpec,
     TcnModel,
     TcnSpec,
+    _train_windows,
     grad_check,
     lstm_fit,
     lstm_forecast,
@@ -18,7 +21,7 @@ from attrikit.neural import (
     tcn_fit,
     tcn_forecast,
 )
-from attrikit.series import DAILY, CountSeries
+from attrikit.series import DAILY, MONTHLY, CountSeries, period_start
 
 START = date(2022, 3, 1)
 
@@ -41,6 +44,85 @@ def sine_series(n=120, seed=0):
 def fitted_loss_slope(losses):
     t = np.arange(len(losses), dtype=float)
     return np.polyfit(t, np.asarray(losses), 1)[0]
+
+
+# -- training windows --------------------------------------------------------
+
+
+def oracle_windows(series, lookback, use_weekday, use_month, mean, std):
+    """Training windows built one cell at a time, the reference for
+    ``_train_windows``: every window [t-lookback, t] that is fully observed,
+    each input row the standardized count, then the weekday and month
+    one-hots of that period's own date."""
+
+    def feature_vector(std_value, day):
+        parts = [std_value]
+        if use_weekday:
+            onehot = [0.0] * 7
+            onehot[day.weekday()] = 1.0
+            parts.extend(onehot)
+        if use_month:
+            onehot = [0.0] * 12
+            onehot[day.month - 1] = 1.0
+            parts.extend(onehot)
+        return np.array(parts)
+
+    idx, vals = series.observed()
+    std_full = np.full(len(series), np.nan)
+    std_full[idx] = (vals - mean) / std
+    targets = [t for t in range(lookback, len(series)) if series.mask[t - lookback:t + 1].all()]
+    if not targets:
+        raise ModelError(f"no training windows: need {lookback + 1} consecutive observed periods")
+    x = np.empty((len(targets), lookback, 1 + (7 if use_weekday else 0) + (12 if use_month else 0)))
+    y = np.empty((len(targets), 1))
+    for row, t in enumerate(targets):
+        for j, src in enumerate(range(t - lookback, t)):
+            x[row, j] = feature_vector(std_full[src], period_start(series.start, series.granularity, src))
+        y[row, 0] = std_full[t]
+    return x, y
+
+
+@st.composite
+def window_cases(draw):
+    """A daily or monthly series of 1-120 periods with up to two masked
+    interior gaps and a masked tail, a lookback of 1-40, calendar flags
+    (weekday on daily data only) and arbitrary standardization constants."""
+    granularity = draw(st.sampled_from([DAILY, MONTHLY]))
+    n = draw(st.integers(1, 120))
+    start = date(2020, 1, 1) + timedelta(days=draw(st.integers(0, 2500)))
+    if granularity == MONTHLY:
+        start = start.replace(day=1)
+    mask = np.ones(n, dtype=bool)
+    for _ in range(draw(st.integers(0, 2))):
+        first = draw(st.integers(0, n - 1))
+        mask[first:first + draw(st.integers(1, 6))] = False
+    mask[n - draw(st.integers(0, 4)):] = False
+    values = np.array(draw(st.lists(st.integers(0, 500), min_size=n, max_size=n)), dtype=float)
+    use_weekday = granularity == DAILY and draw(st.booleans())
+    return (CountSeries(granularity, start, values, mask), draw(st.integers(1, 40)), use_weekday,
+            draw(st.booleans()), draw(st.floats(-100, 100)), draw(st.floats(0.01, 100)))
+
+
+def _windows_or_error(build):
+    try:
+        x, y = build()
+    except ModelError as err:
+        return str(err)
+    return x.shape, x.view(np.int64).tobytes(), y.shape, y.view(np.int64).tobytes()
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(case=window_cases())
+def test_train_windows_match_per_cell_oracle(case):
+    series, lookback, use_weekday, use_month, mean, std = case
+    expected = _windows_or_error(lambda: oracle_windows(series, lookback, use_weekday, use_month, mean, std))
+    models = [LstmModel(LstmSpec(lookback=lookback, hidden=1, use_weekday=use_weekday, use_month=use_month),
+                        mean, std)]
+    if lookback > 1 and not (use_weekday or use_month):
+        # kernel 2 with one dilation of lookback-1 gives a receptive field of lookback
+        models.append(TcnModel(TcnSpec(kernel=2, dilations=(lookback - 1,), channels=1), mean, std))
+    for model in models:
+        assert _windows_or_error(lambda: _train_windows(model, series)) == expected
 
 
 # -- LSTM --------------------------------------------------------------------
