@@ -39,6 +39,7 @@ class ArimaSpec:
 
 @dataclass(frozen=True)
 class ArimaFit:
+    spec: ArimaSpec
     phi: np.ndarray
     theta: np.ndarray
     mu: float
@@ -162,7 +163,7 @@ def fit(series: CountSeries, spec: ArimaSpec, max_iter: int = 2000) -> ArimaFit:
     loglik = -0.5 * n_used * (np.log(2.0 * np.pi * sigma2) + 1.0)
     k = spec.p + spec.q + (1 if spec.intercept else 0) + 1
     aic = 2.0 * k - 2.0 * loglik
-    return ArimaFit(phi=phi, theta=theta, mu=mu, sigma2=sigma2, loglik=float(loglik),
+    return ArimaFit(spec=spec, phi=phi, theta=theta, mu=mu, sigma2=sigma2, loglik=float(loglik),
                     aic=float(aic), n_used=n_used)
 
 
@@ -182,9 +183,9 @@ def _psi_weights(phi: np.ndarray, theta: np.ndarray, d: int, horizon: int) -> np
     return psi
 
 
-def forecast(fit_result: ArimaFit, series: CountSeries, spec: ArimaSpec,
-             horizon: int, level: float = 0.95) -> Forecast:
-    """Iterate the ARMA recursion with future innovations at zero.
+def forecast(fit_result: ArimaFit, series: CountSeries, horizon: int,
+             level: float = 0.95) -> Forecast:
+    """Iterate the fitted spec's ARMA recursion with future innovations at zero.
 
     Runs on the differenced (and log) scale, integrates back through the
     differencing anchors of the final observed segment, and maps point and
@@ -194,6 +195,7 @@ def forecast(fit_result: ArimaFit, series: CountSeries, spec: ArimaSpec,
     period following the last observed one.
     """
     check_request(horizon, level)
+    spec = fit_result.spec
 
     segments = _observed_segments(series, spec.use_log)
     final = segments[-1]

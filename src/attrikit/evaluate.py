@@ -94,16 +94,21 @@ def fold_origins(n: int, spec: BacktestSpec) -> list[int]:
     return list(range(spec.initial_train, n - spec.horizon + 1, spec.step))
 
 
-def rolling_backtest(factory: ForecastFactory, series: CountSeries, spec: BacktestSpec) -> MetricReport:
-    if spec.granularity is not None and spec.granularity != series.granularity:
-        raise ValueError(f"backtest granularity {spec.granularity!r} does not match series")
-    n = len(series)
+def _nonempty_origins(n: int, spec: BacktestSpec) -> list[int]:
+    """``fold_origins``, or a ModelError when there are none."""
     origins = fold_origins(n, spec)
     if not origins:
         raise ModelError(
             f"zero folds: series length {n} < initial_train {spec.initial_train} "
             f"+ horizon {spec.horizon}"
         )
+    return origins
+
+
+def rolling_backtest(factory: ForecastFactory, series: CountSeries, spec: BacktestSpec) -> MetricReport:
+    if spec.granularity is not None and spec.granularity != series.granularity:
+        raise ValueError(f"backtest granularity {spec.granularity!r} does not match series")
+    origins = _nonempty_origins(len(series), spec)
 
     folds: list[FoldMetrics] = []
     for origin in origins:
@@ -149,11 +154,7 @@ def compare(factories: list[ForecastFactory], series: CountSeries, spec: Backtes
     names = [f.name for f in factories]
     if len(set(names)) != len(names):
         raise ValueError("factory names must be unique")
-    if not fold_origins(len(series), spec):
-        raise ModelError(
-            f"zero folds: series length {len(series)} < initial_train {spec.initial_train} "
-            f"+ horizon {spec.horizon}"
-        )
+    _nonempty_origins(len(series), spec)
 
     reports: dict[str, MetricReport] = {}
     for factory in factories:

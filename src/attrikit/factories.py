@@ -36,21 +36,21 @@ MONTHLY_PRESETS = {
 }
 
 
-# name -> (spec class, fit(series, spec), forecast(fitted, series, spec,
-# horizon, level)). The lambdas look each model function up on its module at
-# call time, so a function replaced on the module (say, wrapped to time it)
-# is the one that runs.
+# name -> (spec class, fit(series, spec), forecast(fitted, series, horizon,
+# level)). A fitted model carries its spec, so a forecast reads no other. The
+# lambdas look each model function up on its module at call time, so a
+# function replaced on the module (say, wrapped to time it) is the one that runs.
 MODELS = {
     "arima": (arima.ArimaSpec, lambda s, spec: arima.fit(s, spec),
-              lambda m, s, spec, h, level: arima.forecast(m, s, spec, h, level=level)),
+              lambda m, s, h, level: arima.forecast(m, s, h, level=level)),
     "decomp": (decomp.DecompSpec, lambda s, spec: decomp.fit(s, spec),
-               lambda m, s, spec, h, level: decomp.forecast(m, s, h, level=level)),
+               lambda m, s, h, level: decomp.forecast(m, s, h, level=level)),
     "lstm": (neural.LstmSpec, lambda s, spec: neural.lstm_fit(s, spec)[0],
-             lambda m, s, spec, h, level: neural.lstm_forecast(m, s, h, level=level)),
+             lambda m, s, h, level: neural.lstm_forecast(m, s, h, level=level)),
     "tcn": (neural.TcnSpec, lambda s, spec: neural.tcn_fit(s, spec)[0],
-            lambda m, s, spec, h, level: neural.tcn_forecast(m, s, h, level=level)),
+            lambda m, s, h, level: neural.tcn_forecast(m, s, h, level=level)),
     "gbt": (gbtrees.GbtSpec, lambda s, spec: gbtrees.fit_series(s, spec),
-            lambda m, s, spec, h, level: gbtrees.forecast_recursive(m, s, spec, h, level=level)),
+            lambda m, s, h, level: gbtrees.forecast_recursive(m, s, h, level=level)),
 }
 MODEL_NAMES = tuple(MODELS)
 
@@ -84,7 +84,7 @@ def forecast_model(name: str, series: CountSeries, horizon: int, seed: int = 0,
     _, fit, forecast = MODELS[name]
     fitted = fit(series, spec)
     trimmed = series.head(series.last_observed_index() + 1)
-    return forecast(fitted, trimmed, spec, horizon, level)
+    return forecast(fitted, trimmed, horizon, level)
 
 
 def build_factory(name: str, granularity: str = DAILY, seed: int = 0,

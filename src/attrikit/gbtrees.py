@@ -17,7 +17,6 @@ through each new tree with the ``x <= threshold`` rule prediction uses."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date
 
 import numpy as np
 
@@ -26,11 +25,12 @@ from .series import (
     CountSeries,
     Forecast,
     SupervisedMatrix,
+    check_request,
     feature_names_for,
-    feature_row,
     make_supervised,
-    period_start,
+    period_days,
     recursive_forecast,
+    target_calendar,
 )
 
 
@@ -81,7 +81,7 @@ class Node:
 @dataclass
 class GbtModel:
     base_score: float
-    learning_rate: float
+    spec: GbtSpec
     feature_names: tuple[str, ...]
     trees: list[Node] = field(default_factory=list)
     gains: dict[str, float] = field(default_factory=dict)
@@ -194,7 +194,7 @@ def fit(matrix: SupervisedMatrix, spec: GbtSpec) -> GbtModel:
 
     model = GbtModel(
         base_score=float(y.mean()),
-        learning_rate=spec.learning_rate,
+        spec=spec,
         feature_names=matrix.feature_names,
         gains={name: 0.0 for name in matrix.feature_names},
     )
@@ -218,7 +218,7 @@ def predict(model: GbtModel, features: np.ndarray) -> float:
         raise ModelError(
             f"feature vector length {features.shape} does not match {len(model.feature_names)} features"
         )
-    return model.base_score + model.learning_rate * sum(
+    return model.base_score + model.spec.learning_rate * sum(
         tree.predict_one(features) for tree in model.trees
     )
 
@@ -246,21 +246,29 @@ def fit_series(series: CountSeries, spec: GbtSpec) -> GbtModel:
     return fit(matrix, spec)
 
 
-def forecast_recursive(model: GbtModel, series: CountSeries, spec: GbtSpec,
-                       horizon: int, level: float = 0.95) -> Forecast:
+def forecast_recursive(model: GbtModel, series: CountSeries, horizon: int,
+                       level: float = 0.95) -> Forecast:
     """Step-by-step forecast feeding predictions back as pseudo-history.
 
-    Calendar features advance with the calendar; intervals use the
-    train-residual RMSE * sqrt(step) heuristic and are labeled as such.
+    Each step's row is the ``make_supervised`` row of its period: the lags
+    and trailing means of the history, then the calendar columns of its
+    date. Intervals use the train-residual RMSE * sqrt(step) heuristic and
+    are labeled as such.
     """
-    lags, ma_windows = list(spec.lags), list(spec.ma_windows)
+    spec = model.spec
+    lags, ma_windows = sorted(spec.lags), sorted(spec.ma_windows)
     calendar = _calendar(spec, series.granularity)
     if feature_names_for(lags, ma_windows, calendar, series.granularity) != tuple(model.feature_names):
         raise ModelError("model feature layout does not match the spec/series combination")
+    check_request(horizon, level)  # before the horizon sizes the calendar block
+    n = len(series)
+    days = period_days(series.start, series.granularity, np.arange(n, n + horizon))
+    dated = target_calendar(days, series.start, calendar)
+    lag_back = np.array(lags, dtype=int)
 
     def step(history: np.ndarray, t: int) -> float:
-        target_date = period_start(series.start, series.granularity, t)
-        return predict(model, feature_row(history, t, target_date, series.start, lags, ma_windows, calendar))
+        means = [history[t - w:t].mean() for w in ma_windows]
+        return predict(model, np.concatenate((history[t - lag_back], means, dated[t - n])))
 
     depth = max(lags + ma_windows, default=0)
     return recursive_forecast(series, horizon, level, depth, model.rmse_train, step)

@@ -307,50 +307,6 @@ def feature_names_for(
     return tuple(names)
 
 
-def feature_row(
-    history: np.ndarray,
-    t: int,
-    target_date: date,
-    series_start: date,
-    lags: list[int],
-    ma_windows: list[int],
-    calendar: set[str],
-) -> np.ndarray | None:
-    """Feature vector for target period ``t`` over a NaN-masked history array.
-
-    Returns None when any referenced lag or moving-average span touches a
-    missing (NaN) or out-of-range value. Moving averages are trailing
-    means over the w periods ending at t-1, so no feature sees the target
-    or its future.
-    """
-    feats: list[float] = []
-    for k in sorted(lags):
-        if t - k < 0:
-            return None
-        v = history[t - k]
-        if np.isnan(v):
-            return None
-        feats.append(float(v))
-    for w in sorted(ma_windows):
-        if t - w < 0:
-            return None
-        window = history[t - w:t]
-        if np.any(np.isnan(window)):
-            return None
-        feats.append(float(window.mean()))
-    if "weekday" in calendar:
-        onehot = [0.0] * WEEKDAY_FEATURES
-        onehot[target_date.weekday()] = 1.0
-        feats.extend(onehot)
-    if "month" in calendar:
-        onehot = [0.0] * MONTH_FEATURES
-        onehot[target_date.month - 1] = 1.0
-        feats.extend(onehot)
-    if "linear_index" in calendar:
-        feats.append(float((target_date - series_start).days))
-    return np.array(feats, dtype=float)
-
-
 def make_supervised(
     series: CountSeries,
     lags: list[int],
@@ -361,8 +317,8 @@ def make_supervised(
 
     Rows whose target, any lag, or any moving-average span touches a
     masked period are dropped outright; masked data is never imputed.
-    Each row equals ``feature_row`` at its target period, bit for bit,
-    built here for all periods at once.
+    Moving averages are trailing means over the w periods ending at t-1,
+    so no feature sees the target or its future.
     """
     calendar = set(calendar or ())
     unknown = calendar - set(CALENDAR_FLAGS)
@@ -399,9 +355,7 @@ def make_supervised(
         columns.append(sliding_window_view(history, w)[depth - w:n - w].mean(axis=1))
         dropped |= sliding_window_view(missing, w)[depth - w:n - w].any(axis=1)
     days = period_days(series.start, series.granularity, np.arange(depth, n))
-    columns.append(calendar_columns(days, calendar))
-    if "linear_index" in calendar:
-        columns.append((days - np.datetime64(series.start, "D")).astype(float))
+    columns.append(target_calendar(days, series.start, calendar))
     keep = ~dropped
     x = np.column_stack(columns)[keep]
     return SupervisedMatrix(names, x, history[depth:][keep], tuple(days[keep].tolist()))
@@ -412,6 +366,15 @@ def period_days(start: date, granularity: str, t: np.ndarray) -> np.ndarray:
     if granularity == DAILY:
         return np.datetime64(start, "D") + t
     return (np.datetime64(start, "M") + t).astype("M8[D]")
+
+
+def target_calendar(days: np.ndarray, start: date, calendar: Collection[str]) -> np.ndarray:
+    """The calendar feature columns of target periods starting on ``days``:
+    their one-hots, then the days since ``start`` if ``"linear_index"`` is set."""
+    columns = calendar_columns(days, calendar)
+    if "linear_index" in calendar:
+        columns = np.column_stack([columns, (days - np.datetime64(start, "D")).astype(float)])
+    return columns
 
 
 def calendar_columns(days: np.ndarray, flags: Collection[str]) -> np.ndarray:

@@ -79,7 +79,7 @@ def test_criterion_02_random_walk_forecast_identity():
     y = np.cumsum(rng.normal(size=300)) + 200.0
     spec = ArimaSpec(0, 1, 0, use_log=False, intercept=False)
     series = daily_series(y)
-    fc = arima_forecast(arima_fit(series, spec), series, spec, horizon=24)
+    fc = arima_forecast(arima_fit(series, spec), series, horizon=24)
     assert np.all(fc.point == y[-1])
     _passed(2, "ARIMA(0,1,0) point forecasts equal the last observed value exactly")
 
@@ -320,7 +320,7 @@ def test_criterion_11_interval_coverage_on_random_walks():
         series = daily_series(y)
         for origin in range(100, 150):
             train = series.head(origin)
-            fc = arima_forecast(arima_fit(train, spec), train, spec, horizon=1, level=0.95)
+            fc = arima_forecast(arima_fit(train, spec), train, horizon=1, level=0.95)
             covered += int(fc.lower[0] <= y[origin] <= fc.upper[0])
             total += 1
     rate = covered / total

@@ -66,13 +66,13 @@ def test_log_arima_111_on_bundled_monthly_tanks(monthly_tanks_masked):
     assert ar_roots_outside_unit_circle(result.phi)
     assert ar_roots_outside_unit_circle(-result.theta)  # invertibility via the same root test
     assert np.isfinite(result.loglik) and np.isfinite(result.aic)
-    fc = forecast(result, monthly_tanks_masked, spec, horizon=6)
+    fc = forecast(result, monthly_tanks_masked, horizon=6)
     assert len(fc) == 6
 
 
 def test_forecast_tracks_terminal_regime(monthly_tanks_masked):
     spec = ArimaSpec(1, 1, 1, use_log=True, intercept=True)
-    fc = forecast(fit(monthly_tanks_masked, spec), monthly_tanks_masked, spec, horizon=6)
+    fc = forecast(fit(monthly_tanks_masked, spec), monthly_tanks_masked, horizon=6)
     assert fc.origin == date(2025, 6, 1)  # resumes right after the last observed month
     flags = within_taper_band(fc.point, fc.period_starts())
     assert sum(flags) >= 5
@@ -84,7 +84,7 @@ def test_random_walk_forecast_is_last_value():
     y[-1] = 50.0
     spec = ArimaSpec(0, 1, 0, use_log=False, intercept=False)
     s = make_series(y)
-    fc = forecast(fit(s, spec), s, spec, horizon=10)
+    fc = forecast(fit(s, spec), s, horizon=10)
     assert np.all(fc.point == 50.0)
 
 
@@ -94,7 +94,7 @@ def test_mean_model_constant_forecast():
     spec = ArimaSpec(0, 0, 0, use_log=False, intercept=True)
     result = fit(make_series(y), spec)
     assert result.mu == pytest.approx(y.mean(), abs=1e-6)
-    fc = forecast(result, make_series(y), spec, horizon=5)
+    fc = forecast(result, make_series(y), horizon=5)
     assert np.allclose(fc.point, result.mu, atol=1e-9)
 
 
@@ -102,7 +102,7 @@ def test_mean_model_through_log_transform():
     y = np.full(60, 20.0) + np.random.default_rng(5).normal(0, 0.5, 60)
     spec = ArimaSpec(0, 0, 0, use_log=True, intercept=True)
     result = fit(make_series(y), spec)
-    fc = forecast(result, make_series(y), spec, horizon=3)
+    fc = forecast(result, make_series(y), horizon=3)
     assert np.allclose(fc.point, np.expm1(result.mu), atol=1e-9)
 
 
@@ -110,7 +110,7 @@ def test_interval_ordering_and_monotone_width():
     y = simulate_arma(300, phi=0.4, seed=8) + 100.0
     spec = ArimaSpec(1, 1, 1, use_log=False, intercept=True)
     s = make_series(y)
-    fc = forecast(fit(s, spec), s, spec, horizon=20)
+    fc = forecast(fit(s, spec), s, horizon=20)
     assert np.all(fc.lower <= fc.point) and np.all(fc.point <= fc.upper)
     widths = fc.upper - fc.lower
     assert np.all(np.diff(widths) >= -1e-9)
@@ -122,8 +122,8 @@ def test_shift_invariance_under_differencing():
     spec = ArimaSpec(0, 1, 1, use_log=False, intercept=True)
     base = make_series(y)
     shifted = make_series(y + 1000.0)
-    fc_base = forecast(fit(base, spec), base, spec, horizon=8)
-    fc_shift = forecast(fit(shifted, spec), shifted, spec, horizon=8)
+    fc_base = forecast(fit(base, spec), base, horizon=8)
+    fc_shift = forecast(fit(shifted, spec), shifted, horizon=8)
     # Differenced data is bitwise identical, so the shift carries through
     # up to 64-bit addition rounding.
     assert np.allclose(fc_shift.point, fc_base.point + 1000.0, rtol=1e-12, atol=1e-9)
@@ -166,9 +166,9 @@ def test_horizon_guard():
     s = make_series(y)
     result = fit(s, spec)
     with pytest.raises(ModelError, match=str(MAX_HORIZON + 1)):
-        forecast(result, s, spec, horizon=MAX_HORIZON + 1)
+        forecast(result, s, horizon=MAX_HORIZON + 1)
     with pytest.raises(ValueError):
-        forecast(result, s, spec, horizon=0)
+        forecast(result, s, horizon=0)
 
 
 def test_spec_validation():

@@ -4,7 +4,10 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from attrikit import decomp, factories
 from attrikit.errors import ConvergenceError, ModelError
 from attrikit.evaluate import (
     BacktestSpec,
@@ -15,7 +18,15 @@ from attrikit.evaluate import (
     rolling_backtest,
 )
 from attrikit.factories import build_factory, default_factories, forecast_model
-from attrikit.series import DAILY, MONTHLY, CountSeries, ExclusionWindow, apply_exclusions
+from attrikit.series import (
+    DAILY,
+    MONTHLY,
+    CountSeries,
+    ExclusionWindow,
+    Forecast,
+    apply_exclusions,
+    period_start,
+)
 
 START = date(2022, 3, 1)
 
@@ -249,6 +260,59 @@ def test_factory_realigns_over_masked_tail():
     got = factory.fit_forecast(series, 4)
     expected = 2.0 * np.arange(40.0, 44.0) + 1.0
     assert np.allclose(got, expected, atol=0.05)
+
+
+def index_forecast(fitted, series, horizon, level):
+    """A forecast whose point at each period is that period's absolute index."""
+    points = np.arange(len(series), len(series) + horizon, dtype=float)
+    origin = period_start(series.start, series.granularity, len(series))
+    return Forecast(series.granularity, origin, points, points, points, level)
+
+
+@st.composite
+def gapped_series(draw):
+    """A series whose values are the period indices, with interior gaps and
+    an optional trailing one; the first period is always observed."""
+    n = draw(st.integers(2, 60))
+    mask = np.ones(n, dtype=bool)
+    for _ in range(draw(st.integers(0, 3))):
+        first = draw(st.integers(1, n - 1))
+        mask[first:first + draw(st.integers(1, 8))] = False
+    mask[n - draw(st.integers(0, min(8, n - 1))):] = False
+    granularity = draw(st.sampled_from([DAILY, MONTHLY]))
+    return CountSeries(granularity, START, np.arange(float(n)), mask)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(series=gapped_series(), horizon=st.integers(1, 10), initial=st.integers(1, 30),
+       step=st.integers(1, 5))
+def test_folds_realign_to_absolute_periods(series, horizon, initial, step):
+    # The model forecasts from its last observed period; the factory must
+    # drop the trailing-gap steps so point k is period len(train) + k.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(factories.MODELS, "decomp", (decomp.DecompSpec, lambda s, spec: None, index_forecast))
+        factory = build_factory("decomp", series.granularity)
+        n = len(series)
+        assert factory.fit_forecast(series, horizon).tolist() == list(range(n, n + horizon))
+
+        calls = []
+
+        def recorded(train, h):
+            points = factory.fit_forecast(train, h)
+            calls.append((len(train), points.tolist()))
+            return points
+
+        spec = BacktestSpec(initial, step, horizon)
+        origins = fold_origins(n, spec)
+        if not origins:
+            return
+        backtest = ForecastFactory("decomp", recorded)
+        if any(series.mask[o:o + horizon].any() for o in origins):
+            assert rolling_backtest(backtest, series, spec).rmse == 0.0
+        else:
+            with pytest.raises(ModelError, match="masked"):
+                rolling_backtest(backtest, series, spec)
+    assert calls == [(o, list(range(o, o + horizon))) for o in origins]
 
 
 def test_forecast_model_origin_after_last_observed():

@@ -2,7 +2,7 @@
 
 import dataclasses
 import itertools
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from attrikit.gbtrees import (
     forecast_recursive,
     predict,
 )
-from attrikit.series import DAILY, CountSeries, SupervisedMatrix
+from attrikit.series import DAILY, MONTHLY, CountSeries, SupervisedMatrix, make_supervised
 
 START = date(2022, 3, 1)
 
@@ -108,14 +108,14 @@ def test_training_rmse_non_increasing_over_stages():
 
 def test_hand_built_stump_prediction_and_boundary_routing():
     stump = Node(feature=0, threshold=5.0, left=Node(value=-1.0), right=Node(value=1.0))
-    model = GbtModel(base_score=10.0, learning_rate=1.0, feature_names=("x0",), trees=[stump])
+    model = GbtModel(base_score=10.0, spec=GbtSpec(learning_rate=1.0), feature_names=("x0",), trees=[stump])
     assert predict(model, np.array([3.0])) == 9.0
     assert predict(model, np.array([7.0])) == 11.0
     assert predict(model, np.array([5.0])) == 9.0  # ties route left
 
 
 def test_empty_ensemble_predicts_base_score():
-    model = GbtModel(base_score=2.5, learning_rate=0.1, feature_names=("x0",))
+    model = GbtModel(base_score=2.5, spec=GbtSpec(learning_rate=0.1), feature_names=("x0",))
     assert predict(model, np.array([123.0])) == 2.5
 
 
@@ -127,7 +127,7 @@ def test_errors_empty_nonfinite_and_length_mismatch():
     x[7, 1] = np.nan
     with pytest.raises(ModelError, match="row 7"):
         fit(matrix_from(x, y), GbtSpec(min_samples_leaf=2))
-    model = GbtModel(base_score=0.0, learning_rate=0.1, feature_names=("a", "b"))
+    model = GbtModel(base_score=0.0, spec=GbtSpec(learning_rate=0.1), feature_names=("a", "b"))
     with pytest.raises(ModelError, match="length"):
         predict(model, np.array([1.0]))
 
@@ -173,7 +173,7 @@ def test_recursive_forecast_constant_series():
     spec = GbtSpec(n_trees=30, max_depth=2, lags=(1, 2, 3), ma_windows=(7,),
                    calendar=frozenset({"weekday"}))
     model = fit_series(series, spec)
-    fc = forecast_recursive(model, series, spec, horizon=15)
+    fc = forecast_recursive(model, series, horizon=15)
     assert np.all(np.abs(fc.point - 6.0) <= 0.01)
 
 
@@ -185,20 +185,19 @@ def test_recursive_forecast_weekday_advances_with_calendar():
 
     captured = []
     import attrikit.gbtrees as gb
-    original = gb.feature_row
+    original = gb.predict
 
-    def spy(history, t, target_date, series_start, lags, mas, cal):
-        row = original(history, t, target_date, series_start, lags, mas, cal)
-        captured.append((t, target_date, None if row is None else row.copy()))
-        return row
+    def spy(model, features):
+        captured.append(np.array(features, copy=True))
+        return original(model, features)
 
-    gb.feature_row = spy
+    gb.predict = spy
     try:
-        forecast_recursive(model, series, spec, horizon=10)
+        fc = forecast_recursive(model, series, horizon=10)
     finally:
-        gb.feature_row = original
-    t7, date7, row7 = captured[6]  # step 7
-    assert (date7 - series.start).days == t7
+        gb.predict = original
+    date7, row7 = fc.period_starts()[6], captured[6]  # step 7
+    assert (date7 - series.start).days == len(series) + 6
     onehot = row7[1:8]
     assert onehot[date7.weekday()] == 1.0 and onehot.sum() == 1.0
 
@@ -210,7 +209,7 @@ def test_recursive_forecast_180_days_july_to_december():
     assert series.end() == date(2025, 6, 30)
     spec = GbtSpec(n_trees=20, max_depth=2)
     model = fit_series(series, spec)
-    fc = forecast_recursive(model, series, spec, horizon=180)
+    fc = forecast_recursive(model, series, horizon=180)
     dates = fc.period_starts()
     assert len(dates) == 180
     assert dates[0] == date(2025, 7, 1) and dates[-1] == date(2025, 12, 27)
@@ -223,7 +222,56 @@ def test_recursive_forecast_masked_tail_rejected():
     series = CountSeries(DAILY, START, np.arange(100.0), mask)
     spec = GbtSpec(n_trees=2, lags=(1, 2), ma_windows=(), calendar=frozenset())
     with pytest.raises(ModelError, match="masked"):
-        forecast_recursive(GbtModel(0.0, 0.1, ("lag_1", "lag_2")), series, spec, horizon=3)
+        forecast_recursive(GbtModel(0.0, spec, ("lag_1", "lag_2")), series, horizon=3)
+
+
+@st.composite
+def forecast_requests(draw):
+    """A daily or monthly series with non-integer counts and an interior gap,
+    a small gbt spec with random lags, windows and calendar flags, and a horizon."""
+    granularity = draw(st.sampled_from([DAILY, MONTHLY]))
+    lags = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True)))
+    ma_windows = tuple(draw(st.lists(st.integers(1, 12), max_size=3, unique=True)))
+    calendar = frozenset(draw(st.sets(st.sampled_from(["weekday", "month", "linear_index"]))))
+    depth = max(lags + ma_windows)
+    n = draw(st.integers(depth + 30, depth + 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.poisson(10.0, n) + rng.random(n)
+    mask = np.ones(n, dtype=bool)
+    gap = draw(st.integers(0, n - depth - 5))
+    mask[gap:gap + draw(st.integers(0, 5))] = False
+    day = date(2021, 1, 1) + timedelta(days=draw(st.integers(0, 2000)))
+    start = day if granularity == DAILY else day.replace(day=1)
+    spec = GbtSpec(n_trees=3, max_depth=2, min_samples_leaf=2, lags=lags, ma_windows=ma_windows,
+                   calendar=calendar)
+    return CountSeries(granularity, start, values, mask), spec, draw(st.integers(1, 20))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(request=forecast_requests())
+def test_forecast_rows_are_training_rows(request):
+    # Each step must read the very features the model was fitted on: its row
+    # is the make_supervised row of its period once the forecast is history.
+    series, spec, horizon = request
+    model = fit_series(series, spec)
+    rows = []
+    original = gb.predict
+
+    def spy(model, features):
+        rows.append(np.array(features, copy=True))
+        return original(model, features)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gb, "predict", spy)
+        fc = forecast_recursive(model, series, horizon=horizon)
+    extended = CountSeries(series.granularity, series.start, np.concatenate([series.values, fc.point]),
+                           np.concatenate([series.mask, np.ones(horizon, dtype=bool)]))
+    calendar = spec.calendar if series.granularity == DAILY else spec.calendar - {"weekday"}
+    matrix = make_supervised(extended, list(spec.lags), list(spec.ma_windows), calendar)
+    assert matrix.feature_names == model.feature_names
+    training_row = dict(zip(matrix.target_dates, matrix.x))
+    expected = np.array([training_row[day] for day in fc.period_starts()])
+    assert np.array(rows).view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 def test_spec_validation():
@@ -317,7 +365,7 @@ def oracle_fit(matrix, spec):
     x, y = matrix.x, matrix.y
     model = GbtModel(
         base_score=float(y.mean()),
-        learning_rate=spec.learning_rate,
+        spec=spec,
         feature_names=matrix.feature_names,
         gains={name: 0.0 for name in matrix.feature_names},
     )

@@ -211,11 +211,13 @@ def test_forecast_window_comes_from_the_fitted_spec():
     )
     for name, forecast, model, other_spec in cases:
         own = forecast(model, series, horizon=5)
-        via_table = MODELS[name][2](model, series, other_spec, 5, 0.95)
+        via_table = MODELS[name][2](model, series, 5, 0.95)
         assert np.array_equal(via_table.point, own.point)
         assert np.array_equal(via_table.upper, own.upper)
         with pytest.raises(TypeError):
             forecast(model, series, horizon=5, spec=other_spec)
+        with pytest.raises(TypeError):
+            MODELS[name][2](model, series, other_spec, 5, 0.95)
 
 
 def test_lstm_masked_tail_rejected():

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from attrikit.ingest import Category, Status, make_record
 from attrikit.series import (
     DAILY,
+    MONTH_FEATURES,
     MONTHLY,
+    WEEKDAY_FEATURES,
     CountSeries,
     ExclusionWindow,
     Forecast,
     aggregate,
     apply_exclusions,
-    feature_row,
     forecast_to_csv,
     make_supervised,
     period_index,
@@ -182,10 +183,54 @@ def feature_requests(draw):
     return CountSeries(granularity, start, values, mask), lags, ma_windows, calendar
 
 
+def feature_row(
+    history: np.ndarray,
+    t: int,
+    target_date: date,
+    series_start: date,
+    lags: list[int],
+    ma_windows: list[int],
+    calendar: set[str],
+) -> np.ndarray | None:
+    """Feature vector for target period ``t`` over a NaN-masked history array.
+
+    Returns None when any referenced lag or moving-average span touches a
+    missing (NaN) or out-of-range value. Moving averages are trailing
+    means over the w periods ending at t-1, so no feature sees the target
+    or its future.
+    """
+    feats: list[float] = []
+    for k in sorted(lags):
+        if t - k < 0:
+            return None
+        v = history[t - k]
+        if np.isnan(v):
+            return None
+        feats.append(float(v))
+    for w in sorted(ma_windows):
+        if t - w < 0:
+            return None
+        window = history[t - w:t]
+        if np.any(np.isnan(window)):
+            return None
+        feats.append(float(window.mean()))
+    if "weekday" in calendar:
+        onehot = [0.0] * WEEKDAY_FEATURES
+        onehot[target_date.weekday()] = 1.0
+        feats.extend(onehot)
+    if "month" in calendar:
+        onehot = [0.0] * MONTH_FEATURES
+        onehot[target_date.month - 1] = 1.0
+        feats.extend(onehot)
+    if "linear_index" in calendar:
+        feats.append(float((target_date - series_start).days))
+    return np.array(feats, dtype=float)
+
+
 @settings(deadline=None, derandomize=True, database=None, max_examples=300)
 @given(request=feature_requests())
 def test_make_supervised_rows_are_feature_rows(request):
-    # Training features must be the very vectors a forecast step builds.
+    # Array-built training rows must equal the scalar per-period oracle above.
     series, lags, ma_windows, calendar = request
     depth = max(lags + ma_windows, default=0)
     assume((lags or ma_windows or calendar) and depth < series.mask.sum())
