@@ -12,26 +12,19 @@ from typing import Callable
 
 import numpy as np
 
+GradFn = Callable[[np.ndarray], np.ndarray]
+
 
 class Tensor:
-    __slots__ = ("value", "grad", "requires_grad", "parents", "_backward")
+    __slots__ = ("value", "grad", "requires_grad", "parents")
 
-    def __init__(
-        self,
-        value,
-        requires_grad: bool = False,
-        parents: tuple["Tensor", ...] = (),
-        backward: Callable[[np.ndarray], None] | None = None,
-    ):
+    def __init__(self, value, requires_grad: bool = False,
+                 parents: tuple[tuple["Tensor", GradFn], ...] = ()):
         self.value = np.asarray(value, dtype=float)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
+        # (input, grad_fn) pairs; grad_fn maps this tensor's gradient to the input's.
         self.parents = parents
-        self._backward = backward
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -55,13 +48,14 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node.parents:
+            for parent, _ in node.parents:
                 stack.append((parent, False))
 
         self.grad = np.ones_like(self.value)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            for parent, grad_fn in node.parents:
+                if parent.requires_grad or parent.parents:
+                    parent._accumulate(grad_fn(node.grad))
 
 
 def parameter(value, rng: np.random.Generator | None = None, scale: float | None = None) -> Tensor:
@@ -71,11 +65,14 @@ def parameter(value, rng: np.random.Generator | None = None, scale: float | None
     return Tensor(value, requires_grad=True)
 
 
-def _needs_graph(*tensors: Tensor) -> bool:
-    return any(t.requires_grad or t.parents for t in tensors)
-
-
 def constant(value) -> Tensor:
+    return Tensor(value)
+
+
+def _record(value: np.ndarray, *pairs: tuple[Tensor, GradFn]) -> Tensor:
+    """An op's result; keeps its (input, grad_fn) pairs only if some input needs a gradient."""
+    if any(t.requires_grad or t.parents for t, _ in pairs):
+        return Tensor(value, parents=pairs)
     return Tensor(value)
 
 
@@ -88,143 +85,74 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _axis_key(ndim: int, axis: int, span: slice) -> tuple[slice, ...]:
+    key = [slice(None)] * ndim
+    key[axis] = span
+    return tuple(key)
+
+
+def _scatter(grad: np.ndarray, like: np.ndarray, key: tuple[slice, ...]) -> np.ndarray:
+    full = np.zeros_like(like)
+    full[key] = grad
+    return full
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out_value = a.value + b.value
-
-    def backward(grad):
-        if a.requires_grad or a.parents:
-            a._accumulate(_unbroadcast(grad, a.value.shape))
-        if b.requires_grad or b.parents:
-            b._accumulate(_unbroadcast(grad, b.value.shape))
-
-    if not _needs_graph(a, b):
-        return Tensor(out_value)
-    return Tensor(out_value, parents=(a, b), backward=backward)
+    return _record(a.value + b.value,
+                   (a, lambda g: _unbroadcast(g, a.value.shape)),
+                   (b, lambda g: _unbroadcast(g, b.value.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_value = a.value - b.value
-
-    def backward(grad):
-        if a.requires_grad or a.parents:
-            a._accumulate(_unbroadcast(grad, a.value.shape))
-        if b.requires_grad or b.parents:
-            b._accumulate(-_unbroadcast(grad, b.value.shape))
-
-    if not _needs_graph(a, b):
-        return Tensor(out_value)
-    return Tensor(out_value, parents=(a, b), backward=backward)
+    return _record(a.value - b.value,
+                   (a, lambda g: _unbroadcast(g, a.value.shape)),
+                   (b, lambda g: -_unbroadcast(g, b.value.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_value = a.value * b.value
-
-    def backward(grad):
-        if a.requires_grad or a.parents:
-            a._accumulate(_unbroadcast(grad * b.value, a.value.shape))
-        if b.requires_grad or b.parents:
-            b._accumulate(_unbroadcast(grad * a.value, b.value.shape))
-
-    if not _needs_graph(a, b):
-        return Tensor(out_value)
-    return Tensor(out_value, parents=(a, b), backward=backward)
+    return _record(a.value * b.value,
+                   (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
+                   (b, lambda g: _unbroadcast(g * a.value, b.value.shape)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """a @ b where a may carry leading batch axes and b is 2-D."""
-    out_value = a.value @ b.value
-
-    def backward(grad):
-        if a.requires_grad or a.parents:
-            a._accumulate(grad @ b.value.T)
-        if b.requires_grad or b.parents:
-            flat_a = a.value.reshape(-1, a.value.shape[-1])
-            flat_g = grad.reshape(-1, grad.shape[-1])
-            b._accumulate(flat_a.T @ flat_g)
-
-    if not _needs_graph(a, b):
-        return Tensor(out_value)
-    return Tensor(out_value, parents=(a, b), backward=backward)
+    return _record(a.value @ b.value,
+                   (a, lambda g: g @ b.value.T),
+                   (b, lambda g: a.value.reshape(-1, a.value.shape[-1]).T @ g.reshape(-1, g.shape[-1])))
 
 
 def tanh(a: Tensor) -> Tensor:
-    out_value = np.tanh(a.value)
-
-    def backward(grad):
-        a._accumulate(grad * (1.0 - out_value**2))
-
-    if not _needs_graph(a):
-        return Tensor(out_value)
-    return Tensor(out_value, parents=(a,), backward=backward)
+    out = np.tanh(a.value)
+    return _record(out, (a, lambda g: g * (1.0 - out**2)))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out_value = 1.0 / (1.0 + np.exp(-a.value))
-
-    def backward(grad):
-        a._accumulate(grad * out_value * (1.0 - out_value))
-
-    if not _needs_graph(a):
-        return Tensor(out_value)
-    return Tensor(out_value, parents=(a,), backward=backward)
+    out = 1.0 / (1.0 + np.exp(-a.value))
+    return _record(out, (a, lambda g: g * out * (1.0 - out)))
 
 
 def relu(a: Tensor) -> Tensor:
-    out_value = np.maximum(a.value, 0.0)
-
-    def backward(grad):
-        a._accumulate(grad * (a.value > 0.0))
-
-    if not _needs_graph(a):
-        return Tensor(out_value)
-    return Tensor(out_value, parents=(a,), backward=backward)
+    return _record(np.maximum(a.value, 0.0), (a, lambda g: g * (a.value > 0.0)))
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice along one axis; gradients scatter back into place."""
-    key = [slice(None)] * a.value.ndim
-    key[axis] = slice(start, start + length)
-    key = tuple(key)
-    out_value = a.value[key]
-
-    def backward(grad):
-        full = np.zeros_like(a.value)
-        full[key] = grad
-        a._accumulate(full)
-
-    if not _needs_graph(a):
-        return Tensor(out_value)
-    return Tensor(out_value, parents=(a,), backward=backward)
+    key = _axis_key(a.value.ndim, axis, slice(start, start + length))
+    return _record(a.value[key], (a, lambda g: _scatter(g, a.value, key)))
 
 
 def pad_left(a: Tensor, axis: int, amount: int) -> Tensor:
     """Zero-pad at the start of one axis (causal padding)."""
-    if amount == 0:
-        return a
     widths = [(0, 0)] * a.value.ndim
     widths[axis] = (amount, 0)
-    out_value = np.pad(a.value, widths)
-    key = [slice(None)] * a.value.ndim
-    key[axis] = slice(amount, None)
-    key = tuple(key)
-
-    def backward(grad):
-        a._accumulate(grad[key])
-
-    if not _needs_graph(a):
-        return Tensor(out_value)
-    return Tensor(out_value, parents=(a,), backward=backward)
+    key = _axis_key(a.value.ndim, axis, slice(amount, None))
+    return _record(np.pad(a.value, widths), (a, lambda g: g[key]))
 
 
 def mean(a: Tensor) -> Tensor:
-    out_value = np.asarray(a.value.mean())
-
-    def backward(grad):
-        a._accumulate(np.full_like(a.value, float(grad) / a.value.size))
-
-    if not _needs_graph(a):
-        return Tensor(out_value)
-    return Tensor(out_value, parents=(a,), backward=backward)
+    return _record(np.asarray(a.value.mean()),
+                   (a, lambda g: np.full_like(a.value, float(g) / a.value.size)))
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:

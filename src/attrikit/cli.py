@@ -20,6 +20,7 @@ from .errors import ConvergenceError, ModelError, SchemaError
 from .evaluate import BacktestSpec, MetricReport, ModelComparison, compare, rolling_backtest
 from .factories import MODEL_NAMES, build_factory, forecast_model
 from .ingest import (
+    Category,
     default_profile,
     generate_synthetic,
     load_corrections,
@@ -75,7 +76,16 @@ def _date_range(text: str) -> tuple[date, date] | None:
 
 
 def _categories(text: str) -> set | None:
-    return {parse_category(c) for c in text.split(",")} if text else None
+    """Known names and aliases only: parse_category turns any unknown label into OTHER."""
+    if not text:
+        return None
+    names = [c.strip() for c in text.split(",") if c.strip()]
+    for name in names:
+        if parse_category(name) is Category.OTHER and name.casefold() != Category.OTHER.value:
+            raise ValueError(f"unknown category {name!r}")
+    if not names:
+        raise ValueError("need at least one category")
+    return {parse_category(name) for name in names}
 
 
 def _schema(text: str) -> dict[str, str] | None:

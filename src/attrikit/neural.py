@@ -279,14 +279,7 @@ class TcnModel:
 
 def _squeeze_mid(t: Tensor, n: int) -> Tensor:
     """(n, 1, 1) -> (n, 1) without a dedicated reshape op."""
-    out_value = t.value.reshape(n, 1)
-
-    def backward(grad):
-        t._accumulate(grad.reshape(t.value.shape))
-
-    if not (t.requires_grad or t.parents):
-        return Tensor(out_value)
-    return Tensor(out_value, parents=(t,), backward=backward)
+    return ad._record(t.value.reshape(n, 1), (t, lambda g: g.reshape(t.value.shape)))
 
 
 def tcn_fit(series: CountSeries, spec: TcnSpec) -> tuple[TcnModel, TrainReport]:

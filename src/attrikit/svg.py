@@ -18,6 +18,7 @@ from .series import CountSeries, ExclusionWindow, Forecast
 
 KINDS = ("history_plus_forecast", "components", "comparison_bars", "backtest_folds")
 
+WIDTH, HEIGHT = 900, 480
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 62.0, 18.0, 44.0, 52.0
 
 HISTORY_COLOR = "#1f5fa8"
@@ -31,14 +32,10 @@ COMPONENT_COLORS = {"trend": "#1f5fa8", "weekly": "#2a8f4d", "yearly": "#a04bb8"
 class FigureSpec:
     kind: str
     title: str
-    width: int = 900
-    height: int = 480
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown figure kind {self.kind!r}")
-        if self.width < 100 or self.height < 100:
-            raise ValueError("figures smaller than 100x100 are not drawable")
 
 
 def _fmt(v: float) -> str:
@@ -100,17 +97,16 @@ def _date_ticks(first: date, last: date) -> list[date]:
 
 class _Canvas:
     def __init__(self, spec: FigureSpec):
-        self.spec = spec
         self.parts: list[str] = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{spec.width}" height="{spec.height}" '
-            f'viewBox="0 0 {spec.width} {spec.height}">',
-            f'<text x="{_fmt(spec.width / 2)}" y="24" text-anchor="middle" '
+            f'width="{WIDTH}" height="{HEIGHT}" '
+            f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<text x="{_fmt(WIDTH / 2)}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="16">{_esc(spec.title)}</text>',
         ]
-        self.x0, self.x1 = MARGIN_LEFT, spec.width - MARGIN_RIGHT
-        self.y0, self.y1 = spec.height - MARGIN_BOTTOM, MARGIN_TOP  # y grows downward
+        self.x0, self.x1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
+        self.y0, self.y1 = HEIGHT - MARGIN_BOTTOM, MARGIN_TOP  # y grows downward
 
     def finish(self) -> str:
         self.parts.append("</svg>")

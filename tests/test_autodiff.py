@@ -81,6 +81,21 @@ def test_shared_node_accumulates_grad():
     assert w.grad[0] == pytest.approx(6.0)
 
 
+def test_constants_carry_no_graph():
+    rng = np.random.default_rng(4)
+    x = ad.constant(rng.normal(size=(2, 5, 3)))
+    b = ad.constant(rng.normal(size=(3,)))
+    m = ad.constant(rng.normal(size=(3, 3)))
+    results = [ad.add(x, b), ad.sub(x, b), ad.mul(x, b), ad.matmul(x, m), ad.tanh(x), ad.sigmoid(x),
+               ad.relu(x), ad.narrow(x, 1, 1, 3), ad.pad_left(x, 1, 2), ad.mean(x), ad.mse(x, b)]
+    assert all(r.parents == () for r in results)
+
+    w = ad.parameter((3, 2), rng, 0.5)
+    ad.mean(ad.matmul(x, w)).backward()
+    assert x.grad is None
+    assert w.grad is not None and w.grad.shape == (3, 2)
+
+
 def test_backward_requires_scalar():
     w = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):

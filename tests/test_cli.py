@@ -117,6 +117,37 @@ def test_aggregate_writes_series(records_csv, tmp_path):
     assert lines[1].startswith("2022-03-01,")
 
 
+def test_category_aliases_and_blank_entries_select_the_same_series(records_csv, tmp_path):
+    outputs = {}
+    for value in ("tank", "tank,", "tanks", " MBT "):
+        out = tmp_path / f"{len(outputs)}.csv"
+        assert main(["aggregate", "--data", str(records_csv), "--granularity", "monthly",
+                     "--category", value, "--out", str(out)]) == 0
+        outputs[value] = out.read_bytes()
+    assert len(set(outputs.values())) == 1
+
+
+@pytest.mark.parametrize("value", ["tnak", "tank,tnak", ","])
+def test_unknown_category_flag_exit_2(records_csv, tmp_path, capsys, value):
+    assert main(["aggregate", "--data", str(records_csv), "--granularity", "monthly",
+                 "--category", value, "--out", str(tmp_path / "s.csv")]) == 2
+    assert not (tmp_path / "s.csv").exists()
+    assert ("'tnak'" if "tnak" in value else "at least one category") in capsys.readouterr().err
+
+
+def test_unknown_category_config_key_exit_2(records_csv, tmp_path, capsys):
+    config = tmp_path / "bad.conf"
+    config.write_text("category=tnak\n")
+    assert main(["aggregate", "--config", str(config), "--data", str(records_csv),
+                 "--granularity", "monthly", "--out", str(tmp_path / "s.csv")]) == 2
+    assert "unknown category 'tnak'" in capsys.readouterr().err
+
+
+def test_other_category_is_still_selectable(records_csv, tmp_path):
+    assert main(["aggregate", "--data", str(records_csv), "--granularity", "monthly",
+                 "--category", "Other", "--out", str(tmp_path / "s.csv")]) == 0
+
+
 def test_aggregate_exclusion_masks_rows(records_csv, tmp_path):
     out = tmp_path / "series.csv"
     main(["aggregate", "--data", str(records_csv), "--granularity", "monthly",
@@ -323,6 +354,24 @@ def test_ingest_and_aggregate_import_no_scipy(records_csv, tmp_path):
                           str(tmp_path / "monthly.csv")], capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+TRACER_INSTALL = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+tracing.install(tracing.Tracer())
+"""
+
+
+def test_benchmark_tracer_installs():
+    """perfbench/tracing.py wraps functions and methods by name; renaming one breaks the benchmark."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    package_root = str(Path(attrikit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", TRACER_INSTALL, str(perfbench)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 # Each runs in its own process. The daily gbt forecast uses every calendar flag.

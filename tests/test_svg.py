@@ -107,8 +107,6 @@ def test_empty_bars_and_folds_rejected():
 def test_figure_spec_validation():
     with pytest.raises(ValueError):
         FigureSpec("pie_chart", "nope")
-    with pytest.raises(ValueError):
-        FigureSpec("components", "tiny", width=10, height=10)
 
 
 def test_no_volatile_content():
