@@ -1,0 +1,113 @@
+"""Two compiled scipy routines, loaded without importing their packages.
+
+ARIMA filters its residuals with ``scipy.signal.lfilter`` and decomp
+solves its normal equations with ``scipy.linalg.cho_factor``/``cho_solve``.
+Importing ``scipy.signal`` takes about a second and ``scipy.linalg`` about
+a quarter of one, for one compiled routine each. So each routine is loaded
+once, straight from its extension file, and neither package's
+``__init__`` runs. Those routine names are scipy internals, so the public
+functions are the contract: if a file, a name or a call is not there, the
+first use falls back to them for the rest of the process. Both paths give
+the same bits.
+"""
+
+from __future__ import annotations
+
+import functools
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+_ONE = np.ones(1)
+# What a moved, renamed or re-signed internal raises when it is loaded or first called.
+_UNAVAILABLE = (ImportError, OSError, AttributeError, TypeError, ValueError)
+
+
+def _extension(package: str, name: str):
+    """The compiled module ``scipy.<package>.<name>``, loaded from its file alone."""
+    qualified = f"scipy.{package}.{name}"
+    if qualified in sys.modules:  # scipy has loaded it already
+        return sys.modules[qualified]
+    scipy_spec = importlib.util.find_spec("scipy")  # finds the package without importing it
+    if scipy_spec is None or scipy_spec.origin is None:
+        raise ImportError("scipy is not installed")
+    folder = Path(scipy_spec.origin).parent / package
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / (name + suffix)
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(qualified, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            # The loader registers the module; a later import of its package
+            # must register it itself, or the package lacks the attribute.
+            sys.modules.pop(qualified, None)
+            return module
+    raise ImportError(f"no compiled {qualified} in {folder}")
+
+
+def _public_filter(a, x):
+    from scipy.signal import lfilter
+
+    return lfilter(_ONE, a, x)
+
+
+def _public_solve(gram, rhs):
+    from scipy.linalg import cho_factor, cho_solve
+
+    return cho_solve(cho_factor(gram), rhs)
+
+
+@functools.cache
+def _filter() -> Callable:
+    try:
+        kernel = _extension("signal", "_sigtools")._linear_filter
+        kernel(_ONE, np.array([1.0, 0.5]), np.zeros(2), -1)
+    except _UNAVAILABLE:
+        return _public_filter
+
+    def direct(a, x):
+        if len(a) == 1:
+            # lfilter convolves a one-tap filter instead, which turns -0.0 into +0.0.
+            return np.convolve(_ONE / a[0], x)
+        return kernel(_ONE, a, x, -1)
+
+    return direct
+
+
+@functools.cache
+def _solver() -> Callable:
+    try:
+        flapack = _extension("linalg", "_flapack")
+        potrf, potrs = flapack.dpotrf, flapack.dpotrs
+        potrs(potrf(np.eye(1), lower=0, clean=0)[0], _ONE, lower=0)
+    except _UNAVAILABLE:
+        return _public_solve
+
+    def direct(gram, rhs):
+        # cho_factor and cho_solve reject non-finite input with this same ValueError.
+        gram, rhs = np.asarray_chkfinite(gram), np.asarray_chkfinite(rhs)
+        factor, info = potrf(gram, lower=0, clean=0)
+        # A negative info flags an illegal argument, which the wrapper's shape checks rule out.
+        if info > 0:
+            raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+        return potrs(factor, rhs, lower=0)[0]
+
+    return direct
+
+
+def linear_filter(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``scipy.signal.lfilter([1.0], a, x)``: x through the all-pole filter 1 / A."""
+    return _filter()(a, x)
+
+
+def cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``cho_solve(cho_factor(gram), rhs)`` for a symmetric positive-definite ``gram``.
+
+    Raises ``numpy.linalg.LinAlgError`` when ``gram`` is not positive
+    definite and ``ValueError`` when an input is not finite.
+    """
+    return _solver()(gram, rhs)

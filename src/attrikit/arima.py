@@ -12,10 +12,10 @@ slightly from exact-MLE implementations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
+from ._kernels import linear_filter
 from .errors import ModelError
 from .optim import nelder_mead
 from .series import CountSeries, Forecast, check_request, period_start
@@ -92,8 +92,7 @@ def _diff_segments(segments: list[np.ndarray], d: int) -> list[np.ndarray]:
     return out
 
 
-def _innovations(z: np.ndarray, phi: np.ndarray, theta: np.ndarray, mu: float,
-                 lfilter: Callable) -> np.ndarray:
+def _innovations(z: np.ndarray, phi: np.ndarray, theta: np.ndarray, mu: float) -> np.ndarray:
     """MA-filtered residuals of one segment longer than p, conditioned on its
     first p values with pre-segment innovations at zero."""
     p = len(phi)
@@ -101,17 +100,16 @@ def _innovations(z: np.ndarray, phi: np.ndarray, theta: np.ndarray, mu: float,
     u = zt[p:].copy()
     for i in range(1, p + 1):
         u -= phi[i - 1] * zt[p - i:len(zt) - i]
-    return lfilter([1.0], np.concatenate(([1.0], theta)), u)
+    return linear_filter(np.concatenate(([1.0], theta)), u)
 
 
-def _css(zsegs: list[np.ndarray], phi: np.ndarray, theta: np.ndarray, mu: float,
-         lfilter: Callable) -> tuple[float, int]:
+def _css(zsegs: list[np.ndarray], phi: np.ndarray, theta: np.ndarray, mu: float) -> tuple[float, int]:
     """Conditional sum of squares over the segments longer than p."""
     total, n_used = 0.0, 0
     for z in zsegs:
         if len(z) <= len(phi):
             continue
-        e = _innovations(z, phi, theta, mu, lfilter)
+        e = _innovations(z, phi, theta, mu)
         total += float(e @ e)
         n_used += len(e)
     return total, n_used
@@ -134,8 +132,6 @@ def fit(series: CountSeries, spec: ArimaSpec, max_iter: int = 2000) -> ArimaFit:
     if pooled.size <= spec.p:
         raise ModelError("not enough contiguous observed data after differencing")
     mu0 = float(pooled.mean()) if spec.intercept else 0.0
-    # Imported here, once per fit: it takes ~1 s to load, and most runs fit no ARIMA.
-    from scipy.signal import lfilter
 
     n_params = spec.p + spec.q + (1 if spec.intercept else 0)
     x0 = np.zeros(n_params)
@@ -144,7 +140,7 @@ def fit(series: CountSeries, spec: ArimaSpec, max_iter: int = 2000) -> ArimaFit:
 
     def objective(x: np.ndarray) -> float:
         phi, theta, mu = _unpack(x, spec, 0.0)
-        total, n_used = _css(zsegs, phi, theta, mu, lfilter)
+        total, n_used = _css(zsegs, phi, theta, mu)
         if n_used == 0:
             return np.inf
         return total
@@ -155,7 +151,7 @@ def fit(series: CountSeries, spec: ArimaSpec, max_iter: int = 2000) -> ArimaFit:
     else:
         x_best = x0
     phi, theta, mu = _unpack(x_best, spec, 0.0)
-    css, n_used = _css(zsegs, phi, theta, mu, lfilter)
+    css, n_used = _css(zsegs, phi, theta, mu)
     if n_used == 0:
         raise ModelError("no usable residuals: observed segments too short for the AR order")
 
@@ -211,9 +207,7 @@ def forecast(fit_result: ArimaFit, series: CountSeries, horizon: int,
     # Innovations over the final segment, conditioned exactly as in fitting.
     e_hist = [0.0] * p
     if len(z) > p:
-        from scipy.signal import lfilter  # imported here, as in fit
-
-        e_hist += list(_innovations(z, fit_result.phi, fit_result.theta, fit_result.mu, lfilter))
+        e_hist += list(_innovations(z, fit_result.phi, fit_result.theta, fit_result.mu))
 
     z_future = []
     for _ in range(horizon):

@@ -46,7 +46,11 @@ from .svg import FigureSpec, emit_svg
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """UTF-8 text, less a leading byte-order mark; undecodable bytes are bad input (exit 2)."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
 
 
 # --------------------------------------------------------------------------

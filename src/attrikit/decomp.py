@@ -16,6 +16,7 @@ from datetime import date
 
 import numpy as np
 
+from ._kernels import cholesky_solve
 from .errors import ModelError
 from .series import DAILY, CountSeries, Forecast, check_request, period_index, period_start
 from .stats import two_sided_z
@@ -127,15 +128,12 @@ def fit(series: CountSeries, spec: DecompSpec) -> DecompFit:
     penalty = np.zeros(x.shape[1])
     penalty[2:2 + len(cps)] = spec.trend_penalty
     gram = x.T @ x + np.diag(penalty)
-    from scipy.linalg import cho_factor, cho_solve  # imported here: slow to load, and most runs fit no decomp
-
     try:
-        factor = cho_factor(gram)
+        coef = cholesky_solve(gram, x.T @ vals)
     except np.linalg.LinAlgError as err:
         raise ModelError(
             "singular design: duplicate or dependent columns with zero trend_penalty; use a nonzero penalty"
         ) from err
-    coef = cho_solve(factor, x.T @ vals)
 
     resid = vals - x @ coef
     sigma = float(np.sqrt(np.mean(resid**2)))

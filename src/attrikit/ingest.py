@@ -47,32 +47,6 @@ class Status(Enum):
     CAPTURED = "captured"
 
 
-# Common phrasing seen in loss exports, mapped onto the category enum.
-_CATEGORY_ALIASES = {
-    "tanks": Category.TANK,
-    "mbt": Category.TANK,
-    "infantry fighting vehicle": Category.IFV,
-    "infantry fighting vehicles": Category.IFV,
-    "ifvs": Category.IFV,
-    "armored personnel carrier": Category.APC,
-    "armoured personnel carrier": Category.APC,
-    "apcs": Category.APC,
-    "self-propelled artillery": Category.ARTILLERY,
-    "towed artillery": Category.ARTILLERY,
-    "mlrs": Category.ARTILLERY,
-    "air defence": Category.AIR_DEFENSE,
-    "air defense": Category.AIR_DEFENSE,
-    "anti-aircraft": Category.AIR_DEFENSE,
-    "sam": Category.AIR_DEFENSE,
-    "plane": Category.AIRCRAFT,
-    "jet": Category.AIRCRAFT,
-    "helicopters": Category.HELICOPTER,
-    "trucks": Category.TRUCK,
-    "lorry": Category.TRUCK,
-    "engineering vehicle": Category.ENGINEERING,
-    "engineering vehicles": Category.ENGINEERING,
-}
-
 _STATUS_ALIASES = {
     "destroyed and captured": Status.DESTROYED,
     "damaged and captured": Status.CAPTURED,
@@ -132,6 +106,34 @@ def _normalize_location(text: str) -> str:
 
 def _normalize_token(text: str) -> str:
     return " ".join(text.replace("_", " ").replace("-", " ").split()).casefold()
+
+
+# Common phrasing seen in loss exports, mapped onto the category enum. Keys are
+# normalized as parse_category normalizes its input, so hyphens match spaces.
+_CATEGORY_ALIASES = {_normalize_token(text): category for text, category in {
+    "tanks": Category.TANK,
+    "mbt": Category.TANK,
+    "infantry fighting vehicle": Category.IFV,
+    "infantry fighting vehicles": Category.IFV,
+    "ifvs": Category.IFV,
+    "armored personnel carrier": Category.APC,
+    "armoured personnel carrier": Category.APC,
+    "apcs": Category.APC,
+    "self-propelled artillery": Category.ARTILLERY,
+    "towed artillery": Category.ARTILLERY,
+    "mlrs": Category.ARTILLERY,
+    "air defence": Category.AIR_DEFENSE,
+    "air defense": Category.AIR_DEFENSE,
+    "anti-aircraft": Category.AIR_DEFENSE,
+    "sam": Category.AIR_DEFENSE,
+    "plane": Category.AIRCRAFT,
+    "jet": Category.AIRCRAFT,
+    "helicopters": Category.HELICOPTER,
+    "trucks": Category.TRUCK,
+    "lorry": Category.TRUCK,
+    "engineering vehicle": Category.ENGINEERING,
+    "engineering vehicles": Category.ENGINEERING,
+}.items()}
 
 
 def parse_category(text: str | None) -> Category:
@@ -217,6 +219,16 @@ def make_record(
     )
 
 
+def _csv_rows(text: str):
+    """Rows of CSV text. The reader itself splits \\n, \\r\\n and bare \\r line
+    ends, and a line it cannot read (a field over 128 KiB) is bad input."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise SchemaError(f"line {reader.line_num}: {err}") from None
+
+
 def parse_records(
     csv_text: str,
     schema: dict[str, str] | None = None,
@@ -243,7 +255,7 @@ def parse_records(
         _normalize_token(text): cat for text, cat in (corrections or {}).items()
     }
 
-    reader = csv.reader(io.StringIO(csv_text))
+    reader = _csv_rows(csv_text)
     header = next(reader, [])
     for logical in MANDATORY_COLUMNS:
         if colmap[logical] not in header:
@@ -457,7 +469,7 @@ def records_to_csv(records: list[LossRecord]) -> str:
 def load_geo_index(csv_text: str, unmatched_policy: str = "leave_blank") -> GeoIndex:
     """Two-column CSV: location, "raion/oblast"."""
     entries: dict[str, tuple[str, str]] = {}
-    for line_no, row in enumerate(csv.reader(io.StringIO(csv_text)), start=1):
+    for line_no, row in enumerate(_csv_rows(csv_text), start=1):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != 2 or "/" not in row[1]:
@@ -473,7 +485,7 @@ def load_geo_index(csv_text: str, unmatched_policy: str = "leave_blank") -> GeoI
 def load_corrections(csv_text: str) -> dict[str, Category]:
     """Two-column CSV: model_text, category."""
     table: dict[str, Category] = {}
-    for line_no, row in enumerate(csv.reader(io.StringIO(csv_text)), start=1):
+    for line_no, row in enumerate(_csv_rows(csv_text), start=1):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != 2:
@@ -485,7 +497,7 @@ def load_corrections(csv_text: str) -> dict[str, Category]:
 def load_profile(csv_text: str) -> Profile:
     """Regime profile CSV: start,end,category,mean_per_day (rows grouped by span)."""
     spans: dict[tuple[date, date], dict[Category, float]] = {}
-    for line_no, row in enumerate(csv.reader(io.StringIO(csv_text)), start=1):
+    for line_no, row in enumerate(_csv_rows(csv_text), start=1):
         if not row or all(not c.strip() for c in row):
             continue
         if row[0].strip().lower() == "start":

@@ -4,7 +4,11 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
+from attrikit._kernels import linear_filter
 from attrikit.arima import ArimaFit, ArimaSpec, fit, forecast
 from attrikit.errors import ConvergenceError, ModelError
 from attrikit.series import DAILY, MAX_HORIZON, CountSeries
@@ -192,3 +196,17 @@ def test_simulated_arima111_recovery():
     result = fit(make_series(y), ArimaSpec(1, 1, 1, use_log=False, intercept=True))
     assert abs(result.phi[0] - 0.5) <= 0.15
     assert abs(result.theta[0] - 0.3) <= 0.20
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(theta=st.lists(st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True), max_size=5),
+       n=st.integers(1, 1300), seed=st.integers(0, 2**32 - 1),
+       negative_zeros=st.lists(st.integers(0, 1299), max_size=3))
+def test_linear_filter_bit_equals_lfilter(theta, n, seed, negative_zeros):
+    """The directly loaded filter gives lfilter's bits for every MA order the spec allows."""
+    a = np.concatenate(([1.0], theta))
+    x = np.random.default_rng(seed).standard_normal(n) * 10.0 ** (seed % 7 - 3)
+    x[[i % n for i in negative_zeros]] = -0.0
+    got, expected = linear_filter(a, x), lfilter([1.0], a, x)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))

@@ -93,6 +93,24 @@ def test_ingest_missing_date_column_exit_2(tmp_path):
     assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_ingest_strips_byte_order_mark(tmp_path):
+    text = RECORDS_HEADER + "2022-03-01,tank,,destroyed,Bucha,,,\n"
+    outputs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        data, out = tmp_path / f"{len(outputs)}.csv", tmp_path / f"o{len(outputs)}"
+        data.write_bytes(prefix + text.encode())
+        assert main(["ingest", "--data", str(data), "--out", str(out)]) == 0
+        outputs.append((out / "records.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_ingest_invalid_utf8_exit_2(tmp_path, capsys):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes((RECORDS_HEADER + "2022-03-01,tank,,destroyed,Kherson,,,\n").encode() + b"\xe9\n")
+    assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+    assert "not UTF-8 text" in capsys.readouterr().err
+
+
 def test_ingest_unreadable_input_exit_1(tmp_path):
     assert main(["ingest", "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")]) == 1
 
@@ -125,6 +143,16 @@ def test_category_aliases_and_blank_entries_select_the_same_series(records_csv, 
                      "--category", value, "--out", str(out)]) == 0
         outputs[value] = out.read_bytes()
     assert len(set(outputs.values())) == 1
+
+
+def test_hyphenated_category_alias_is_accepted(records_csv, tmp_path):
+    outputs = []
+    for value in ("air_defense", "anti-aircraft"):
+        out = tmp_path / f"{len(outputs)}.csv"
+        assert main(["aggregate", "--data", str(records_csv), "--granularity", "monthly",
+                     "--category", value, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("value", ["tnak", "tank,tnak", ","])
@@ -354,6 +382,30 @@ def test_ingest_and_aggregate_import_no_scipy(records_csv, tmp_path):
                           str(tmp_path / "monthly.csv")], capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+MODEL_IMPORTS_RUN = """
+import json
+import sys
+from attrikit import cli
+for model in ("arima", "decomp"):
+    assert cli.main(["forecast", "--data", sys.argv[1], "--granularity", "monthly", "--model", model,
+                     "--horizon", "3", "--out", sys.argv[2]]) == 0
+print(json.dumps(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))))
+import scipy.linalg, scipy.signal  # a later import of the packages still registers their modules
+assert scipy.signal._sigtools and scipy.linalg._flapack
+"""
+
+
+def test_arima_and_decomp_fits_import_no_scipy_package(records_csv, tmp_path):
+    """The fits load two compiled scipy routines from their files and leave no scipy module registered."""
+    package_root = str(Path(attrikit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", MODEL_IMPORTS_RUN, str(records_csv), str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "out" / "forecast_arima.csv").exists() and (tmp_path / "out" / "forecast_decomp.csv").exists()
 
 
 TRACER_INSTALL = """

@@ -1,10 +1,17 @@
 """Decomposition model: trend/seasonality recovery and interval behavior."""
 
+import re
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
+from attrikit import _kernels, arima
+from attrikit._kernels import cholesky_solve
+from attrikit.arima import ArimaSpec
 from attrikit.decomp import DecompFit, DecompSpec, components, fit, forecast, predict
 from attrikit.errors import ModelError
 from attrikit.series import DAILY, MONTHLY, CountSeries
@@ -217,3 +224,81 @@ def test_declining_monthly_forecast_is_clamped_and_ordered():
     assert raw.min() < -40
     assert np.all(fc.point >= 0)
     assert np.all(fc.lower <= fc.point) and np.all(fc.point <= fc.upper)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(n=st.integers(1, 40), extra_rows=st.integers(-5, 60), ridge=st.sampled_from([0.0, 1e-8, 0.5, 10.0]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), duplicate=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_cholesky_solve_bit_equals_cho_solve(n, extra_rows, ridge, scale, duplicate, seed):
+    """Ridge normal equations, as decomp builds them: the same bits, or the same refusal."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((max(n + extra_rows, 1), n)) * scale
+    if duplicate:
+        x[:, -1] = x[:, 0]  # with no ridge, some of these fail to factor
+    gram = x.T @ x + np.diag(np.full(n, ridge))
+    rhs = rng.standard_normal(n)
+    try:
+        expected = cho_solve(cho_factor(gram), rhs)
+    except np.linalg.LinAlgError as err:
+        with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(err))):
+            cholesky_solve(gram, rhs)
+        return
+    got = cholesky_solve(gram, rhs)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.fixture
+def fallback_kernels(monkeypatch):
+    """Call the returned function to put attrikit._kernels on its public scipy fallback."""
+    def unavailable(package, name):
+        raise ImportError(f"scipy.{package}.{name} withheld")
+
+    def switch():
+        monkeypatch.setattr(_kernels, "_extension", unavailable)
+        _kernels._filter.cache_clear()
+        _kernels._solver.cache_clear()
+
+    yield switch
+    _kernels._filter.cache_clear()
+    _kernels._solver.cache_clear()
+
+
+def _model_outputs(monthly, daily_series):
+    """Raw bytes of arima and decomp fits and forecasts, and the singular-design error."""
+    out = []
+    for series in (monthly, daily_series):
+        for spec in (ArimaSpec(), ArimaSpec(2, 1, 3), ArimaSpec(1, 1, 0), ArimaSpec(0, 0, 2, use_log=False)):
+            fitted = arima.fit(series, spec)
+            fc = arima.forecast(fitted, series, 8)
+            out += [a.tobytes() for a in (fitted.phi, fitted.theta, fc.point, fc.lower, fc.upper)]
+            out.append(repr((fitted.mu, fitted.sigma2)))
+    for series, spec in ((monthly, DecompSpec(weekly_order=0)), (daily_series, DecompSpec())):
+        fitted = fit(series, spec)
+        fc = forecast(fitted, series, 30)
+        out += [a.tobytes() for a in (fitted.delta, fitted.beta, fc.point, fc.lower, fc.upper)]
+        out.append(repr((fitted.k, fitted.m, fitted.sigma)))
+    with pytest.raises(ModelError) as singular:
+        fit(daily(np.arange(4.0)), DecompSpec(n_changepoints=0, weekly_order=3, yearly_order=3, trend_penalty=0.0))
+    out.append(str(singular.value))
+    return out
+
+
+def test_fallback_kernels_match_direct_path(fallback_kernels, monthly_tanks_masked, daily_all):
+    direct = _model_outputs(monthly_tanks_masked, daily_all)
+    assert _kernels._filter() is not _kernels._public_filter
+    assert _kernels._solver() is not _kernels._public_solve
+    fallback_kernels()
+    assert _model_outputs(monthly_tanks_masked, daily_all) == direct
+    assert _kernels._filter() is _kernels._public_filter
+    assert _kernels._solver() is _kernels._public_solve
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_cholesky_solve_rejects_non_finite_input(fallback_kernels, fallback):
+    if fallback:
+        fallback_kernels()
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        cholesky_solve(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        cholesky_solve(np.eye(2), np.array([1.0, np.inf]))

@@ -1,12 +1,19 @@
 """Record parsing, dedup, geo normalization, and the synthetic generator."""
 
+import json
+import tempfile
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from attrikit.cli import main
 from attrikit.errors import SchemaError
 from attrikit.ingest import (
+    _CATEGORY_ALIASES,
     Category,
     GeoIndex,
     IngestReport,
@@ -20,6 +27,7 @@ from attrikit.ingest import (
     load_profile,
     make_record,
     normalize_geo,
+    parse_category,
     parse_records,
     record_id_of,
     records_to_csv,
@@ -198,6 +206,22 @@ def test_category_synonyms():
     assert records[1].category is Category.AIR_DEFENSE
 
 
+def test_every_category_alias_maps_to_its_category():
+    for alias, category in _CATEGORY_ALIASES.items():
+        assert category is not Category.OTHER
+        assert parse_category(alias) is category, alias
+
+
+@pytest.mark.parametrize("text, category", [
+    ("self-propelled artillery", Category.ARTILLERY), ("Self Propelled  Artillery", Category.ARTILLERY),
+    ("anti-aircraft", Category.AIR_DEFENSE), ("anti_aircraft", Category.AIR_DEFENSE),
+])
+def test_hyphenated_aliases_match(text, category):
+    assert parse_category(text) is category
+    records, _ = parse_records(HEADER + f"2022-03-01,{text},,,,,,\n")
+    assert records[0].category is category
+
+
 def test_correction_table_counts_changes():
     table = load_corrections("T-90M,tank\nBTR-82A,apc\n")
     text = HEADER + (
@@ -318,3 +342,61 @@ def test_profile_file_errors():
         load_profile("start,end,category,mean_per_day\n")
     with pytest.raises(SchemaError):
         load_profile("2022-03-01,2022-03-31,tank\n")
+
+
+@pytest.mark.parametrize("load", [load_corrections, load_geo_index, load_profile])
+def test_table_loaders_reject_oversized_field(load):
+    with pytest.raises(SchemaError, match="field larger than field limit"):
+        load('"' + "x" * 140_000 + '"\n')
+
+
+def test_table_loaders_read_bare_carriage_returns():
+    assert load_corrections("T-90M,tank\rBTR-82A,apc\r") == {"T-90M": Category.TANK, "BTR-82A": Category.APC}
+
+
+# Fragments that stress decoding and CSV framing, mixed with arbitrary bytes.
+HOSTILE_PIECES = st.sampled_from([
+    HEADER.encode(), HEADER.replace("\n", "\r\n").encode(), b"\xef\xbb\xbf", b"\r\n", b"\n", b"\r", b"\x00",
+    b"\xff\xfe", b"\xc3", b"\xed\xa0\x80", b'"', b",", b"2022-03-01", b"01.03.2022", b"tank", b"destroyed",
+    "\u017e\u2028".encode(), b"\t",
+])
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(data=st.one_of(st.binary(max_size=200),
+                      st.lists(st.one_of(HOSTILE_PIECES, st.binary(max_size=6)), max_size=25).map(b"".join)))
+@example(data=b"")
+@example(data=HEADER.encode())
+@example(data=b"\xef\xbb\xbf" + HEADER.encode() + b"2022-03-01,tank,,,,,,\n")
+@example(data=(HEADER + "2022-03-01,tank,,,,,,\n").replace("\n", "\r\n").encode())
+@example(data=HEADER.encode() + b"2022-03-01,tank,T-\x0072,,,,,\n")
+@example(data=HEADER.encode() + b"2022-03-01,tank,\xff,,,,,\n")
+@example(data=HEADER.replace("\n", "\r").encode() + b"2022-03-01,tank,,,,,,\r")
+@example(data=HEADER.encode() + b'2022-03-01,"' + b"x" * 140_000 + b'"\n')
+def test_cli_ingest_survives_hostile_bytes(data):
+    """Any bytes give records plus a balanced report (exit 0) or a clean input error (exit 2)."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        pass
+    else:  # the library call on the same text, line ends untranslated
+        try:
+            records, report = parse_records(text)
+        except SchemaError:
+            pass
+        else:
+            report.check()
+            assert len(records) == report.rows_parsed
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "records.csv", Path(tmp) / "out"
+        path.write_bytes(data)
+        code = main(["ingest", "--data", str(path), "--out", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()
+            return
+        report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
+        assert report["rows_read"] == (report["rows_parsed"] + len(report["unparsable_rows"])
+                                       + report["duplicates_removed"])
+        records, _ = parse_records((out / "records.csv").read_text(encoding="utf-8"))
+        assert len(records) == report["rows_parsed"]
