@@ -1,10 +1,14 @@
-"""LSTM and TCN forecasters on the package's own gradient core.
+"""LSTM and TCN forecasters.
 
-Both models standardize inputs, train full-batch with Adam from a seeded
-initialization, and forecast recursively by feeding each prediction back
-as pseudo-history. Interval bounds use the train-RMSE * sqrt(step)
-heuristic and are labeled as such in the forecast metadata. Training is
-deterministic for a fixed (seed, data, spec) triple.
+The LSTM runs its own forward and backpropagation-through-time kernels;
+the TCN runs on the package's reverse-mode gradient tape (``autodiff``).
+Both offer ``predict(x)`` and ``loss_and_grads(x, y)``, which training,
+forecasting and ``grad_check`` call. Both models standardize inputs, train
+full-batch with Adam from a seeded initialization, and forecast
+recursively by feeding each prediction back as pseudo-history. Interval
+bounds use the train-RMSE * sqrt(step) heuristic and are labeled as such
+in the forecast metadata. Training is deterministic for a fixed (seed,
+data, spec) triple.
 """
 
 from __future__ import annotations
@@ -112,7 +116,13 @@ def _train_windows(model, series: CountSeries) -> tuple[np.ndarray, np.ndarray]:
 
 class LstmModel:
     """Single LSTM layer (gates: input, forget, output, candidate) plus a
-    linear head on the final hidden state."""
+    linear head on the final hidden state.
+
+    Forward and backward are written out by hand: one loop over the
+    lookback keeps the activations, and one reverse loop backpropagates
+    through time (Werbos 1990). Every product and sum runs in the order
+    the generic tape used, so fits are bit-identical to it.
+    """
 
     def __init__(self, spec: LstmSpec, mean: float, std: float):
         self.spec = spec
@@ -135,43 +145,73 @@ class LstmModel:
     def parameters(self) -> list[Tensor]:
         return [self.wx, self.wh, self.b, self.w_out, self.b_out]
 
-    def forward(self, x: np.ndarray) -> Tensor:
-        """x: (n, lookback, features) -> predictions (n, 1)."""
+    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+        """Predictions (n, 1), the last hidden state and, per step,
+        (i, f, o, cand, c_prev, tanh(c), h_prev)."""
         n, steps, _ = x.shape
-        h_size = self.spec.hidden
-        h = ad.constant(np.zeros((n, h_size)))
-        c = ad.constant(np.zeros((n, h_size)))
+        hs = self.spec.hidden
+        wx, wh, b = self.wx.value, self.wh.value, self.b.value
+        h = np.zeros((n, hs))
+        c = np.zeros((n, hs))
+        acts = []
         for t in range(steps):
-            x_t = ad.constant(x[:, t, :])
-            gates = ad.add(ad.add(ad.matmul(x_t, self.wx), ad.matmul(h, self.wh)), self.b)
-            i_gate = ad.sigmoid(ad.narrow(gates, 1, 0, h_size))
-            f_gate = ad.sigmoid(ad.narrow(gates, 1, h_size, h_size))
-            o_gate = ad.sigmoid(ad.narrow(gates, 1, 2 * h_size, h_size))
-            cand = ad.tanh(ad.narrow(gates, 1, 3 * h_size, h_size))
-            c = ad.add(ad.mul(f_gate, c), ad.mul(i_gate, cand))
-            h = ad.mul(o_gate, ad.tanh(c))
-        return ad.add(ad.matmul(h, self.w_out), self.b_out)
+            gates = x[:, t, :] @ wx + h @ wh + b
+            i, f, o = (1.0 / (1.0 + np.exp(-gates[:, k * hs:(k + 1) * hs])) for k in range(3))
+            cand = np.tanh(gates[:, 3 * hs:])
+            c_prev, h_prev = c, h
+            c = f * c + i * cand
+            tanh_c = np.tanh(c)
+            h = o * tanh_c
+            acts.append((i, f, o, cand, c_prev, tanh_c, h_prev))
+        return h @ self.w_out.value + self.b_out.value, h, acts
 
-    def loss(self, x: np.ndarray, y: np.ndarray) -> Tensor:
-        return ad.mse(self.forward(x), ad.constant(y))
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """x: (n, lookback, features) -> predictions (n, 1)."""
+        return self._forward(x)[0]
+
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray] | None]:
+        """Mean squared error and its gradient for each of ``parameters()``
+        (None when the loss is not finite)."""
+        out, h_last, acts = self._forward(x)
+        diff = out - y
+        loss = float((diff * diff).mean())
+        if not np.isfinite(loss):
+            return loss, None
+        wh = self.wh.value
+        half = np.full_like(diff, 1.0 / diff.size) * diff
+        d_out = half + half
+        d_h = d_out @ self.w_out.value.T
+        d_c_next = 0.0  # reaches c_t through the next step's forget product
+        d_wx, d_wh, d_b = np.zeros_like(self.wx.value), np.zeros_like(wh), np.zeros_like(self.b.value)
+        for t in reversed(range(len(acts))):
+            i, f, o, cand, c_prev, tanh_c, h_prev = acts[t]
+            d_c = d_h * o * (1.0 - tanh_c**2) + d_c_next
+            d_gates = np.concatenate([d_c * cand * i * (1.0 - i), d_c * c_prev * f * (1.0 - f),
+                                      d_h * tanh_c * o * (1.0 - o), d_c * i * (1.0 - cand**2)], axis=1)
+            d_wx += x[:, t, :].T @ d_gates
+            d_wh += h_prev.T @ d_gates
+            d_b += d_gates.sum(axis=0)
+            d_c_next = d_c * f
+            d_h = d_gates @ wh.T
+        return loss, [d_wx, d_wh, d_b, h_last.T @ d_out, d_out.sum(axis=0)]
 
 
 def _train(model, x: np.ndarray, y: np.ndarray, epochs: int, lr: float) -> TrainReport:
-    optimizer = Adam(model.parameters(), lr=lr)
+    params = model.parameters()
+    optimizer = Adam(params, lr=lr)
     report = TrainReport()
     for epoch in range(epochs):
-        optimizer.zero_grad()
-        loss = model.loss(x, y)
-        value = float(loss.value)
-        if not np.isfinite(value):
+        loss, grads = model.loss_and_grads(x, y)
+        if not np.isfinite(loss):
             raise ModelError(f"training diverged at epoch {epoch}: non-finite loss")
-        report.epoch_losses.append(value)
-        loss.backward()
+        report.epoch_losses.append(loss)
+        for p, grad in zip(params, grads):
+            p.grad = grad
         optimizer.step()
     report.final_loss = report.epoch_losses[-1]
     report.epochs_run = epochs
 
-    preds = model.forward(x).value
+    preds = model.predict(x)
     model.rmse_train = float(np.sqrt(np.mean((preds - y) ** 2))) * model.std
     return report
 
@@ -202,7 +242,7 @@ def _forecast(model, series: CountSeries, horizon: int, level: float) -> Forecas
     def step(history: np.ndarray, t: int) -> float:
         window = inputs[t - lookback:t].copy()
         window[:, 0] = (history[t - lookback:t] - model.mean) / model.std
-        return float(model.forward(window[None]).value[0, 0]) * model.std + model.mean
+        return float(model.predict(window[None])[0, 0]) * model.std + model.mean
 
     return recursive_forecast(series, horizon, level, lookback, model.rmse_train, step)
 
@@ -273,8 +313,19 @@ class TcnModel:
         out = ad.add(ad.matmul(last, self.w_out), self.b_out)  # (n, 1, 1)
         return _squeeze_mid(out, x.shape[0])
 
-    def loss(self, x: np.ndarray, y: np.ndarray) -> Tensor:
-        return ad.mse(self.forward(x), ad.constant(y))
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return self.forward(x).value
+
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray] | None]:
+        params = self.parameters()
+        for p in params:
+            p.grad = None
+        loss = ad.mse(self.forward(x), ad.constant(y))
+        value = float(loss.value)
+        if not np.isfinite(value):
+            return value, None
+        loss.backward()
+        return value, [p.grad for p in params]
 
 
 def _squeeze_mid(t: Tensor, n: int) -> Tensor:
@@ -313,11 +364,7 @@ def grad_check(model, sample_window: tuple[np.ndarray, np.ndarray], h: float = 1
         x = x[None]
     y = np.asarray(y, dtype=float).reshape(x.shape[0], 1)
 
-    for p in model.parameters():
-        p.grad = None
-    loss = model.loss(x, y)
-    loss.backward()
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.value) for p in model.parameters()]
+    _, analytic = model.loss_and_grads(x, y)
 
     worst = 0.0
     for p, a_grad in zip(model.parameters(), analytic):
@@ -326,9 +373,9 @@ def grad_check(model, sample_window: tuple[np.ndarray, np.ndarray], h: float = 1
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = float(model.loss(x, y).value)
+            up = model.loss_and_grads(x, y)[0]
             flat[i] = orig - h
-            down = float(model.loss(x, y).value)
+            down = model.loss_and_grads(x, y)[0]
             flat[i] = orig
             numeric = (up - down) / (2.0 * h)
             denom = max(abs(a_flat[i]), abs(numeric), 1e-8)

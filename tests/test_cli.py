@@ -453,6 +453,58 @@ def test_outputs_identical_across_hash_seeds(records_csv, tmp_path):
     assert outputs["0"] == outputs["12345"]
 
 
+def test_neural_outputs_identical_across_blas_thread_counts(records_csv, tmp_path):
+    """The LSTM kernel's and the TCN's matmuls give the same bits on one BLAS thread or two."""
+    package_root = str(Path(attrikit.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        root = tmp_path / threads
+        for model in ("lstm", "tcn"):
+            run = subprocess.run([sys.executable, "-m", "attrikit.cli", "forecast", "--model", model,
+                                  "--granularity", "daily", "--epochs", "3", "--data", str(records_csv),
+                                  "--out", str(root / model)],
+                                 capture_output=True, text=True, env=env, timeout=120)
+            assert run.returncode == 0, run.stderr
+        outputs[threads] = {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    assert sorted(outputs["1"]) == ["lstm/forecast_lstm.csv", "tcn/forecast_tcn.csv"]
+    assert outputs["1"] == outputs["2"]
+
+
+TRACED_LSTM_FIT = """
+import json
+import sys
+from datetime import date
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from attrikit import neural
+from attrikit.series import DAILY, CountSeries
+series = CountSeries(DAILY, date(2022, 3, 1), 10.0 + np.arange(60) % 7, np.ones(60, dtype=bool))
+neural.lstm_fit(series, neural.LstmSpec(lookback=5, hidden=3, epochs=4, use_weekday=False))
+print(json.dumps(tracer.spans))
+"""
+
+
+def test_benchmark_tracer_counts_lstm_epochs():
+    """The benchmark counts epochs as Adam steps inside a fit; the LSTM kernel records no tape op."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    package_root = str(Path(attrikit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", TRACED_LSTM_FIT, str(perfbench)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    spans = json.loads(run.stdout.splitlines()[-1])
+    (fit,) = [s for s in spans if s["name"] == "neural.lstm_fit"]
+    adam = [s for s in spans if s["name"] == "autodiff.adam"]
+    assert len(adam) == 4 and all(s["parent"] == fit["id"] for s in adam)
+    assert fit["attrs"]["ops"] == 0
+    assert not [s for s in spans if s["name"] == "autodiff.backward"]
+
+
 def test_missing_required_flags_exit_2(tmp_path):
     assert main(["forecast", "--model", "arima", "--out", str(tmp_path / "o")]) == 2
     assert main(["aggregate", "--data", "x.csv"]) == 2

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attrikit import autodiff as ad
 from attrikit.errors import ModelError
 from attrikit.neural import (
     LstmModel,
     LstmSpec,
     TcnModel,
     TcnSpec,
+    _train,
     _train_windows,
     grad_check,
     lstm_fit,
@@ -134,8 +136,8 @@ def test_zero_weight_lstm_outputs_head_bias():
         p.value[...] = 0.0
     model.b_out.value[...] = 0.7
     rng = np.random.default_rng(0)
-    out = model.forward(rng.normal(size=(3, 5, 1)))
-    assert np.allclose(out.value, 0.7)
+    out = model.predict(rng.normal(size=(3, 5, 1)))
+    assert np.allclose(out, 0.7)
 
 
 def test_zero_weight_lstm_gradient_symmetry():
@@ -147,14 +149,103 @@ def test_zero_weight_lstm_gradient_symmetry():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(2, 4, 1))
     y = np.array([[1.0], [2.0]])
-    loss = model.loss(x, y)
-    loss.backward()
-    head = model.w_out.grad.ravel()
+    _, (_, _, b_grad, w_out_grad, _) = model.loss_and_grads(x, y)
+    head = w_out_grad.ravel()
     assert np.allclose(head, head[0])
     h = 5
     for block in range(4):
-        grads = model.b.grad[block * h:(block + 1) * h]
+        grads = b_grad[block * h:(block + 1) * h]
         assert np.allclose(grads, grads[0])
+
+
+# The LSTM forward as generic tape ops: the reference the hand-written
+# kernel is checked against, bit for bit.
+
+
+def tape_lstm_forward(model, x):
+    n, steps, _ = x.shape
+    h_size = model.spec.hidden
+    h = ad.constant(np.zeros((n, h_size)))
+    c = ad.constant(np.zeros((n, h_size)))
+    for t in range(steps):
+        x_t = ad.constant(x[:, t, :])
+        gates = ad.add(ad.add(ad.matmul(x_t, model.wx), ad.matmul(h, model.wh)), model.b)
+        i_gate = ad.sigmoid(ad.narrow(gates, 1, 0, h_size))
+        f_gate = ad.sigmoid(ad.narrow(gates, 1, h_size, h_size))
+        o_gate = ad.sigmoid(ad.narrow(gates, 1, 2 * h_size, h_size))
+        cand = ad.tanh(ad.narrow(gates, 1, 3 * h_size, h_size))
+        c = ad.add(ad.mul(f_gate, c), ad.mul(i_gate, cand))
+        h = ad.mul(o_gate, ad.tanh(c))
+    return ad.add(ad.matmul(h, model.w_out), model.b_out)
+
+
+def tape_lstm_loss(model, x, y):
+    for p in model.parameters():
+        p.grad = None
+    loss = ad.mse(tape_lstm_forward(model, x), ad.constant(y))
+    loss.backward()
+    return float(loss.value)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@st.composite
+def lstm_kernel_cases(draw):
+    """Window batches of 1-40 rows (1 is the forecast shape), lookback 1-8,
+    hidden 1-6, every calendar combination (1, 8, 13 or 20 features), with
+    seeded or all-zero weights."""
+    spec = LstmSpec(lookback=draw(st.integers(1, 8)), hidden=draw(st.integers(1, 6)),
+                    seed=draw(st.integers(0, 2**16)), use_weekday=draw(st.booleans()),
+                    use_month=draw(st.booleans()))
+    model = LstmModel(spec, 0.0, 1.0)
+    if draw(st.booleans()):
+        for p in model.parameters():
+            p.value[...] = 0.0
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = np.zeros((n, spec.lookback, model.wx.value.shape[0]))
+    x[..., 0] = rng.normal(size=(n, spec.lookback))
+    offset = 1
+    for width, used in ((7, spec.use_weekday), (12, spec.use_month)):
+        if used:
+            hot = offset + rng.integers(0, width, size=(n, spec.lookback))
+            np.put_along_axis(x, hot[..., None], 1.0, axis=2)
+            offset += width
+    return model, x, rng.normal(size=(n, 1))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(case=lstm_kernel_cases())
+def test_lstm_kernel_bit_equals_tape(case):
+    model, x, y = case
+    loss, grads = model.loss_and_grads(x, y)
+    assert bits(model.predict(x)) == bits(tape_lstm_forward(model, x).value)
+    assert bits(loss) == bits(tape_lstm_loss(model, x, y))
+    for grad, p in zip(grads, model.parameters(), strict=True):
+        assert grad.shape == p.value.shape
+        assert bits(grad) == bits(p.grad)
+
+
+def test_lstm_training_bit_equals_adam_over_tape():
+    series = sine_series(n=90)
+    spec = LstmSpec(lookback=7, hidden=5, epochs=40, learning_rate=0.02, seed=4, use_weekday=True)
+    model = LstmModel(spec, 10.0, 3.0)
+    oracle = LstmModel(spec, 10.0, 3.0)
+    x, y = _train_windows(model, series)
+    report = _train(model, x, y, spec.epochs, spec.learning_rate)
+
+    optimizer = ad.Adam(oracle.parameters(), lr=spec.learning_rate)
+    losses = []
+    for _ in range(spec.epochs):
+        losses.append(tape_lstm_loss(oracle, x, y))
+        optimizer.step()
+    assert bits(report.epoch_losses) == bits(losses)
+    for p, q in zip(model.parameters(), oracle.parameters()):
+        assert bits(p.value) == bits(q.value)
+    preds = tape_lstm_forward(oracle, x).value
+    assert bits(model.rmse_train) == bits(float(np.sqrt(np.mean((preds - y) ** 2))) * oracle.std)
 
 
 def test_lstm_loss_trends_down_on_learnable_sine():
@@ -361,8 +452,6 @@ def test_destandardization_inverts_standardization():
 
 
 def test_divergence_error_names_epoch():
-    from attrikit.neural import _train
-
     model = LstmModel(LstmSpec(lookback=4, hidden=3, use_weekday=False), 0.0, 1.0)
     model.w_out.value[0, 0] = np.inf
     rng = np.random.default_rng(11)
