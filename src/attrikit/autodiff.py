@@ -1,9 +1,11 @@
 """Minimal reverse-mode automatic differentiation over float64 arrays.
 
-Just enough ops for the sequence models in this package: broadcasting
+The sequence models train through their own kernels and take only
+``parameter`` and ``Adam`` from here. The op set (broadcasting
 add/sub/mul, matmul with batched left operands, the usual activations,
-axis slicing, and left zero-padding along the time axis. Everything is
-plain numpy, which keeps training bit-reproducible for a fixed seed.
+axis slicing, and left zero-padding along the time axis) remains the
+reference the tests check those kernels against, bit for bit. Everything
+is plain numpy, which keeps training bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -172,10 +174,6 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
 
     def step(self) -> None:
         self.t += 1

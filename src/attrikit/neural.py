@@ -1,14 +1,15 @@
 """LSTM and TCN forecasters.
 
-The LSTM runs its own forward and backpropagation-through-time kernels;
-the TCN runs on the package's reverse-mode gradient tape (``autodiff``).
-Both offer ``predict(x)`` and ``loss_and_grads(x, y)``, which training,
-forecasting and ``grad_check`` call. Both models standardize inputs, train
-full-batch with Adam from a seeded initialization, and forecast
-recursively by feeding each prediction back as pseudo-history. Interval
-bounds use the train-RMSE * sqrt(step) heuristic and are labeled as such
-in the forecast metadata. Training is deterministic for a fixed (seed,
-data, spec) triple.
+Each model runs its own hand-written forward and backward kernels: the
+LSTM a sequence loop with backpropagation through time, the TCN batched
+causal convolutions. Neither records a gradient graph; ``autodiff``
+supplies only the parameter tensors and Adam. Both offer ``predict(x)``
+and ``loss_and_grads(x, y)``, which training, forecasting and
+``grad_check`` call. Both models standardize inputs, train full-batch
+with Adam from a seeded initialization, and forecast recursively by
+feeding each prediction back as pseudo-history. Interval bounds use the
+train-RMSE * sqrt(step) heuristic and are labeled as such in the forecast
+metadata. Training is deterministic for a fixed (seed, data, spec) triple.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Adam, Tensor
 from .errors import ModelError
 from .series import (DAILY, CountSeries, Forecast, calendar_columns, check_request, period_days,
-                     recursive_forecast)
+                     recursive_forecast, run_lengths)
 
 
 @dataclass(frozen=True)
@@ -91,17 +92,11 @@ def _inputs(model, series: CountSeries, n: int) -> np.ndarray:
     return inputs
 
 
-def _run_lengths(mask: np.ndarray) -> np.ndarray:
-    """Length of the observed run ending at each period (0 where masked)."""
-    count = np.cumsum(mask)
-    return count - np.maximum.accumulate(np.where(mask, 0, count))
-
-
 def _train_windows(model, series: CountSeries) -> tuple[np.ndarray, np.ndarray]:
     """Every window [t-lookback, t] that is fully observed: inputs
     (windows, lookback, features) and standardized targets (windows, 1)."""
     lookback = model.lookback
-    targets = np.flatnonzero(_run_lengths(series.mask) > lookback)
+    targets = np.flatnonzero(run_lengths(series.mask) > lookback)
     if not targets.size:
         raise ModelError(
             f"no training windows: need {lookback + 1} consecutive observed periods"
@@ -258,7 +253,14 @@ def lstm_forecast(model: LstmModel, series: CountSeries, horizon: int,
 
 class TcnModel:
     """Stack of residual blocks (causal conv -> ReLU -> residual add, with a
-    1x1 projection when channel counts differ) and a head on the last step."""
+    1x1 projection when channel counts differ) and a head on the last step.
+
+    Forward and backward are written out by hand over (n, steps, channels)
+    arrays. Every product and sum runs in the order the generic tape used,
+    so fits are bit-identical to it: each causal conv is one batched matmul
+    per tap over a dilated slice of the left-padded input, summed from tap
+    0 upward before the bias is added.
+    """
 
     def __init__(self, spec: TcnSpec, mean: float, std: float):
         self.spec = spec
@@ -290,52 +292,71 @@ class TcnModel:
         params.extend([self.w_out, self.b_out])
         return params
 
-    def features(self, x: np.ndarray) -> Tensor:
-        """Pre-head activations, (n, steps, channels); strictly causal."""
-        steps = x.shape[1]
-        cur = ad.constant(x)
+    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+        """Predictions (n, 1), the pre-head features (n, steps, channels)
+        and, per block, (input, padded input, conv > 0)."""
+        n, steps, _ = x.shape
+        cur = x
+        acts = []
         for block in self.blocks:
-            dilation, k = block["dilation"], self.spec.kernel
-            padded = ad.pad_left(cur, 1, (k - 1) * dilation)
-            conv = None
-            for i, tap in enumerate(block["taps"]):
-                term = ad.matmul(ad.narrow(padded, 1, i * dilation, steps), tap)
-                conv = term if conv is None else ad.add(conv, term)
-            conv = ad.add(conv, block["bias"])
-            out = ad.relu(conv)
-            residual = cur if block["proj"] is None else ad.matmul(cur, block["proj"])
-            cur = ad.add(out, residual)
-        return cur
+            dilation = block["dilation"]
+            padded = np.pad(cur, ((0, 0), ((self.spec.kernel - 1) * dilation, 0), (0, 0)))
+            conv = padded[:, :steps] @ block["taps"][0].value
+            for i, tap in enumerate(block["taps"][1:], 1):
+                conv += padded[:, i * dilation:i * dilation + steps] @ tap.value
+            conv += block["bias"].value
+            residual = cur if block["proj"] is None else cur @ block["proj"].value
+            acts.append((cur, padded, conv > 0.0))
+            cur = np.maximum(conv, 0.0) + residual
+        out = cur[:, steps - 1:steps] @ self.w_out.value + self.b_out.value
+        return out.reshape(n, 1), cur, acts
 
-    def forward(self, x: np.ndarray) -> Tensor:
-        feats = self.features(x)
-        last = ad.narrow(feats, 1, x.shape[1] - 1, 1)          # (n, 1, channels)
-        out = ad.add(ad.matmul(last, self.w_out), self.b_out)  # (n, 1, 1)
-        return _squeeze_mid(out, x.shape[0])
+    def features(self, x: np.ndarray) -> np.ndarray:
+        """Pre-head activations, (n, steps, channels); strictly causal."""
+        return self._forward(x)[1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x).value
+        """x: (n, steps, 1) -> predictions (n, 1)."""
+        return self._forward(x)[0]
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray] | None]:
-        params = self.parameters()
-        for p in params:
-            p.grad = None
-        loss = ad.mse(self.forward(x), ad.constant(y))
-        value = float(loss.value)
-        if not np.isfinite(value):
-            return value, None
-        loss.backward()
-        return value, [p.grad for p in params]
-
-
-def _squeeze_mid(t: Tensor, n: int) -> Tensor:
-    """(n, 1, 1) -> (n, 1) without a dedicated reshape op."""
-    return ad._record(t.value.reshape(n, 1), (t, lambda g: g.reshape(t.value.shape)))
+        """Mean squared error and its gradient for each of ``parameters()``
+        (None when the loss is not finite)."""
+        out, feats, acts = self._forward(x)
+        diff = out - y
+        loss = float((diff * diff).mean())
+        if not np.isfinite(loss):
+            return loss, None
+        n, steps, channels = feats.shape
+        half = np.full_like(diff, 1.0 / diff.size) * diff
+        d_out = (half + half).reshape(n, 1, 1)
+        head = [feats[:, steps - 1:steps].reshape(-1, channels).T @ d_out.reshape(-1, 1),
+                d_out.sum(axis=0).sum(axis=0)]
+        d_cur = np.zeros_like(feats)
+        d_cur[:, steps - 1:steps] = d_out @ self.w_out.value.T
+        grads: list[np.ndarray] = []
+        taps = range(self.spec.kernel)
+        for b in reversed(range(len(self.blocks))):
+            block, (cur, padded, active) = self.blocks[b], acts[b]
+            dilation, in_ch = block["dilation"], padded.shape[2]
+            d_conv = d_cur * active
+            block_grads = [padded[:, i * dilation:i * dilation + steps].reshape(-1, in_ch).T
+                           @ d_conv.reshape(-1, channels) for i in taps]
+            block_grads.append(d_conv.sum(axis=0).sum(axis=0))  # batch axis, then steps, as the tape did
+            if block["proj"] is not None:
+                block_grads.append(cur.reshape(-1, in_ch).T @ d_cur.reshape(-1, channels))
+            grads[:0] = block_grads
+            if b:  # the first block's input is the data, which needs no gradient
+                d_padded = np.zeros_like(padded)
+                for i in taps:  # tap 0 first: a different order changes the last bits
+                    d_padded[:, i * dilation:i * dilation + steps] += d_conv @ block["taps"][i].value.T
+                d_cur = d_cur + d_padded[:, padded.shape[1] - steps:]
+        return loss, grads + head
 
 
 def tcn_fit(series: CountSeries, spec: TcnSpec) -> tuple[TcnModel, TrainReport]:
     rf = receptive_field(spec)
-    longest = int(_run_lengths(series.mask).max(initial=0))
+    longest = int(run_lengths(series.mask).max(initial=0))
     if longest <= rf:
         raise ModelError(
             f"receptive field {rf} exceeds the usable window length "

@@ -361,6 +361,12 @@ def make_supervised(
     return SupervisedMatrix(names, x, history[depth:][keep], tuple(days[keep].tolist()))
 
 
+def run_lengths(mask: np.ndarray) -> np.ndarray:
+    """Length of the observed run ending at each period (0 where masked)."""
+    count = np.cumsum(mask)
+    return count - np.maximum.accumulate(np.where(mask, 0, count))
+
+
 def period_days(start: date, granularity: str, t: np.ndarray) -> np.ndarray:
     """First day of each period ``t`` as ``datetime64[D]`` (``period_start`` over an array)."""
     if granularity == DAILY:

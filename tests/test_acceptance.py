@@ -139,11 +139,11 @@ def test_criterion_05_tcn_structure_and_causality():
     rng = np.random.default_rng(13)
     length = 48
     x = rng.normal(size=(1, length, 1))
-    base = model.features(x).value
+    base = model.features(x)
     for position in rng.integers(0, length, size=100):
         bumped = x.copy()
         bumped[0, position, 0] += 7.5
-        out = model.features(bumped).value
+        out = model.features(bumped)
         assert np.array_equal(out[0, :position], base[0, :position]), f"leak before t={position}"
     _passed(5, "receptive field 31 for defaults; causality holds at 100 random positions")
 

@@ -106,7 +106,7 @@ def test_adam_descends_quadratic():
     w = Tensor(np.array([5.0, -3.0]), requires_grad=True)
     opt = Adam([w], lr=0.1)
     for _ in range(500):
-        opt.zero_grad()
+        w.grad = None
         loss = ad.mean(ad.mul(w, w))
         loss.backward()
         opt.step()

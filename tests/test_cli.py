@@ -472,7 +472,7 @@ def test_neural_outputs_identical_across_blas_thread_counts(records_csv, tmp_pat
     assert outputs["1"] == outputs["2"]
 
 
-TRACED_LSTM_FIT = """
+TRACED_NEURAL_RUN = """
 import json
 import sys
 from datetime import date
@@ -484,25 +484,43 @@ tracing.install(tracer)
 from attrikit import neural
 from attrikit.series import DAILY, CountSeries
 series = CountSeries(DAILY, date(2022, 3, 1), 10.0 + np.arange(60) % 7, np.ones(60, dtype=bool))
-neural.lstm_fit(series, neural.LstmSpec(lookback=5, hidden=3, epochs=4, use_weekday=False))
+{}
 print(json.dumps(tracer.spans))
 """
 
 
-def test_benchmark_tracer_counts_lstm_epochs():
-    """The benchmark counts epochs as Adam steps inside a fit; the LSTM kernel records no tape op."""
+def _traced_spans(code):
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     package_root = str(Path(attrikit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", TRACED_LSTM_FIT, str(perfbench)],
+    run = subprocess.run([sys.executable, "-c", TRACED_NEURAL_RUN.format(code), str(perfbench)],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    spans = json.loads(run.stdout.splitlines()[-1])
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_benchmark_tracer_counts_lstm_epochs():
+    """The benchmark counts epochs as Adam steps inside a fit; the LSTM kernel records no tape op."""
+    spans = _traced_spans("neural.lstm_fit(series, neural.LstmSpec(lookback=5, hidden=3, epochs=4, "
+                          "use_weekday=False))")
     (fit,) = [s for s in spans if s["name"] == "neural.lstm_fit"]
     adam = [s for s in spans if s["name"] == "autodiff.adam"]
     assert len(adam) == 4 and all(s["parent"] == fit["id"] for s in adam)
     assert fit["attrs"]["ops"] == 0
     assert not [s for s in spans if s["name"] == "autodiff.backward"]
+
+
+def test_benchmark_tracer_counts_tcn_epochs():
+    """The TCN kernels record no tape op, in training or in a forecast."""
+    spans = _traced_spans("model, _ = neural.tcn_fit(series, neural.TcnSpec(kernel=2, dilations=(1, 2), "
+                          "channels=3, epochs=4))\nneural.tcn_forecast(model, series, 5)")
+    (fit,) = [s for s in spans if s["name"] == "neural.tcn_fit"]
+    adam = [s for s in spans if s["name"] == "autodiff.adam"]
+    assert len(adam) == 4 and all(s["parent"] == fit["id"] for s in adam)
+    assert fit["attrs"]["ops"] == 0
+    assert not [s for s in spans if s["name"] == "autodiff.backward"]
+    (forecast,) = [s for s in spans if s["name"] == "neural.tcn_forecast"]
+    assert forecast["attrs"]["ops"] == 0
 
 
 def test_missing_required_flags_exit_2(tmp_path):

@@ -179,16 +179,45 @@ def tape_lstm_forward(model, x):
     return ad.add(ad.matmul(h, model.w_out), model.b_out)
 
 
-def tape_lstm_loss(model, x, y):
+def tape_loss(tape_forward, model, x, y):
+    """The tape's mean squared error; leaves each parameter's gradient in ``grad``."""
     for p in model.parameters():
         p.grad = None
-    loss = ad.mse(tape_lstm_forward(model, x), ad.constant(y))
+    loss = ad.mse(tape_forward(model, x), ad.constant(y))
     loss.backward()
     return float(loss.value)
 
 
 def bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def assert_kernel_bit_equals_tape(model, x, y, tape_forward):
+    loss, grads = model.loss_and_grads(x, y)
+    assert bits(model.predict(x)) == bits(tape_forward(model, x).value)
+    assert bits(loss) == bits(tape_loss(tape_forward, model, x, y))
+    for grad, p in zip(grads, model.parameters(), strict=True):
+        assert grad.shape == p.value.shape
+        assert bits(grad) == bits(p.grad)
+
+
+def assert_training_bit_equals_adam_over_tape(model_class, spec, tape_forward):
+    series = sine_series(n=90)
+    model = model_class(spec, 10.0, 3.0)
+    oracle = model_class(spec, 10.0, 3.0)
+    x, y = _train_windows(model, series)
+    report = _train(model, x, y, spec.epochs, spec.learning_rate)
+
+    optimizer = ad.Adam(oracle.parameters(), lr=spec.learning_rate)
+    losses = []
+    for _ in range(spec.epochs):
+        losses.append(tape_loss(tape_forward, oracle, x, y))
+        optimizer.step()
+    assert bits(report.epoch_losses) == bits(losses)
+    for p, q in zip(model.parameters(), oracle.parameters()):
+        assert bits(p.value) == bits(q.value)
+    preds = tape_forward(oracle, x).value
+    assert bits(model.rmse_train) == bits(float(np.sqrt(np.mean((preds - y) ** 2))) * oracle.std)
 
 
 @st.composite
@@ -219,33 +248,12 @@ def lstm_kernel_cases(draw):
 @settings(deadline=None, derandomize=True, database=None, max_examples=200)
 @given(case=lstm_kernel_cases())
 def test_lstm_kernel_bit_equals_tape(case):
-    model, x, y = case
-    loss, grads = model.loss_and_grads(x, y)
-    assert bits(model.predict(x)) == bits(tape_lstm_forward(model, x).value)
-    assert bits(loss) == bits(tape_lstm_loss(model, x, y))
-    for grad, p in zip(grads, model.parameters(), strict=True):
-        assert grad.shape == p.value.shape
-        assert bits(grad) == bits(p.grad)
+    assert_kernel_bit_equals_tape(*case, tape_lstm_forward)
 
 
 def test_lstm_training_bit_equals_adam_over_tape():
-    series = sine_series(n=90)
     spec = LstmSpec(lookback=7, hidden=5, epochs=40, learning_rate=0.02, seed=4, use_weekday=True)
-    model = LstmModel(spec, 10.0, 3.0)
-    oracle = LstmModel(spec, 10.0, 3.0)
-    x, y = _train_windows(model, series)
-    report = _train(model, x, y, spec.epochs, spec.learning_rate)
-
-    optimizer = ad.Adam(oracle.parameters(), lr=spec.learning_rate)
-    losses = []
-    for _ in range(spec.epochs):
-        losses.append(tape_lstm_loss(oracle, x, y))
-        optimizer.step()
-    assert bits(report.epoch_losses) == bits(losses)
-    for p, q in zip(model.parameters(), oracle.parameters()):
-        assert bits(p.value) == bits(q.value)
-    preds = tape_lstm_forward(oracle, x).value
-    assert bits(model.rmse_train) == bits(float(np.sqrt(np.mean((preds - y) ** 2))) * oracle.std)
+    assert_training_bit_equals_adam_over_tape(LstmModel, spec, tape_lstm_forward)
 
 
 def test_lstm_loss_trends_down_on_learnable_sine():
@@ -356,13 +364,73 @@ def test_tcn_causality_perturbation():
     model = TcnModel(spec, 0.0, 1.0)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(1, 20, 1))
-    base = model.features(x).value
+    base = model.features(x)
     for t in (0, 5, 13, 19):
         bumped = x.copy()
         bumped[0, t, 0] += 10.0
-        out = model.features(bumped).value
+        out = model.features(bumped)
         assert np.array_equal(out[0, :t], base[0, :t])
         assert not np.allclose(out[0, t], base[0, t])
+
+
+# The TCN forward as generic tape ops: the reference the hand-written
+# kernels are checked against, bit for bit.
+
+
+def tape_tcn_features(model, x):
+    steps = x.shape[1]
+    cur = ad.constant(x)
+    for block in model.blocks:
+        dilation = block["dilation"]
+        padded = ad.pad_left(cur, 1, (model.spec.kernel - 1) * dilation)
+        conv = None
+        for i, tap in enumerate(block["taps"]):
+            term = ad.matmul(ad.narrow(padded, 1, i * dilation, steps), tap)
+            conv = term if conv is None else ad.add(conv, term)
+        out = ad.relu(ad.add(conv, block["bias"]))
+        residual = cur if block["proj"] is None else ad.matmul(cur, block["proj"])
+        cur = ad.add(out, residual)
+    return cur
+
+
+def tape_tcn_forward(model, x):
+    n, steps, _ = x.shape
+    last = ad.narrow(tape_tcn_features(model, x), 1, steps - 1, 1)
+    out = ad.add(ad.matmul(last, model.w_out), model.b_out)  # (n, 1, 1)
+    # the tape has no reshape op, so record (n, 1, 1) -> (n, 1) directly
+    return ad._record(out.value.reshape(n, 1), (out, lambda g: g.reshape(out.value.shape)))
+
+
+@st.composite
+def tcn_kernel_cases(draw):
+    """Window batches of 1-40 rows (1 is the forecast shape) of the receptive
+    field's length or up to 3 steps longer; kernel 2-4, 1-3 dilations of
+    1-4, channels 1-5 (at 1 no block has a projection), with seeded or
+    all-zero weights."""
+    spec = TcnSpec(kernel=draw(st.integers(2, 4)),
+                   dilations=tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))),
+                   channels=draw(st.integers(1, 5)), seed=draw(st.integers(0, 2**16)))
+    model = TcnModel(spec, 0.0, 1.0)
+    if draw(st.booleans()):
+        for p in model.parameters():
+            p.value[...] = 0.0
+    n = draw(st.integers(1, 40))
+    steps = receptive_field(spec) + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return model, rng.normal(size=(n, steps, 1)), rng.normal(size=(n, 1))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(case=tcn_kernel_cases())
+def test_tcn_kernel_bit_equals_tape(case):
+    model, x, _ = case
+    assert bits(model.features(x)) == bits(tape_tcn_features(model, x).value)
+    assert_kernel_bit_equals_tape(*case, tape_tcn_forward)
+
+
+def test_tcn_training_bit_equals_adam_over_tape():
+    spec = TcnSpec(kernel=3, dilations=(1, 2), channels=4, epochs=40, learning_rate=0.02, seed=4)
+    assert_training_bit_equals_adam_over_tape(TcnModel, spec, tape_tcn_forward)
 
 
 def test_tcn_loss_trends_down():
