@@ -6,6 +6,11 @@ add/sub/mul, matmul with batched left operands, the usual activations,
 axis slicing, and left zero-padding along the time axis) remains the
 reference the tests check those kernels against, bit for bit. Everything
 is plain numpy, which keeps training bit-reproducible for a fixed seed.
+
+``Adam`` owns the parameters' storage: it packs their values into one
+flat buffer, rebinds each ``p.value`` to a view of it, and updates that
+buffer in place on every step. Code that keeps a parameter's values
+across steps must copy ``p.value``.
 """
 
 from __future__ import annotations
@@ -166,21 +171,49 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Standard Adam with bias correction; full-batch use keeps it deterministic."""
+    """Standard Adam with bias correction; full-batch use keeps it deterministic.
+
+    The optimizer owns one flat float64 buffer each for the parameter
+    values, ``m`` and ``v``. The constructor rebinds every ``p.value`` to a
+    view of the value buffer (same shape, same numbers), and ``step``
+    updates all parameters in place with a few whole-buffer ufunc calls.
+    Each element goes through the same operations in the same order as the
+    formula applied to one parameter at a time, so the results are
+    bit-identical to that. A caller that wants a snapshot of a parameter
+    must copy ``p.value``.
+    """
 
     def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in params]
-        self.v = [np.zeros_like(p.value) for p in params]
+        self.value = np.concatenate([p.value.ravel() for p in params])
+        offset = 0
+        for p in params:
+            shape, size = p.value.shape, p.value.size
+            p.value = self.value[offset:offset + size].reshape(shape)
+            offset += size
+        self.m = np.zeros_like(self.value)
+        self.v = np.zeros_like(self.value)
+        self._scratch = tuple(np.empty_like(self.value) for _ in range(3))
 
     def step(self) -> None:
+        """One update from each parameter's ``grad`` (None counts as zeros)."""
         self.t += 1
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.value)
-            self.m[i] = _BETA1 * self.m[i] + (1.0 - _BETA1) * g
-            self.v[i] = _BETA2 * self.v[i] + (1.0 - _BETA2) * g * g
-            m_hat = self.m[i] / (1.0 - _BETA1**self.t)
-            v_hat = self.v[i] / (1.0 - _BETA2**self.t)
-            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
+        g, step, denom = self._scratch
+        np.concatenate([np.zeros(p.value.size) if p.grad is None else np.ravel(p.grad)
+                        for p in self.params], out=g)
+        # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g
+        self.m *= _BETA1
+        self.m += np.multiply(g, 1.0 - _BETA1, out=step)
+        self.v *= _BETA2
+        np.multiply(g, 1.0 - _BETA2, out=step)
+        self.v += np.multiply(step, g, out=step)
+        # value -= (lr * m_hat) / (sqrt(v_hat) + eps)
+        np.divide(self.v, 1.0 - _BETA2**self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += _EPS
+        np.divide(self.m, 1.0 - _BETA1**self.t, out=step)
+        step *= self.lr
+        step /= denom
+        self.value -= step

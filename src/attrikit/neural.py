@@ -300,7 +300,10 @@ class TcnModel:
         acts = []
         for block in self.blocks:
             dilation = block["dilation"]
-            padded = np.pad(cur, ((0, 0), ((self.spec.kernel - 1) * dilation, 0), (0, 0)))
+            pad = (self.spec.kernel - 1) * dilation
+            padded = np.empty((n, pad + steps, cur.shape[2]))
+            padded[:, :pad] = 0.0  # causal: zeros before the first step
+            padded[:, pad:] = cur
             conv = padded[:, :steps] @ block["taps"][0].value
             for i, tap in enumerate(block["taps"][1:], 1):
                 conv += padded[:, i * dilation:i * dilation + steps] @ tap.value

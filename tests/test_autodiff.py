@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attrikit import autodiff as ad
 from attrikit.autodiff import Adam, Tensor
@@ -111,3 +113,67 @@ def test_adam_descends_quadratic():
         loss.backward()
         opt.step()
     assert np.all(np.abs(w.value) < 0.05)
+
+
+class PerParameterAdam:
+    """Adam as it was written before the flat buffer: one update per
+    parameter, rebinding ``p.value`` each step. The oracle for ``Adam``."""
+
+    def __init__(self, params: list[Tensor], lr: float):
+        self.params = params
+        self.lr = lr
+        self.t = 0
+        self.m = [np.zeros_like(p.value) for p in params]
+        self.v = [np.zeros_like(p.value) for p in params]
+
+    def step(self) -> None:
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        self.t += 1
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.value)
+            self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g
+            self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * g * g
+            m_hat = self.m[i] / (1.0 - beta1**self.t)
+            v_hat = self.v[i] / (1.0 - beta2**self.t)
+            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@st.composite
+def adam_cases(draw):
+    """1-12 parameters of 0-3 axes of length 1-4, 1-8 steps in which each
+    gradient is drawn or None, and gradients spread over many magnitudes."""
+    shapes = draw(st.lists(st.lists(st.integers(1, 4), max_size=3).map(tuple), min_size=1, max_size=12))
+    steps = draw(st.integers(1, 8))
+    missing = draw(st.lists(st.lists(st.booleans(), min_size=len(shapes), max_size=len(shapes)),
+                            min_size=steps, max_size=steps))
+    lr = draw(st.sampled_from([1e-3, 0.02, 0.1, 0.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    values = [rng.normal(size=shape) for shape in shapes]
+    grads = [[None if gone else rng.normal(size=shape) * 10.0 ** rng.integers(-6, 4, size=shape)
+              for shape, gone in zip(shapes, row)] for row in missing]
+    return values, grads, lr
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(case=adam_cases())
+def test_adam_bit_equals_per_parameter_update(case):
+    values, grads, lr = case
+    params = [Tensor(v.copy(), requires_grad=True) for v in values]
+    oracle = [Tensor(v.copy(), requires_grad=True) for v in values]
+    opt, ref = Adam(params, lr), PerParameterAdam(oracle, lr)
+    for p, v in zip(params, values):
+        assert p.value.shape == v.shape
+        assert np.array_equal(bits(p.value), bits(v))
+    for row in grads:
+        for p, q, g in zip(params, oracle, row):
+            p.grad = q.grad = g
+        opt.step()
+        ref.step()
+        for p, q in zip(params, oracle):
+            assert p.value.shape == q.value.shape
+            assert np.array_equal(bits(p.value), bits(q.value))
+            assert np.shares_memory(p.value, opt.value)  # updated in place, never rebound

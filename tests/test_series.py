@@ -279,6 +279,32 @@ def test_series_csv_roundtrip_daily_and_monthly():
     assert back.granularity == MONTHLY and np.array_equal(back.mask, m.mask)
 
 
+def test_series_csv_roundtrip_one_row():
+    day = CountSeries(DAILY, date(2024, 3, 15), np.array([4.0]), np.array([True]))
+    back = series_from_csv(series_to_csv(day))
+    assert back.granularity == DAILY and back.start == day.start
+    assert np.array_equal(back.values, day.values) and np.array_equal(back.mask, day.mask)
+
+    # A lone row dated the 1st is one day or one month: refuse it rather than guess.
+    for granularity in (DAILY, MONTHLY):
+        one = CountSeries(granularity, date(2024, 3, 1), np.array([4.0]), np.array([False]))
+        with pytest.raises(ValueError, match="ambiguous"):
+            series_from_csv(series_to_csv(one))
+
+
+@pytest.mark.parametrize("observed", ["7", "-1", "2", "01", " 1", "true", "", "1.0"])
+def test_series_csv_observed_must_be_zero_or_one(observed):
+    text = f"period_start,value,observed\n2024-03-14,3,1\n2024-03-15,4,{observed}\n"
+    with pytest.raises(ValueError, match="observed"):
+        series_from_csv(text)
+
+
+@pytest.mark.parametrize("row", ["2024-03-15,4", "2024-03-15,4,1,9"])
+def test_series_csv_rejects_rows_of_other_widths(row):
+    with pytest.raises(ValueError, match="exactly"):
+        series_from_csv(f"period_start,value,observed\n2024-03-14,3,1\n{row}\n")
+
+
 def test_forecast_csv_layout():
     f = Forecast(DAILY, date(2025, 8, 1), [1.0, 2.0], [0.5, 1.0], [1.5, 3.0], 0.95)
     lines = forecast_to_csv(f).strip().split("\n")
