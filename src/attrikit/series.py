@@ -415,8 +415,9 @@ def series_from_csv(text: str) -> CountSeries:
     """Read back what ``series_to_csv`` wrote, strictly.
 
     Raises ValueError for a wrong header, a row of other than three fields,
-    an ``observed`` other than ``0`` or ``1``, non-contiguous periods, and a
-    single row dated the 1st, which could be one day or one month.
+    a value that is not a non-negative whole count, an ``observed`` other
+    than ``0`` or ``1``, non-contiguous periods, and a single row dated the
+    1st, which could be one day or one month.
     """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0][:3] != ["period_start", "value", "observed"]:
@@ -430,6 +431,9 @@ def series_from_csv(text: str) -> CountSeries:
         raise ValueError("observed must be 0 or 1")
     starts = [date.fromisoformat(r[0]) for r in body]
     values = np.array([float(r[1]) for r in body])
+    for r, value in zip(body, values):
+        if not (value >= 0 and value.is_integer()):
+            raise ValueError(f"series row {','.join(r)!r}: value is not a non-negative whole count")
     mask = np.array([r[2] == "1" for r in body])
     if len(starts) > 1:
         granularity = DAILY if (starts[1] - starts[0]).days == 1 else MONTHLY

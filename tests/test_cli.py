@@ -1,5 +1,6 @@
 """End-to-end command tests: flows, exit codes, config files, determinism."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -435,21 +436,46 @@ HASH_SEED_COMMANDS = {
 }
 
 
+def _messy_records(records_csv, inputs):
+    """The synthetic records with model texts to correct, places to look up
+    and every fifth row twice, plus the correction table and geo index."""
+    rows = list(csv.reader(records_csv.read_text().splitlines()))
+    models, places = ("T-72B3", "MT-LB", "", "BMP-2"), ("Bucha", "", "irpin ", "Nowhere", "")
+    out = [rows[0]]
+    for i, row in enumerate(rows[1:]):
+        row = [row[0], row[1], models[i % 4], row[3], places[i % 5], *row[5:]]
+        out += [row, row] if i % 5 == 0 else [row]
+    data = inputs / "messy.csv"
+    with data.open("w", newline="") as f:
+        csv.writer(f).writerows(out)
+    (inputs / "corrections.csv").write_text("MT-LB,apc\nBMP-2,ifv\nT-72B3,tank\n")
+    (inputs / "geo_index.csv").write_text('bucha,"Buchanskyi/Kyivska"\nirpin,"Buchanskyi/Kyivska"\n')
+    return ["ingest", "--data", str(data), "--corrections", str(inputs / "corrections.csv"),
+            "--geo-index", str(inputs / "geo_index.csv")]
+
+
 def test_outputs_identical_across_hash_seeds(records_csv, tmp_path):
-    """Set order and str hashes change with PYTHONHASHSEED; no output file may."""
+    """Set order and str hashes change with PYTHONHASHSEED; no output file may.
+    Dedup looks keys up in a set of str, so ingest is run too."""
     package_root = str(Path(attrikit.__file__).resolve().parents[1])
+    commands = {name: [*command, "--data", str(records_csv), "--svg"] for name, command in HASH_SEED_COMMANDS.items()}
+    (tmp_path / "inputs").mkdir()
+    commands["ingest"] = _messy_records(records_csv, tmp_path / "inputs")
     outputs = {}
     for hash_seed in ("0", "12345"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
         root = tmp_path / hash_seed
-        for name, command in HASH_SEED_COMMANDS.items():
+        for name, command in commands.items():
             run = subprocess.run([sys.executable, "-c", "import sys; from attrikit.cli import main; sys.exit(main())",
-                                  *command, "--data", str(records_csv), "--svg", "--out", str(root / name)],
+                                  *command, "--out", str(root / name)],
                                  capture_output=True, text=True, env=env, timeout=120)
             assert run.returncode == 0, run.stderr
         outputs[hash_seed] = {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-    assert len(outputs["0"]) >= 8
+    assert len(outputs["0"]) >= 10
+    report = json.loads(outputs["0"]["ingest/ingest_report.json"])
+    assert report["duplicates_removed"] > 0 and report["category_corrections"] > 0
+    assert b"Buchanskyi" in outputs["0"]["ingest/records.csv"]
     assert outputs["0"] == outputs["12345"]
 
 

@@ -1,7 +1,12 @@
 """Record parsing, dedup, geo normalization, and the synthetic generator."""
 
+import csv
+import functools
+import hashlib
+import io
 import json
 import tempfile
+from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -10,13 +15,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from attrikit import ingest
 from attrikit.cli import main
 from attrikit.errors import SchemaError
 from attrikit.ingest import (
     _CATEGORY_ALIASES,
+    DEFAULT_COVERAGE,
+    LOGICAL_COLUMNS,
+    MANDATORY_COLUMNS,
     Category,
     GeoIndex,
     IngestReport,
+    LossRecord,
     Profile,
     Regime,
     Status,
@@ -25,10 +35,11 @@ from attrikit.ingest import (
     load_corrections,
     load_geo_index,
     load_profile,
-    make_record,
     normalize_geo,
     parse_category,
+    parse_loss_date,
     parse_records,
+    parse_status,
     record_id_of,
     records_to_csv,
 )
@@ -247,9 +258,9 @@ def test_roundtrip_parse_serialize_parse():
 def test_normalize_geo_fills_and_preserves():
     index = load_geo_index('bakhmut,"Bakhmutskyi/Donetska"\n')
     records = [
-        make_record(date(2022, 5, 1), Category.TANK, Status.DESTROYED, location_text="Bakhmut "),
-        make_record(date(2022, 5, 2), Category.IFV, Status.DESTROYED, location_text="X", raion="R", oblast="O"),
-        make_record(date(2022, 5, 3), Category.APC, Status.DESTROYED),
+        LossRecord(date(2022, 5, 1), Category.TANK, Status.DESTROYED, location_text="Bakhmut "),
+        LossRecord(date(2022, 5, 2), Category.IFV, Status.DESTROYED, location_text="X", raion="R", oblast="O"),
+        LossRecord(date(2022, 5, 3), Category.APC, Status.DESTROYED),
     ]
     out = normalize_geo(records, index)
     assert out[0].raion == "Bakhmutskyi" and out[0].oblast == "Donetska"
@@ -259,14 +270,14 @@ def test_normalize_geo_fills_and_preserves():
 
 
 def test_normalize_geo_empty_index_leave_blank_is_identity():
-    records = [make_record(date(2022, 5, 1), Category.TANK, Status.DESTROYED, location_text="Somewhere")]
+    records = [LossRecord(date(2022, 5, 1), Category.TANK, Status.DESTROYED, location_text="Somewhere")]
     out = normalize_geo(records, GeoIndex(entries={}))
     assert out == records
 
 
 def test_normalize_geo_error_policy_lists_strings():
     index = GeoIndex(entries={}, unmatched_policy="error")
-    records = [make_record(date(2022, 5, 1), Category.TANK, Status.DESTROYED, location_text="Nowhere")]
+    records = [LossRecord(date(2022, 5, 1), Category.TANK, Status.DESTROYED, location_text="Nowhere")]
     with pytest.raises(SchemaError, match="Nowhere"):
         normalize_geo(records, index)
 
@@ -400,3 +411,192 @@ def test_cli_ingest_survives_hostile_bytes(data):
                                        + report["duplicates_removed"])
         records, _ = parse_records((out / "records.csv").read_text(encoding="utf-8"))
         assert len(records) == report["rows_parsed"]
+
+
+def test_record_ids_are_pinned():
+    """Ids are part of the output contract: these values were computed by the
+    per-row SHA-256 parse, and no change to how ids are made may move them."""
+    text = HEADER + (
+        "2022-03-01,tank,T-72B3,destroyed,Bucha,,Kyivska,http://x\n"
+        "05.03.2023,Infantry Fighting Vehicle,,damaged,,,,\n"
+        '07/31/2025,sam,"Buk-M1, \x1fobr",,Irpin,,,synth://42/2025-07-31/air_defense/0\n'
+    )
+    records, _ = parse_records(text)
+    assert [r.record_id for r in records] == [10840737035864347262, 1111170753443854972, 13243776004194560808]
+    assert [record_id_of(r.date, r.category, r.model_text, r.location_text, r.source_url) for r in records] == [
+        r.record_id for r in records]
+
+
+def test_parse_hashes_no_row(monkeypatch):
+    profile = Profile(regimes=(Regime(date(2022, 3, 1), date(2022, 6, 30), {Category.TANK: 10.0}),))
+    records = generate_synthetic(3, profile)[:990]
+    text = records_to_csv(records + records[::99])  # 1,000 rows, 10 of them duplicates
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sha256 called")
+
+    monkeypatch.setattr(ingest.hashlib, "sha256", refuse)
+    parsed, report = parse_records(text)
+    assert parsed == records
+    assert report == IngestReport(rows_read=1000, rows_parsed=990, duplicates_removed=10)
+    with pytest.raises(AssertionError, match="sha256"):  # ids are still hashed, on demand
+        parsed[0].record_id
+
+
+# -- The parse as it was before records became tuples: a frozen dataclass per
+# record and one SHA-256 id per row, deduplicated on the id. It is kept here
+# as the oracle that parse_records must match exactly.
+
+
+@dataclass(frozen=True)
+class HashedRecord:
+    record_id: int
+    date: date
+    category: Category
+    status: Status
+    model_text: str | None = None
+    location_text: str | None = None
+    raion: str | None = None
+    oblast: str | None = None
+    source_url: str | None = None
+
+
+def hashed_record(day, category, status, model_text=None, location_text=None, raion=None, oblast=None,
+                  source_url=None):
+    key = "\x1f".join([day.isoformat(), category.value, model_text or "", location_text or "", source_url or ""])
+    record_id = int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
+    return HashedRecord(record_id, day, category, status, model_text, location_text, raion, oblast, source_url)
+
+
+def hashed_parse_records(csv_text, schema=None, corrections=None, coverage=DEFAULT_COVERAGE):
+    schema = dict(schema) if schema else {}
+    for logical in schema:
+        if logical not in LOGICAL_COLUMNS:
+            raise SchemaError(f"unknown logical column {logical!r} in schema")
+    colmap = {logical: schema.get(logical, logical) for logical in LOGICAL_COLUMNS}
+    norm_corrections = {ingest._normalize_token(text): cat for text, cat in (corrections or {}).items()}
+    reader = ingest._csv_rows(csv_text)
+    header = next(reader, [])
+    for logical in MANDATORY_COLUMNS:
+        if colmap[logical] not in header:
+            raise SchemaError(f"mandatory column {colmap[logical]!r} (logical {logical!r}) missing from header")
+    position = {name: i for i, name in enumerate(header)}
+    columns = [position.get(colmap[logical]) for logical in LOGICAL_COLUMNS]
+    day_of = functools.cache(parse_loss_date)
+    status_of = functools.cache(parse_status)
+    category_of = functools.cache(parse_category)
+    report = IngestReport()
+    records = []
+    seen_ids = set()
+    line_no = 1
+    for row in reader:
+        if not row:
+            continue
+        line_no += 1
+        report.rows_read += 1
+        width = len(row)
+        raw_date, raw_type, model_text, raw_status, location, raion, oblast, url = [
+            (row[i].strip() or None) if i is not None and i < width else None for i in columns
+        ]
+        if raw_date is None:
+            report.unparsable_rows.append((line_no, "missing date"))
+            continue
+        try:
+            day = day_of(raw_date)
+        except ValueError as err:
+            report.unparsable_rows.append((line_no, str(err)))
+            continue
+        if not coverage[0] <= day <= coverage[1]:
+            report.unparsable_rows.append((line_no, f"date {day.isoformat()} outside coverage window"))
+            continue
+        status = status_of(raw_status)
+        if status is None:
+            report.unparsable_rows.append((line_no, f"unknown status {raw_status!r}"))
+            continue
+        category = category_of(raw_type)
+        if model_text is not None:
+            corrected = norm_corrections.get(ingest._normalize_token(model_text))
+            if corrected is not None and corrected != category:
+                category = corrected
+                report.category_corrections += 1
+        record = hashed_record(day, category, status, model_text, location, raion, oblast, url)
+        if record.record_id in seen_ids:
+            report.duplicates_removed += 1
+            continue
+        seen_ids.add(record.record_id)
+        records.append(record)
+        report.rows_parsed += 1
+    report.check()
+    return records, report
+
+
+RECORD_FIELDS = ("record_id", "date", "category", "status", "model_text", "location_text", "raion", "oblast",
+                 "source_url")
+CORRECTIONS = {"T-72B3": Category.TANK, "mt-lb": Category.APC, "BMP-2": Category.IFV, "a\x1fb": Category.TRUCK}
+
+# Cells per logical column. Small pools make duplicate keys common; "\x1f" is
+# the key separator, so model "a\x1fb" at "c" and model "a" at "b\x1fc" share
+# one key.
+CELLS = {
+    "date": ["2022-03-01", "01.03.2022", "03/01/2022", " 2022-03-02 ", "2025-07-31", "2022-02-23", "2025-08-01",
+             "31.02.2023", "2022-13-01", "not-a-date", ""],
+    "type": ["tank", "Tanks", " MBT", "ifv", "self-propelled artillery", "anti_aircraft", "zeppelin", ""],
+    "model": ["", "T-72B3", "t-72b3 ", "MT-LB", "mt lb", "BMP-2", "a", "a\x1fb", "x\x1f"],
+    "status": ["", "destroyed", "Damaged", "lost", "destroyed and captured", "exploded", "?"],
+    "location": ["", "Bucha", " bucha", "c", "b\x1fc", "\x1fb", "Irpin, Kyiv"],
+    "raion": ["", "Buchanskyi"],
+    "oblast": ["", "Kyivska", "Kyiv\x1fska"],
+    "url": ["", "http://a", "http://a\x1f", "\x1f", "u\nv"],
+}
+
+
+@st.composite
+def loss_csv(draw, remap):
+    """CSV text and schema: permuted and possibly missing optional columns,
+    duplicate, blank, short and long rows, and either line end."""
+    logical = draw(st.permutations(LOGICAL_COLUMNS))
+    kept = [c for c in logical if c in MANDATORY_COLUMNS or draw(st.booleans())]
+    schema = {c: f"{c.upper()} col" for c in kept if draw(st.booleans())} if remap else None
+    header = [(schema or {}).get(c, c) for c in kept]
+    rows = []
+    for _ in range(draw(st.integers(0, 25))):
+        cells = [draw(st.sampled_from(CELLS[c])) for c in kept]
+        width = draw(st.sampled_from([len(cells)] * 4 + [0, 1, 2, len(cells) + 2]))
+        rows.append((cells + ["extra", "cells"])[:width])
+    for source, target in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=6)):
+        if rows:
+            rows.insert(target % (len(rows) + 1), rows[source % len(rows)])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue(), schema
+
+
+def assert_parse_matches_oracle(text, schema, corrections):
+    records, report = parse_records(text, schema=schema, corrections=corrections)
+    expected, expected_report = hashed_parse_records(text, schema=schema, corrections=corrections)
+    assert [[getattr(r, f) for f in RECORD_FIELDS] for r in records] == [
+        [getattr(r, f) for f in RECORD_FIELDS] for r in expected]
+    assert report == expected_report
+
+
+@pytest.mark.parametrize("remap", [False, True])
+@pytest.mark.parametrize("corrections", [None, CORRECTIONS])
+@settings(deadline=None, derandomize=True, database=None, max_examples=150)
+@given(data=st.data())
+def test_parse_matches_per_row_hash_parse(corrections, remap, data):
+    text, schema = data.draw(loss_csv(remap))
+    assert_parse_matches_oracle(text, schema, corrections)
+
+
+def test_separator_in_fields_dedups_as_the_hash_did():
+    text = HEADER + (
+        "2022-03-01,tank,a\x1fb,,c,,,\n"
+        "2022-03-01,tank,a,,b\x1fc,,,\n"  # the separator moved one field on: the same key
+        "2022-03-01,tank,a,,\x1fb\x1fc\x1f,,,\n"  # strip() takes "\x1f" as whitespace: the same again
+        "2022-03-01,tank,a\x1fb\x1fc,,,,,\n"  # another key
+    )
+    records, report = parse_records(text)
+    assert report.duplicates_removed == 2 and len(records) == 2
+    assert_parse_matches_oracle(text, None, None)

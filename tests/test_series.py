@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from attrikit.ingest import Category, Status, make_record
+from attrikit.ingest import Category, LossRecord, Status
 from attrikit.series import (
     DAILY,
     MONTH_FEATURES,
@@ -28,7 +28,7 @@ from attrikit.series import (
 
 
 def rec(day, category=Category.TANK):
-    return make_record(day, category, Status.DESTROYED, source_url=f"u://{day}/{category.value}/{id(day)}")
+    return LossRecord(day, category, Status.DESTROYED, source_url=f"u://{day}/{category.value}/{id(day)}")
 
 
 def daily_series(values, start=date(2022, 3, 1), mask=None):
@@ -302,6 +302,13 @@ def test_series_csv_observed_must_be_zero_or_one(observed):
 @pytest.mark.parametrize("row", ["2024-03-15,4", "2024-03-15,4,1,9"])
 def test_series_csv_rejects_rows_of_other_widths(row):
     with pytest.raises(ValueError, match="exactly"):
+        series_from_csv(f"period_start,value,observed\n2024-03-14,3,1\n{row}\n")
+
+
+@pytest.mark.parametrize("row", ["2024-03-15,-3.5,1", "2024-03-15,2.25,0", "2024-03-15,-1,1", "2024-03-15,1e-3,1",
+                                 "2024-03-15,nan,0", "2024-03-15,inf,1"])
+def test_series_csv_values_must_be_whole_nonnegative_counts(row):
+    with pytest.raises(ValueError, match=f"{row}.*non-negative whole count"):
         series_from_csv(f"period_start,value,observed\n2024-03-14,3,1\n{row}\n")
 
 
