@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ModelError
+
 GradFn = Callable[[np.ndarray], np.ndarray]
 
 
@@ -66,9 +68,13 @@ class Tensor:
 
 
 def parameter(value, rng: np.random.Generator | None = None, scale: float | None = None) -> Tensor:
-    """Leaf tensor with gradient tracking; optionally uniform(-scale, scale)."""
+    """Leaf tensor with gradient tracking; optionally uniform(-scale, scale)
+    of shape ``value``. A shape numpy cannot allocate is a ModelError."""
     if rng is not None:
-        value = rng.uniform(-scale, scale, size=value)
+        try:
+            value = rng.uniform(-scale, scale, size=value)
+        except (MemoryError, ValueError) as err:
+            raise ModelError(f"cannot allocate a parameter of shape {value}: {err}") from err
     return Tensor(value, requires_grad=True)
 
 

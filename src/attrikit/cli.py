@@ -532,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ModelError, ConvergenceError) as err:
+    except (ModelError, ConvergenceError, MemoryError) as err:
         print(f"model error: {err}", file=sys.stderr)
         return 3
     except OSError as err:

@@ -2,8 +2,8 @@
 
 The split matters to the CLI, which maps exception classes onto stable
 exit codes: SchemaError -> 2 (bad input/config, including model parameters
-a model spec rejects), ModelError and ConvergenceError -> 3
-(fit/forecast/evaluation failure), OSError -> 1.
+a model spec rejects), ModelError, ConvergenceError and MemoryError -> 3
+(fit/forecast/evaluation failure, or a model too big to allocate), OSError -> 1.
 """
 
 

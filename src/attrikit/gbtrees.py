@@ -9,10 +9,10 @@ Datasets here are small enough that exactness beats histogram tricks.
 
 Each column's dense value ranks are computed once per fit. A node sorts
 all features' rows by rank in one stable sort, so tied rows keep the
-node's order, and scores every cut of every feature in one array pass;
-this gives the same splits and the same floating-point sums as scanning
-one column at a time. Residuals are updated by routing the whole matrix
-through each new tree with the ``x <= threshold`` rule prediction uses."""
+node's order, and scores only the cuts between distinct values, of all
+features in one array pass: the same splits and floating-point sums as a
+scan of one column at a time. Residuals are updated by routing the whole
+matrix through each new tree by the ``x <= threshold`` rule ``predict`` uses."""
 
 from __future__ import annotations
 
@@ -109,9 +109,10 @@ def _best_split(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.
 
     Each feature's rows are sorted stably by rank, so equal values keep the
     node's row order and every prefix sum adds in the same order as a
-    per-column scan. Cuts inside a run of equal values score -inf; the
-    first maximum per feature and a strictly-greater pass over features in
-    ascending order realize the normative tie-break."""
+    per-column scan. Only cuts between distinct values are scored, listed
+    in (feature, cut) order, so the first maximum is the normative
+    tie-break. A NaN gain, which needs partial sums of |s| >~ 1e154, would
+    stop that search where a per-feature scan skips it."""
     n = idx.size
     lo, hi = min_leaf, n - min_leaf + 1   # cut c puts sorted rows [0, c) left; n >= 2 * min_leaf
     r = residual[idx]
@@ -121,11 +122,17 @@ def _best_split(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.
     order = np.argsort(node_ranks, axis=1, kind="stable")
     prefix = r[order]
     np.cumsum(prefix, axis=1, out=prefix)
+    # flat indices into node_ranks: feature j's row starts at j * n
+    sorted_ranks = node_ranks.take(order + np.arange(0, node_ranks.size, n)[:, None])
+    boundary = np.flatnonzero(sorted_ranks[:, lo:hi] != sorted_ranks[:, lo - 1:hi - 1])
+    if boundary.size == 0:
+        return None
+    features, cuts = np.divmod(boundary, hi - lo)
+    cuts += lo
 
     # gain = left**2 / c + right**2 / (n - c) - base_term: the same operations
     # in the same order as that expression, done in place where they can be
-    cuts = np.arange(lo, hi, dtype=float)
-    left_sum = prefix[:, lo - 1:hi - 1]
+    left_sum = prefix.take(features * n + cuts - 1)
     gains = np.square(left_sum)
     gains /= cuts
     right_sum = np.subtract(total, left_sum, out=left_sum)
@@ -133,21 +140,13 @@ def _best_split(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.
     right_sum /= n - cuts
     gains += right_sum
     gains -= base_term
-    # flat indices into node_ranks: feature j's row starts at j * n
-    sorted_ranks = node_ranks.take(order + np.arange(0, node_ranks.size, n)[:, None])
-    gains[sorted_ranks[:, lo:hi] == sorted_ranks[:, lo - 1:hi - 1]] = -np.inf
-
-    ks = np.argmax(gains, axis=1)
-    best_gain, feature = 0.0, None
-    for j, gain in enumerate(gains[np.arange(ks.size), ks].tolist()):
-        if gain > best_gain:
-            best_gain, feature = gain, j
-    if feature is None:
+    k = int(np.argmax(gains))
+    if not gains[k] > 0.0:
         return None
-    cut = lo + int(ks[feature])
+    feature, cut = int(features[k]), int(cuts[k])
     rows = idx[order[feature]]
     threshold = (x[rows[cut - 1], feature] + x[rows[cut], feature]) / 2.0
-    return best_gain, feature, float(threshold), rows[:cut], rows[cut:]
+    return float(gains[k]), feature, float(threshold), rows[:cut], rows[cut:]
 
 
 def _build_tree(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.ndarray,

@@ -274,6 +274,16 @@ def test_forecast_model_error_exit_3(tmp_path):
                  "--horizon", "2", "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("hidden", ["1000000000000", "10000000000000000000"])
+def test_model_too_big_to_allocate_exit_3(records_csv, tmp_path, capsys, hidden):
+    # numpy refuses both shapes before touching memory: 233 TiB, and a
+    # dimension past its limit
+    assert main(["forecast", "--data", str(records_csv), "--model", "lstm", "--hidden", hidden,
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("model error: cannot allocate a parameter of shape") and err.count("\n") == 1
+
+
 def test_backtest_writes_metrics(records_csv, tmp_path):
     out = tmp_path / "bt"
     code = main(["backtest", "--data", str(records_csv), "--model", "gbt",

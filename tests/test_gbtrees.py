@@ -6,7 +6,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import attrikit.gbtrees as gb
@@ -408,8 +408,26 @@ def boosting_problems(draw):
     return matrix_from(x, y), spec
 
 
+def _problem(x, y, **spec):
+    return matrix_from(x, y), GbtSpec(**spec)
+
+
+_EXAMPLE_RNG = np.random.default_rng(16)
+_ONEHOT = np.eye(3)[_EXAMPLE_RNG.integers(0, 3, 40)]
+
+
 @settings(PROPERTY, max_examples=300)
 @given(problem=boosting_problems())
+# every column constant: no node has a cut, so every tree is one leaf
+@example(problem=_problem(np.tile([1.0, -2.5, 7.0], (12, 1)), _EXAMPLE_RNG.normal(0.0, 1.0, 12),
+                          n_trees=3, max_depth=3, min_samples_leaf=2))
+# n == 2 * min_samples_leaf: the root has exactly one cut position
+@example(problem=_problem(_EXAMPLE_RNG.normal(0.0, 10.0, (8, 3)), _EXAMPLE_RNG.normal(0.0, 1.0, 8),
+                          n_trees=2, max_depth=2, min_samples_leaf=4))
+# a one-hot block and its copy under a count target: equal gains in several
+# features, which the (feature, cut) tie-break settles
+@example(problem=_problem(np.hstack([_ONEHOT, _ONEHOT]), _EXAMPLE_RNG.poisson(3.0, 40).astype(float),
+                          n_trees=4, max_depth=3, learning_rate=0.3, min_samples_leaf=2))
 def test_fit_matches_per_column_oracle(problem):
     matrix, spec = problem
     model = fit(matrix, spec)
