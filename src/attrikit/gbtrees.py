@@ -11,8 +11,12 @@ Each column's dense value ranks are computed once per fit. A node sorts
 all features' rows by rank in one stable sort, so tied rows keep the
 node's order, and scores only the cuts between distinct values, of all
 features in one array pass: the same splits and floating-point sums as a
-scan of one column at a time. Residuals are updated by routing the whole
-matrix through each new tree by the ``x <= threshold`` rule ``predict`` uses."""
+scan of one column at a time. The sort and the cuts depend only on the
+node's ordered rows, not on the residual, so a fit keeps them per node of
+the current and the previous tree and reuses them when a later tree reaches
+the same rows (the root recurs in every tree). Residuals are updated by
+routing the whole matrix through each new tree by the ``x <= threshold``
+rule ``predict`` uses."""
 
 from __future__ import annotations
 
@@ -49,6 +53,8 @@ class GbtSpec:
             raise ValueError("n_trees and max_depth must be >= 1")
         if any(k < 1 for k in self.lags) or any(w < 1 for w in self.ma_windows):
             raise ValueError("lags and moving-average windows must be >= 1")
+        if len(set(self.lags)) < len(self.lags) or len(set(self.ma_windows)) < len(self.ma_windows):
+            raise ValueError("lags and moving-average windows must not repeat")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
         if self.min_samples_leaf < 1:
@@ -102,26 +108,16 @@ def _rank_columns(x: np.ndarray) -> np.ndarray:
     return ranks.astype(dtype)
 
 
-def _best_split(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.ndarray,
-                min_leaf: int):
-    """Exhaustive scan of every feature at once; returns (gain, feature,
-    threshold, left_idx, right_idx) or None.
-
-    Each feature's rows are sorted stably by rank, so equal values keep the
-    node's row order and every prefix sum adds in the same order as a
-    per-column scan. Only cuts between distinct values are scored, listed
-    in (feature, cut) order, so the first maximum is the normative
-    tie-break. A NaN gain, which needs partial sums of |s| >~ 1e154, would
-    stop that search where a per-feature scan skips it."""
+def _split_structure(ranks: np.ndarray, idx: np.ndarray, min_leaf: int):
+    """The residual-free part of a node's split search: each feature's rows
+    sorted stably by rank (so prefix sums add in a per-column scan's order)
+    and the cuts between distinct values in (feature, cut) order, whose first
+    maximum gain is the tie-break. Returns (sorted rows, features, cuts, the
+    cuts' flat left-sum positions), or None when there is no cut."""
     n = idx.size
     lo, hi = min_leaf, n - min_leaf + 1   # cut c puts sorted rows [0, c) left; n >= 2 * min_leaf
-    r = residual[idx]
-    total = r.sum()
-    base_term = total * total / n
     node_ranks = ranks[:, idx]
     order = np.argsort(node_ranks, axis=1, kind="stable")
-    prefix = r[order]
-    np.cumsum(prefix, axis=1, out=prefix)
     # flat indices into node_ranks: feature j's row starts at j * n
     sorted_ranks = node_ranks.take(order + np.arange(0, node_ranks.size, n)[:, None])
     boundary = np.flatnonzero(sorted_ranks[:, lo:hi] != sorted_ranks[:, lo - 1:hi - 1])
@@ -129,10 +125,32 @@ def _best_split(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.
         return None
     features, cuts = np.divmod(boundary, hi - lo)
     cuts += lo
+    return idx[order], features, cuts, features * n + cuts - 1
+
+
+def _best_split(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.ndarray,
+                min_leaf: int, memo: tuple[dict, dict]):
+    """Exhaustive scan of every feature at once; returns (gain, feature,
+    threshold, left_idx, right_idx) or None. ``memo`` maps ordered row
+    arrays to ``_split_structure``s, for (this tree, the previous tree);
+    only the gains read the residual. A NaN gain, which needs partial sums
+    of |s| >~ 1e154, would stop the search where a per-feature scan skips it."""
+    current, previous = memo
+    key = idx.tobytes()
+    structure = previous[key] if key in previous else _split_structure(ranks, idx, min_leaf)
+    current[key] = structure
+    if structure is None:
+        return None
+    sorted_rows, features, cuts, left_at = structure
+    n = idx.size
+    total = residual[idx].sum()
+    base_term = total * total / n
+    prefix = residual[sorted_rows]
+    np.cumsum(prefix, axis=1, out=prefix)
 
     # gain = left**2 / c + right**2 / (n - c) - base_term: the same operations
     # in the same order as that expression, done in place where they can be
-    left_sum = prefix.take(features * n + cuts - 1)
+    left_sum = prefix.take(left_at)
     gains = np.square(left_sum)
     gains /= cuts
     right_sum = np.subtract(total, left_sum, out=left_sum)
@@ -144,16 +162,16 @@ def _best_split(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.
     if not gains[k] > 0.0:
         return None
     feature, cut = int(features[k]), int(cuts[k])
-    rows = idx[order[feature]]
+    rows = sorted_rows[feature]
     threshold = (x[rows[cut - 1], feature] + x[rows[cut], feature]) / 2.0
     return float(gains[k]), feature, float(threshold), rows[:cut], rows[cut:]
 
 
 def _build_tree(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.ndarray,
-                depth: int, spec: GbtSpec, model: GbtModel) -> Node:
+                depth: int, spec: GbtSpec, model: GbtModel, memo: tuple[dict, dict]) -> Node:
     if depth >= spec.max_depth or idx.size < 2 * spec.min_samples_leaf:
         return Node(value=float(residual[idx].mean()))
-    found = _best_split(x, ranks, residual, idx, spec.min_samples_leaf)
+    found = _best_split(x, ranks, residual, idx, spec.min_samples_leaf, memo)
     if found is None:
         return Node(value=float(residual[idx].mean()))
     gain, feature, threshold, left_idx, right_idx = found
@@ -163,8 +181,8 @@ def _build_tree(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.
     return Node(
         feature=feature,
         threshold=threshold,
-        left=_build_tree(x, ranks, residual, left_idx, depth + 1, spec, model),
-        right=_build_tree(x, ranks, residual, right_idx, depth + 1, spec, model),
+        left=_build_tree(x, ranks, residual, left_idx, depth + 1, spec, model, memo),
+        right=_build_tree(x, ranks, residual, right_idx, depth + 1, spec, model, memo),
     )
 
 
@@ -201,8 +219,13 @@ def fit(matrix: SupervisedMatrix, spec: GbtSpec) -> GbtModel:
     ranks = _rank_columns(x)
     all_idx = np.arange(x.shape[0])
     preds = np.empty(x.shape[0])
+    # split structures of the previous tree's nodes; older ones are dropped,
+    # which bounds the memo at two trees' worth
+    previous: dict = {}
     for _ in range(spec.n_trees):
-        tree = _build_tree(x, ranks, residual, all_idx, 0, spec, model)
+        current: dict = {}
+        tree = _build_tree(x, ranks, residual, all_idx, 0, spec, model, (current, previous))
+        previous = current
         _route(tree, x, all_idx, preds)
         residual = residual - spec.learning_rate * preds
         model.trees.append(tree)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -223,6 +224,8 @@ BAD_MODEL_PARAMS = [
     ("--level", "1.5", "arima"),
     ("--lookback", "0", "lstm"),
     ("--lags", "0", "gbt"),
+    ("--lags", "1-3,2", "gbt"),      # lag_2 twice
+    ("--ma-windows", "3,3", "gbt"),
     ("--dilations", "1,a", "tcn"),
     ("--trend-penalty", "nan", "decomp"),
     ("--epochs", "0", "tcn"),
@@ -487,6 +490,27 @@ def test_outputs_identical_across_hash_seeds(records_csv, tmp_path):
     assert report["duplicates_removed"] > 0 and report["category_corrections"] > 0
     assert b"Buchanskyi" in outputs["0"]["ingest/records.csv"]
     assert outputs["0"] == outputs["12345"]
+
+
+# sha256 of forecast_gbt.csv at the full presets: 200 trees, whose split
+# searches reuse many of the previous tree's structures. A change to the
+# search must keep every tree, and so every forecast digit.
+GBT_FULL_PRESET_SHA256 = {
+    "daily": "3c8048f5f68f81d5e6914f9019494857d0224f9d3d4ea9401fac694ae94bea25",
+    "monthly": "5d510db02492b38b048b498de550c0f7bc729ebd7577dbf82fd8f82833274448",
+}
+
+
+@pytest.mark.parametrize("granularity", sorted(GBT_FULL_PRESET_SHA256))
+def test_full_preset_gbt_forecast_digest(tmp_path, granularity):
+    synth = tmp_path / "records.csv"
+    assert main(["synth", "--seed", "42", "--out", str(synth)]) == 0
+    out = tmp_path / "fc"
+    assert main(["forecast", "--data", str(synth), "--model", "gbt", "--granularity", granularity,
+                 "--category", "tank", "--exclude", "2025-06-01:2025-07-31", "--seed", "5",
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "forecast_gbt.csv").read_bytes()).hexdigest()
+    assert digest == GBT_FULL_PRESET_SHA256[granularity]
 
 
 def test_neural_outputs_identical_across_blas_thread_counts(records_csv, tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from datetime import date, timedelta
 
 import numpy as np
@@ -21,7 +22,8 @@ from attrikit.gbtrees import (
     forecast_recursive,
     predict,
 )
-from attrikit.series import DAILY, MONTHLY, CountSeries, SupervisedMatrix, make_supervised
+from attrikit.ingest import Category, default_profile
+from attrikit.series import DAILY, MONTHLY, CountSeries, SupervisedMatrix, aggregate, make_supervised
 
 START = date(2022, 3, 1)
 
@@ -277,6 +279,10 @@ def test_forecast_rows_are_training_rows(request):
 def test_spec_validation():
     with pytest.raises(ValueError):
         GbtSpec(n_trees=0)
+    with pytest.raises(ValueError, match="repeat"):
+        GbtSpec(lags=(1, 2, 3, 2))   # would build two identical lag_2 columns
+    with pytest.raises(ValueError, match="repeat"):
+        GbtSpec(ma_windows=(7, 7))
     with pytest.raises(ValueError):
         GbtSpec(learning_rate=0.0)
     with pytest.raises(ValueError):
@@ -414,6 +420,7 @@ def _problem(x, y, **spec):
 
 _EXAMPLE_RNG = np.random.default_rng(16)
 _ONEHOT = np.eye(3)[_EXAMPLE_RNG.integers(0, 3, 40)]
+_STEP = np.repeat([0.0, 1.0], 12)
 
 
 @settings(PROPERTY, max_examples=300)
@@ -428,6 +435,23 @@ _ONEHOT = np.eye(3)[_EXAMPLE_RNG.integers(0, 3, 40)]
 # features, which the (feature, cut) tie-break settles
 @example(problem=_problem(np.hstack([_ONEHOT, _ONEHOT]), _EXAMPLE_RNG.poisson(3.0, 40).astype(float),
                           n_trees=4, max_depth=3, learning_rate=0.3, min_samples_leaf=2))
+# a step target at a small learning rate: every tree splits the root at the
+# step, so the root's and both children's split structures recur
+@example(problem=_problem(np.column_stack([np.arange(30.0), _EXAMPLE_RNG.normal(0.0, 1.0, 30)]),
+                          np.repeat([0.0, 10.0], 15),
+                          n_trees=6, max_depth=3, learning_rate=0.1, min_samples_leaf=3))
+# every column is constant left of the step, so that child has no cut, and
+# its cached None recurs in every later tree
+@example(problem=_problem(np.column_stack([_STEP, _STEP * _EXAMPLE_RNG.integers(0, 4, 24)]),
+                          5.0 * _STEP + _EXAMPLE_RNG.normal(0.0, 1.0, 24),
+                          n_trees=6, max_depth=3, learning_rate=0.1, min_samples_leaf=2))
+# the root alternates between f2 <= 0.5 and f0 <= 6.5, which split off the
+# same seven rows in two orders; tied ranks sum in node order, so a memo
+# keyed on the row set rather than the ordered rows changes the sums
+@example(problem=_problem(np.column_stack([[4, 2, 0, 5, 6, 7, 9, 1, 8, 3], [1, 1, 3, 3, 2, 2, 1, 1, 1, 2],
+                                           [2, 2, 1, 2, 1, 0, 0, 1, 0, 3]]),
+                          [-1.0, -0.0, -0.1, -0.4, 1.7, -0.7, 1.2, 0.6, -2.1, -0.3],
+                          n_trees=5, max_depth=2, learning_rate=0.1, min_samples_leaf=2))
 def test_fit_matches_per_column_oracle(problem):
     matrix, spec = problem
     model = fit(matrix, spec)
@@ -435,6 +459,47 @@ def test_fit_matches_per_column_oracle(problem):
     assert model_key(model) == model_key(oracle)
     assert model.stage_rmse == oracle.stage_rmse
     assert model.total_gain == oracle.total_gain
+
+
+def _daily_tanks(records, category=Category.TANK):
+    lo, hi = default_profile().span()
+    return aggregate(records, DAILY, {category}, (lo, hi))
+
+
+@pytest.mark.parametrize("n_trees", [1, 10])
+def test_split_structures_reused_across_trees(synth_records, monkeypatch, n_trees):
+    # A node whose ordered rows the previous tree reached reuses that tree's
+    # rank sort and cuts; the root recurs in every tree. A single tree has
+    # no previous tree, so it computes one structure per split search.
+    calls = {"searches": 0, "structures": 0}
+
+    def counting(name, function):
+        def wrapped(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapped
+
+    monkeypatch.setattr(gb, "_best_split", counting("searches", gb._best_split))
+    monkeypatch.setattr(gb, "_split_structure", counting("structures", gb._split_structure))
+    fit_series(_daily_tanks(synth_records), GbtSpec(n_trees=n_trees))
+    assert calls["searches"] > n_trees
+    if n_trees == 1:
+        assert calls["structures"] == calls["searches"]
+    else:
+        assert calls["structures"] < calls["searches"]
+
+
+def test_fit_is_reentrant(synth_records):
+    # The memo belongs to one fit: two fits of equally long series (so equal
+    # root rows) on two threads must equal the same fits run one by one.
+    spec = GbtSpec(n_trees=10)
+    series = [_daily_tanks(synth_records, category) for category in (Category.TANK, Category.IFV)]
+    serial = [fit_series(s, spec) for s in series]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(fit_series, series, [spec] * 2))
+    assert [model_key(m) for m in threaded] == [model_key(m) for m in serial]
+    assert [m.stage_rmse for m in threaded] == [m.stage_rmse for m in serial]
+    assert model_key(serial[0]) != model_key(serial[1])
 
 
 def test_residual_update_routes_with_less_or_equal():
