@@ -9,16 +9,14 @@ are never modified.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from datetime import date
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from .arima import ArimaSpec
 from .errors import ConvergenceError, ModelError, SchemaError
-from .evaluate import BacktestSpec, MetricReport, ModelComparison, compare, rolling_backtest
-from .factories import MODEL_NAMES, build_factory, forecast_model
 from .ingest import (
     Category,
     default_profile,
@@ -31,18 +29,43 @@ from .ingest import (
     parse_records,
     records_to_csv,
 )
-from .series import (
-    DAILY,
-    MONTHLY,
-    CountSeries,
-    ExclusionWindow,
-    Forecast,
-    aggregate,
-    apply_exclusions,
-    forecast_to_csv,
-    series_to_csv,
-)
-from .svg import FigureSpec, emit_svg
+
+if TYPE_CHECKING:
+    from .evaluate import BacktestSpec, MetricReport, ModelComparison
+    from .series import CountSeries, ExclusionWindow, Forecast
+
+# Each command loads only the modules it runs: ``ingest`` and ``synth`` load
+# no series code, and a fit imports only the model families it fits. So the
+# parser, which every command builds, holds copies of these three definitions;
+# tests/test_cli.py pins each to series.DAILY/MONTHLY, factories.MODEL_NAMES
+# and ArimaSpec's default order.
+DAILY, MONTHLY = "daily", "monthly"
+MODEL_NAMES = ("arima", "decomp", "lstm", "tcn", "gbt")
+ARIMA_ORDER = (1, 1, 1)
+
+# Names imported from their module on first use. Commands reach them as
+# attributes of this module (``_cli.aggregate``): a bare name would not reach
+# ``__getattr__``, and the attribute is whatever is bound here at call time, so
+# a function replaced on this module (say, wrapped to time it) is the one that runs.
+_LAZY = {
+    "evaluate": ("BacktestSpec", "compare", "rolling_backtest"),
+    "factories": ("build_factory", "forecast_model"),
+    "series": ("ExclusionWindow", "aggregate", "apply_exclusions", "forecast_to_csv", "series_to_csv"),
+    "svg": ("FigureSpec", "emit_svg"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """PEP 562: import a lazy name's module and bind the name here. A value
+    bound here already, such as a wrapper, is kept."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __package__), name)
+    return globals().setdefault(name, value)
+
+
+_cli = sys.modules[__name__]
 
 
 def _read_text(path: str) -> str:
@@ -72,7 +95,7 @@ def _date_pair(text: str) -> tuple[date, date]:
 
 
 def _window(text: str) -> ExclusionWindow:
-    return ExclusionWindow(*_date_pair(text))
+    return _cli.ExclusionWindow(*_date_pair(text))
 
 
 def _date_range(text: str) -> tuple[date, date] | None:
@@ -209,7 +232,7 @@ OPTIONS = {
     "level": Option(_level, "interval probability (default 0.95)"),
     "svg": Option(_switch, "also emit SVG figures"),
     # Model parameters: each value sets its field in every model spec that has it.
-    "order": Option(_order, f"ARIMA p,d,q (default {ArimaSpec.p},{ArimaSpec.d},{ArimaSpec.q})",
+    "order": Option(_order, "ARIMA p,d,q (default {},{},{})".format(*ARIMA_ORDER),
                     field=("p", "d", "q")),
     "no_log": Option(_negated_switch, field="use_log"),
     "no_intercept": Option(_negated_switch, field="intercept"),
@@ -298,10 +321,10 @@ def _load_series(args: argparse.Namespace) -> tuple[CountSeries, list[ExclusionW
     categories, date_range = _option(args, "category"), _option(args, "range")
     windows = _option(args, "exclude", [])
     try:
-        series = aggregate(records, granularity, categories, date_range)
+        series = _cli.aggregate(records, granularity, categories, date_range)
     except ValueError as err:
         raise SchemaError(f"cannot build the series: {err}") from err
-    return apply_exclusions(series, windows), windows
+    return _cli.apply_exclusions(series, windows), windows
 
 
 def _write(path: Path, text: str) -> None:
@@ -355,14 +378,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_aggregate(args: argparse.Namespace) -> int:
     series, _ = _load_series(args)
     out = _option(args, "out")
-    _write(out, series_to_csv(series))
+    _write(out, _cli.series_to_csv(series))
     print(f"wrote {len(series)} {series.granularity} periods to {out}")
     return 0
 
 
 def _forecast_figure(series: CountSeries, fc: Forecast, windows, title: str) -> str:
-    spec = FigureSpec(kind="history_plus_forecast", title=title)
-    return emit_svg(spec, {"series": series, "forecast": fc, "exclusions": windows})
+    spec = _cli.FigureSpec(kind="history_plus_forecast", title=title)
+    return _cli.emit_svg(spec, {"series": series, "forecast": fc, "exclusions": windows})
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
@@ -372,10 +395,10 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     seed = _option(args, "seed", 0)
 
     series, windows = _load_series(args)
-    fc = forecast_model(model, series, horizon, seed=seed, params=_model_params(args), level=level)
+    fc = _cli.forecast_model(model, series, horizon, seed=seed, params=_model_params(args), level=level)
 
     out_dir = _option(args, "out")
-    _write(out_dir / f"forecast_{model}.csv", forecast_to_csv(fc))
+    _write(out_dir / f"forecast_{model}.csv", _cli.forecast_to_csv(fc))
     if _option(args, "svg"):
         title = f"{model} forecast, {series.granularity} horizon {horizon}"
         _write(out_dir / f"forecast_{model}.svg", _forecast_figure(series, fc, windows, title))
@@ -386,7 +409,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 def _backtest_spec(args: argparse.Namespace, granularity: str) -> BacktestSpec:
     _option(args, "level")  # backtests score points only, but a bad --level is still a usage error
-    return BacktestSpec(
+    return _cli.BacktestSpec(
         initial_train=_required(args, "initial_train"),
         step=_option(args, "step", 1),
         horizon=_option(args, "horizon", 1),
@@ -417,17 +440,17 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     series, _ = _load_series(args)
     spec = _backtest_spec(args, series.granularity)
 
-    factory = build_factory(model, series.granularity, seed, _model_params(args))
-    report = rolling_backtest(factory, series, spec)
+    factory = _cli.build_factory(model, series.granularity, seed, _model_params(args))
+    report = _cli.rolling_backtest(factory, series, spec)
 
     out_dir = _option(args, "out")
     header = "model,mae,rmse,smape,n_points,n_folds"
     _write(out_dir / f"backtest_{model}.csv", header + "\n" + _report_row(model, report) + "\n")
     _write(out_dir / f"backtest_{model}.json", json.dumps(_report_json(report), indent=2, sort_keys=True))
     if _option(args, "svg"):
-        fig = FigureSpec(kind="backtest_folds", title=f"{model} backtest folds (mae)")
+        fig = _cli.FigureSpec(kind="backtest_folds", title=f"{model} backtest folds (mae)")
         folds = [(f.origin, f.mae) for f in report.per_fold]
-        _write(out_dir / f"backtest_{model}.svg", emit_svg(fig, {"metric": "mae", "folds": folds}))
+        _write(out_dir / f"backtest_{model}.svg", _cli.emit_svg(fig, {"metric": "mae", "folds": folds}))
     print(f"backtest {model}: {len(report.per_fold)} folds, "
           f"mae={report.mae:.4g} rmse={report.rmse:.4g} smape={report.smape:.4g}")
     return 0
@@ -447,8 +470,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     spec = _backtest_spec(args, series.granularity)
     params = _model_params(args)
 
-    factories = [build_factory(name, series.granularity, seed, params) for name in names]
-    comparison = compare(factories, series, spec)
+    factories = [_cli.build_factory(name, series.granularity, seed, params) for name in names]
+    comparison = _cli.compare(factories, series, spec)
 
     out_dir = _option(args, "out")
     _write(out_dir / "comparison.csv", _comparison_csv(comparison))
@@ -462,8 +485,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if _option(args, "svg"):
         for metric in ("mae", "rmse", "smape"):
             rows = [(name, getattr(comparison.reports[name], metric)) for name in sorted(comparison.reports)]
-            fig = FigureSpec(kind="comparison_bars", title=f"model comparison ({metric})")
-            _write(out_dir / f"comparison_{metric}.svg", emit_svg(fig, {"metric": metric, "rows": rows}))
+            fig = _cli.FigureSpec(kind="comparison_bars", title=f"model comparison ({metric})")
+            _write(out_dir / f"comparison_{metric}.svg", _cli.emit_svg(fig, {"metric": metric, "rows": rows}))
     n_folds = len(next(iter(comparison.reports.values())).per_fold)
     print(f"compared {len(names)} models over {n_folds} folds; "
           f"ranking by rmse: {', '.join(comparison.ranking)}")

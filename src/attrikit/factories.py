@@ -20,7 +20,6 @@ import dataclasses
 
 import numpy as np
 
-from . import arima, decomp, gbtrees, neural
 from .errors import SchemaError
 from .evaluate import ForecastFactory
 from .series import DAILY, MONTHLY, CountSeries, Forecast
@@ -36,29 +35,62 @@ MONTHLY_PRESETS = {
 }
 
 
-# name -> (spec class, fit(series, spec), forecast(fitted, series, horizon,
-# level)). A fitted model carries its spec, so a forecast reads no other. The
-# lambdas look each model function up on its module at call time, so a
-# function replaced on the module (say, wrapped to time it) is the one that runs.
-MODELS = {
-    "arima": (arima.ArimaSpec, lambda s, spec: arima.fit(s, spec),
-              lambda m, s, h, level: arima.forecast(m, s, h, level=level)),
-    "decomp": (decomp.DecompSpec, lambda s, spec: decomp.fit(s, spec),
-               lambda m, s, h, level: decomp.forecast(m, s, h, level=level)),
-    "lstm": (neural.LstmSpec, lambda s, spec: neural.lstm_fit(s, spec)[0],
-             lambda m, s, h, level: neural.lstm_forecast(m, s, h, level=level)),
-    "tcn": (neural.TcnSpec, lambda s, spec: neural.tcn_fit(s, spec)[0],
-            lambda m, s, h, level: neural.tcn_forecast(m, s, h, level=level)),
-    "gbt": (gbtrees.GbtSpec, lambda s, spec: gbtrees.fit_series(s, spec),
-            lambda m, s, h, level: gbtrees.forecast_recursive(m, s, h, level=level)),
-}
-MODEL_NAMES = tuple(MODELS)
+# Each family's entry: (spec class, fit(series, spec), forecast(fitted, series,
+# horizon, level)). A fitted model carries its spec, so a forecast reads no
+# other. A family's module is imported when its entry is first made, and the
+# lambdas look each model function up on it at call time, so a function
+# replaced on the module (say, wrapped to time it) is the one that runs.
+
+
+def _arima():
+    from . import arima
+    return (arima.ArimaSpec, lambda s, spec: arima.fit(s, spec),
+            lambda m, s, h, level: arima.forecast(m, s, h, level=level))
+
+
+def _decomp():
+    from . import decomp
+    return (decomp.DecompSpec, lambda s, spec: decomp.fit(s, spec),
+            lambda m, s, h, level: decomp.forecast(m, s, h, level=level))
+
+
+def _lstm():
+    from . import neural
+    return (neural.LstmSpec, lambda s, spec: neural.lstm_fit(s, spec)[0],
+            lambda m, s, h, level: neural.lstm_forecast(m, s, h, level=level))
+
+
+def _tcn():
+    from . import neural
+    return (neural.TcnSpec, lambda s, spec: neural.tcn_fit(s, spec)[0],
+            lambda m, s, h, level: neural.tcn_forecast(m, s, h, level=level))
+
+
+def _gbt():
+    from . import gbtrees
+    return (gbtrees.GbtSpec, lambda s, spec: gbtrees.fit_series(s, spec),
+            lambda m, s, h, level: gbtrees.forecast_recursive(m, s, h, level=level))
+
+
+_FAMILIES = {"arima": _arima, "decomp": _decomp, "lstm": _lstm, "tcn": _tcn, "gbt": _gbt}
+MODEL_NAMES = tuple(_FAMILIES)
+
+
+class _Models(dict):
+    """name -> the family's entry, made when the family is first requested,
+    so that a run imports only the model modules it fits."""
+
+    def __missing__(self, name: str):
+        return self.setdefault(name, _FAMILIES[name]())
+
+
+MODELS = _Models()
 
 
 def _spec(name: str, granularity: str, seed: int, params: dict):
     """The model's spec: its monthly presets on monthly data, then ``seed``,
     then every ``params`` key that names a spec field."""
-    if name not in MODELS:
+    if name not in MODEL_NAMES:
         raise ValueError(f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
     spec_class = MODELS[name][0]
     fields = {f.name for f in dataclasses.fields(spec_class)}

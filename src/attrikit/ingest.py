@@ -8,14 +8,11 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import io
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from enum import Enum
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import SchemaError
 
@@ -200,6 +197,8 @@ def record_id_of(
     SHA-256 based so the same row hashes identically across runs,
     platforms, and processes.
     """
+    import hashlib  # imported on first use: parse_records hashes no row
+
     key = _dedup_key(day.isoformat(), category.value, model_text, location_text, source_url)
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -440,6 +439,8 @@ def generate_synthetic(seed: int, profile: Profile | None = None) -> list[LossRe
     the same records byte for byte. Each record gets a unique synthetic
     source URL so that deduplication never collapses same-day losses.
     """
+    import numpy as np  # imported on first use: nothing else here needs numpy
+
     profile = profile or default_profile()
     rng = np.random.default_rng(seed)
     records: list[LossRecord] = []

@@ -17,6 +17,8 @@ from attrikit import factories
 from attrikit.cli import OPTIONS, _int_list, main
 from attrikit.ingest import Category, Profile, Regime, load_profile
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
 RECORDS_HEADER = "date,type,model,status,location,raion,oblast,url\n"
 
 SMALL_PROFILE = (
@@ -388,12 +390,16 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
 """
 
 
-def test_ingest_and_aggregate_import_no_scipy(records_csv, tmp_path):
-    """scipy takes about a second to import; only the ARIMA and decomp fits load it."""
+def _fresh_python(*argv):
+    """Run a new interpreter that imports attrikit from this checkout."""
     package_root = str(Path(attrikit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(records_csv), str(tmp_path / "ingest"),
-                          str(tmp_path / "monthly.csv")], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_ingest_and_aggregate_import_no_scipy(records_csv, tmp_path):
+    """scipy takes about a second to import; only the ARIMA and decomp fits load it."""
+    run = _fresh_python("-c", NO_SCIPY_RUN, str(records_csv), str(tmp_path / "ingest"), str(tmp_path / "monthly.csv"))
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
 
@@ -413,13 +419,54 @@ assert scipy.signal._sigtools and scipy.linalg._flapack
 
 def test_arima_and_decomp_fits_import_no_scipy_package(records_csv, tmp_path):
     """The fits load two compiled scipy routines from their files and leave no scipy module registered."""
-    package_root = str(Path(attrikit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", MODEL_IMPORTS_RUN, str(records_csv), str(tmp_path / "out")],
-                         capture_output=True, text=True, env=env, timeout=120)
+    run = _fresh_python("-c", MODEL_IMPORTS_RUN, str(records_csv), str(tmp_path / "out"))
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1]) == []
     assert (tmp_path / "out" / "forecast_arima.csv").exists() and (tmp_path / "out" / "forecast_decomp.csv").exists()
+
+
+LOADED_MODULES_RUN = """
+import json
+import sys
+from attrikit import cli
+assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+# command -> (flags besides --data and --out, a module it loads, modules it must not load)
+COMMAND_MODULES = {
+    "ingest": ([], "attrikit.ingest", {"numpy", "attrikit.series"}),
+    "aggregate": (["--granularity", "monthly"], "attrikit.series",
+                  {f"attrikit.{m}" for m in ("arima", "decomp", "gbtrees", "neural", "autodiff", "evaluate", "svg")}),
+    "forecast": (["--granularity", "monthly", "--model", "arima", "--horizon", "3", "--svg"], "attrikit.arima",
+                 {f"attrikit.{m}" for m in ("decomp", "gbtrees", "neural", "autodiff")}),
+    "compare": (["--granularity", "monthly", "--models", "arima,decomp", "--initial-train", "30", "--horizon", "2"],
+                "attrikit.decomp", {f"attrikit.{m}" for m in ("gbtrees", "neural", "autodiff")}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_command_loads_only_the_layers_it_runs(records_csv, tmp_path, command):
+    """Importing numpy is most of a command's start-up, and a model module not
+    loaded is one not compiled; ingest needs neither, and a fit loads only the
+    families it fits."""
+    flags, loads, skips = COMMAND_MODULES[command]
+    run = _fresh_python("-c", LOADED_MODULES_RUN, command, "--data", str(records_csv), *flags,
+                        "--out", str(tmp_path / "out"))
+    assert run.returncode == 0, run.stderr
+    loaded = set(json.loads(run.stdout.splitlines()[-1]))
+    assert loads in loaded
+    assert not loaded & skips
+
+
+def test_cli_copies_match_their_definitions():
+    """The parser holds copies so that building it loads no numpy; they must not drift."""
+    from attrikit import cli, series
+    from attrikit.arima import ArimaSpec
+
+    assert (cli.DAILY, cli.MONTHLY) == (series.DAILY, series.MONTHLY)
+    assert cli.MODEL_NAMES == factories.MODEL_NAMES
+    assert cli.ARIMA_ORDER == (ArimaSpec().p, ArimaSpec().d, ArimaSpec().q)
 
 
 TRACER_INSTALL = """
@@ -432,12 +479,28 @@ tracing.install(tracing.Tracer())
 
 def test_benchmark_tracer_installs():
     """perfbench/tracing.py wraps functions and methods by name; renaming one breaks the benchmark."""
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    package_root = str(Path(attrikit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", TRACER_INSTALL, str(perfbench)],
-                         capture_output=True, text=True, env=env, timeout=120)
+    run = _fresh_python("-c", TRACER_INSTALL, str(PERFBENCH))
     assert run.returncode == 0, run.stderr
+
+
+def _traced_command_spans(spans_out, argv):
+    """Span names of one CLI command run through the benchmark's traced runner."""
+    run = _fresh_python(str(PERFBENCH / "cli_runner.py"), str(spans_out), *argv)
+    assert run.returncode == 0, run.stderr
+    return {json.loads(line)["name"] for line in spans_out.read_text().splitlines()}
+
+
+def test_benchmark_traces_the_layers_a_command_runs(records_csv, tmp_path):
+    """The tracer replaces functions on attrikit.cli; the commands must call what it bound there."""
+    common = ["--data", str(records_csv), "--granularity", "monthly", "--model", "arima"]
+    forecast = _traced_command_spans(tmp_path / "forecast.jsonl", [
+        "forecast", *common, "--horizon", "3", "--svg", "--out", str(tmp_path / "fc")])
+    backtest = _traced_command_spans(tmp_path / "backtest.jsonl", [
+        "backtest", *common, "--initial-train", "30", "--horizon", "2", "--out", str(tmp_path / "bt")])
+    both = {"cli.main", "ingest.parse_records", "series.aggregate", "series.apply_exclusions",
+            "factories.forecast_model", "arima.fit"}
+    assert both | {"svg.emit_svg"} <= forecast
+    assert both | {"evaluate.rolling_backtest", "evaluate.fold"} <= backtest
 
 
 # Each runs in its own process. The daily gbt forecast uses every calendar flag.
@@ -550,11 +613,7 @@ print(json.dumps(tracer.spans))
 
 
 def _traced_spans(code):
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    package_root = str(Path(attrikit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", TRACED_NEURAL_RUN.format(code), str(perfbench)],
-                         capture_output=True, text=True, env=env, timeout=120)
+    run = _fresh_python("-c", TRACED_NEURAL_RUN.format(code), str(PERFBENCH))
     assert run.returncode == 0, run.stderr
     return json.loads(run.stdout.splitlines()[-1])
 
@@ -643,6 +702,6 @@ def test_readme_presets_table_matches_specs():
             option = OPTIONS[flag.strip("`-").replace("-", "_")]
             # --seed reaches the spec through forecast_model's seed argument.
             assert option.field == (fields if len(fields) > 1 else fields[0]) or fields == ("seed",), flag
-    every_field = {(name, f.name) for name, (spec_class, _, _) in factories.MODELS.items()
-                   for f in dataclasses.fields(spec_class)}
+    every_field = {(name, f.name) for name in factories.MODEL_NAMES
+                   for f in dataclasses.fields(factories.MODELS[name][0])}
     assert documented == every_field

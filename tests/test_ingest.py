@@ -435,7 +435,7 @@ def test_parse_hashes_no_row(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sha256 called")
 
-    monkeypatch.setattr(ingest.hashlib, "sha256", refuse)
+    monkeypatch.setattr(hashlib, "sha256", refuse)  # ingest imports hashlib on first use
     parsed, report = parse_records(text)
     assert parsed == records
     assert report == IngestReport(rows_read=1000, rows_parsed=990, duplicates_removed=10)
