@@ -9,8 +9,10 @@ are never modified.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import json
+import os
 import sys
 from datetime import date
 from pathlib import Path
@@ -543,6 +545,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# OpenBLAS reads the first of these that is set, once, when each copy of the
+# library loads (numpy's, and scipy's under decomp). Its default pool spins an
+# idle worker thread for ~0.1 s after the load and after every threaded call,
+# which costs a statistical or tree fit CPU time and buys it nothing: its
+# largest product is decomp's ~1,200 x ~40 Gram matrix. The neural fits keep
+# the default, as their epochs run faster on a second thread.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_NEURAL_MODELS = frozenset({"lstm", "tcn"})
+
+
+def _fits_neural(args: argparse.Namespace) -> bool:
+    if args.command in ("forecast", "backtest"):
+        return _option(args, "model") in _NEURAL_MODELS
+    if args.command == "compare":
+        return not _NEURAL_MODELS.isdisjoint(_option(args, "models", MODEL_NAMES))
+    return False
+
+
+@contextlib.contextmanager
+def _blas_threads(args: argparse.Namespace):
+    """One BLAS thread for a command that fits no neural model, unless the
+    user chose a count. Works only while numpy is not yet loaded, which holds
+    for a command run in its own process; os.environ is restored either way."""
+    if _fits_neural(args) or any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        yield
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -551,7 +586,8 @@ def main(argv: list[str] | None = None) -> int:
         _required(args, "out")
         if args.command != "synth":
             _required(args, "data")
-        return args.func(args)
+        with _blas_threads(args):
+            return args.func(args)
     except SchemaError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import attrikit
-from attrikit import factories
+from attrikit import cli, factories
 from attrikit.cli import OPTIONS, _int_list, main
 from attrikit.ingest import Category, Profile, Regime, load_profile
 
@@ -390,10 +390,10 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
 """
 
 
-def _fresh_python(*argv):
-    """Run a new interpreter that imports attrikit from this checkout."""
+def _fresh_python(*argv, environ=os.environ):
+    """Run a new interpreter, in ``environ``, that imports attrikit from this checkout."""
     package_root = str(Path(attrikit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    env = dict(environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -461,7 +461,7 @@ def test_command_loads_only_the_layers_it_runs(records_csv, tmp_path, command):
 
 def test_cli_copies_match_their_definitions():
     """The parser holds copies so that building it loads no numpy; they must not drift."""
-    from attrikit import cli, series
+    from attrikit import series
     from attrikit.arima import ArimaSpec
 
     assert (cli.DAILY, cli.MONTHLY) == (series.DAILY, series.MONTHLY)
@@ -576,23 +576,146 @@ def test_full_preset_gbt_forecast_digest(tmp_path, granularity):
     assert digest == GBT_FULL_PRESET_SHA256[granularity]
 
 
-def test_neural_outputs_identical_across_blas_thread_counts(records_csv, tmp_path):
-    """The LSTM kernel's and the TCN's matmuls give the same bits on one BLAS thread or two."""
-    package_root = str(Path(attrikit.__file__).resolve().parents[1])
+# Each model's daily forecast, with flags that keep its fit short.
+BLAS_THREAD_FORECASTS = {
+    "arima": [],
+    "decomp": [],
+    "gbt": ["--n-trees", "20"],
+    "lstm": ["--epochs", "3"],
+    "tcn": ["--epochs", "3"],
+}
+
+
+def test_outputs_identical_across_blas_thread_counts(records_csv, tmp_path):
+    """Every model gives the same bits on one BLAS thread or two: the LSTM
+    kernel's and the TCN's matmuls, and decomp's Gram matrix and solve. So
+    running a command on one thread cannot move an output."""
     outputs = {}
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
         root = tmp_path / threads
-        for model in ("lstm", "tcn"):
-            run = subprocess.run([sys.executable, "-m", "attrikit.cli", "forecast", "--model", model,
-                                  "--granularity", "daily", "--epochs", "3", "--data", str(records_csv),
-                                  "--out", str(root / model)],
-                                 capture_output=True, text=True, env=env, timeout=120)
+        for model, flags in BLAS_THREAD_FORECASTS.items():
+            run = _fresh_python("-m", "attrikit.cli", "forecast", "--model", model, "--granularity", "daily",
+                                *flags, "--data", str(records_csv), "--out", str(root / model),
+                                environ=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
             assert run.returncode == 0, run.stderr
         outputs[threads] = {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-    assert sorted(outputs["1"]) == ["lstm/forecast_lstm.csv", "tcn/forecast_tcn.csv"]
+    assert sorted(outputs["1"]) == [f"{model}/forecast_{model}.csv" for model in sorted(BLAS_THREAD_FORECASTS)]
     assert outputs["1"] == outputs["2"]
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Runs one command and prints, after each aggregate and fit, the thread count
+# of every OpenBLAS copy then loaded: numpy's, and scipy's once decomp solves.
+# With no command, it prints the count after a bare ``import numpy``.
+BLAS_THREADS_RUN = """
+import ctypes
+import importlib
+import json
+import sys
+from attrikit import cli
+
+def blas_threads():
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    counts = {}
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                counts[path] = fn()
+                break
+    return counts
+
+seen = []
+
+def counted(module, name):
+    # The function is looked up at call time: taking it now would load numpy before main runs.
+    def wrapper(*args, **kwargs):
+        result = getattr(importlib.import_module(module), name)(*args, **kwargs)
+        seen.append(blas_threads())
+        return result
+    return wrapper
+
+cli.aggregate = counted("attrikit.series", "aggregate")
+cli.forecast_model = counted("attrikit.factories", "forecast_model")
+if sys.argv[1:]:
+    assert cli.main(sys.argv[1:]) == 0
+else:
+    import numpy
+    seen.append(blas_threads())
+print(json.dumps(seen))
+"""
+
+# case -> (command flags besides --data and --out, variables the user set, whether BLAS runs on one thread)
+BLAS_THREAD_CASES = {
+    "aggregate": (["aggregate", "--granularity", "monthly"], {}, True),
+    "arima": (["forecast", "--granularity", "monthly", "--model", "arima", "--horizon", "3"], {}, True),
+    "decomp_daily": (["forecast", "--granularity", "daily", "--model", "decomp", "--horizon", "3"], {}, True),
+    "lstm": (["forecast", "--granularity", "monthly", "--model", "lstm", "--epochs", "2", "--horizon", "3"],
+             {}, False),
+    "arima_user_omp": (["forecast", "--granularity", "monthly", "--model", "arima", "--horizon", "3"],
+                       {"OMP_NUM_THREADS": "2"}, False),
+}
+
+
+def _blas_thread_counts(env, *argv):
+    run = _fresh_python("-c", BLAS_THREADS_RUN, *argv, environ=env)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("case", sorted(BLAS_THREAD_CASES))
+def test_blas_threads_of_a_command(records_csv, tmp_path, case):
+    """A command that fits no neural model runs BLAS on one thread; a neural
+    fit, or a count the user set, keeps what a bare ``import numpy`` gets."""
+    flags, user_set, one_thread = BLAS_THREAD_CASES[case]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env.update(user_set)
+    (bare,) = _blas_thread_counts(env)
+    if not bare:
+        pytest.skip("no OpenBLAS thread-count symbol in numpy's BLAS")
+    if not user_set and set(bare.values()) == {1}:
+        pytest.skip("BLAS runs on one thread by default here: nothing to tell apart")
+    expected = 1 if one_thread else set(bare.values()).pop()
+    seen = _blas_thread_counts(env, *flags, "--data", str(records_csv), "--out", str(tmp_path / "out"))
+    assert len(seen) == (1 if flags[0] == "aggregate" else 2)
+    assert {count for counts in seen for count in counts.values()} == {expected}
+    if case == "decomp_daily":
+        assert len(seen[-1]) == 2  # scipy's copy, which decomp's solve loads, is on one thread too
+
+
+def test_main_leaves_the_environment_as_it_found_it(records_csv, tmp_path, monkeypatch):
+    """Run in-process, main sets the BLAS thread count only while the command
+    runs, whether it succeeds or exits 2 or 3."""
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    during = []
+
+    def recorded(*args, **kwargs):
+        during.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return factories.forecast_model(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "forecast_model", recorded)
+    (tmp_path / "bad.cfg").write_text("order=1,2\n")
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text(RECORDS_HEADER + "2022-03-01,tank,,destroyed,,,,\n")
+    forecast = ["forecast", "--granularity", "monthly", "--horizon", "2", "--out", str(tmp_path / "o")]
+    runs = [
+        (["--data", str(records_csv), "--model", "arima"], 0, "1"),
+        (["--data", str(records_csv), "--model", "lstm", "--epochs", "2", "--hidden", "3"], 0, None),
+        (["--data", str(records_csv), "--model", "arima", "--config", str(tmp_path / "bad.cfg")], 2, None),
+        (["--data", str(tiny), "--model", "arima"], 3, "1"),
+    ]
+    before = dict(os.environ)
+    for flags, code, threads in runs:
+        during.clear()
+        assert main([*forecast, *flags]) == code
+        assert dict(os.environ) == before
+        assert during == ([] if code == 2 else [threads])
 
 
 TRACED_NEURAL_RUN = """
