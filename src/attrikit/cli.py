@@ -30,6 +30,7 @@ from .ingest import (
     parse_category,
     parse_records,
     records_to_csv,
+    select_records,
 )
 
 if TYPE_CHECKING:
@@ -319,11 +320,14 @@ def _model_params(args: argparse.Namespace) -> dict:
 
 def _load_series(args: argparse.Namespace) -> tuple[CountSeries, list[ExclusionWindow]]:
     granularity = _option(args, "granularity", DAILY)
-    records, _ = parse_records(_read_text(_option(args, "data")))
+    text = _read_text(_option(args, "data"))
     categories, date_range = _option(args, "category"), _option(args, "range")
+    # Without --range a series runs from the first to the last date of all
+    # valid records, of every category, not only of those selected.
+    records, span = select_records(text, categories)
     windows = _option(args, "exclude", [])
     try:
-        series = _cli.aggregate(records, granularity, categories, date_range)
+        series = _cli.aggregate(records, granularity, categories, date_range or span)
     except ValueError as err:
         raise SchemaError(f"cannot build the series: {err}") from err
     return _cli.apply_exclusions(series, windows), windows

@@ -9,8 +9,9 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import re
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from datetime import date, timedelta
 from enum import Enum
 from typing import NamedTuple
 
@@ -22,7 +23,14 @@ DEFAULT_COVERAGE = (date(2022, 2, 24), date(2025, 7, 31))
 LOGICAL_COLUMNS = ("date", "type", "model", "status", "location", "raion", "oblast", "url")
 MANDATORY_COLUMNS = ("date", "type")
 
-_DATE_FORMATS = ("%Y-%m-%d", "%d.%m.%Y", "%m/%d/%Y")
+# The formats "%Y-%m-%d", "%d.%m.%Y" and "%m/%d/%Y", in that order, matched
+# as datetime.strptime matches them, with its own patterns for %Y, %m and %d:
+# a month or day may be unpadded and a day space-padded, and a year's \d
+# takes any Unicode decimal digit. Not calling strptime saves its per-call
+# set-up and the exception it raises for each format a cell does not match.
+_YEAR, _MONTH, _DAY = r"(?P<y>\d\d\d\d)", r"(?P<m>1[0-2]|0[1-9]|[1-9])", r"(?P<d>3[01]|[12]\d|0[1-9]|[1-9]| [1-9])"
+_DATE_PATTERNS = tuple(re.compile(pattern) for pattern in (
+    f"{_YEAR}-{_MONTH}-{_DAY}", rf"{_DAY}\.{_MONTH}\.{_YEAR}", f"{_MONTH}/{_DAY}/{_YEAR}"))
 
 
 class Category(Enum):
@@ -166,10 +174,13 @@ def parse_status(text: str | None) -> Status | None:
 def parse_loss_date(text: str) -> date:
     """ISO 8601 first, then DD.MM.YYYY, then MM/DD/YYYY."""
     cleaned = text.strip()
-    for fmt in _DATE_FORMATS:
+    for pattern in _DATE_PATTERNS:
+        match = pattern.fullmatch(cleaned)
+        if match is None:
+            continue
         try:
-            return datetime.strptime(cleaned, fmt).date()
-        except ValueError:
+            return date(int(match["y"]), int(match["m"]), int(match["d"]))
+        except ValueError:  # no such day, as 29.02.2023, or year 0
             continue
     raise ValueError(f"unparsable date {text!r}")
 
@@ -214,6 +225,28 @@ def _csv_rows(text: str):
         raise SchemaError(f"line {reader.line_num}: {err}") from None
 
 
+def _header_columns(reader, schema: dict[str, str] | None) -> list[int | None]:
+    """Read the header row: the cell index of each of LOGICAL_COLUMNS, None
+    for a missing optional column. A schema naming an unknown logical column,
+    or a header without a mandatory column, raises SchemaError.
+
+    Rows are read as csv.DictReader reads them: a repeated header name reads
+    its last column, cells past the end of a short row are blank, extra cells
+    are ignored, and blank lines are skipped unnumbered.
+    """
+    schema = dict(schema) if schema else {}
+    for logical in schema:
+        if logical not in LOGICAL_COLUMNS:
+            raise SchemaError(f"unknown logical column {logical!r} in schema")
+    colmap = {logical: schema.get(logical, logical) for logical in LOGICAL_COLUMNS}
+    header = next(reader, [])
+    for logical in MANDATORY_COLUMNS:
+        if colmap[logical] not in header:
+            raise SchemaError(f"mandatory column {colmap[logical]!r} (logical {logical!r}) missing from header")
+    position = {name: i for i, name in enumerate(header)}
+    return [position.get(colmap[logical]) for logical in LOGICAL_COLUMNS]
+
+
 def parse_records(
     csv_text: str,
     schema: dict[str, str] | None = None,
@@ -232,26 +265,12 @@ def parse_records(
     location, url) equals an earlier row's is counted as a duplicate and
     dropped.
     """
-    schema = dict(schema) if schema else {}
-    for logical in schema:
-        if logical not in LOGICAL_COLUMNS:
-            raise SchemaError(f"unknown logical column {logical!r} in schema")
-    colmap = {logical: schema.get(logical, logical) for logical in LOGICAL_COLUMNS}
-
     norm_corrections = {
         _normalize_token(text): (cat, cat.value) for text, cat in (corrections or {}).items()
     }
 
     reader = _csv_rows(csv_text)
-    header = next(reader, [])
-    for logical in MANDATORY_COLUMNS:
-        if colmap[logical] not in header:
-            raise SchemaError(f"mandatory column {colmap[logical]!r} (logical {logical!r}) missing from header")
-    # Rows are read as csv.DictReader reads them: a repeated header name
-    # reads its last column, cells past the end of a short row are blank,
-    # extra cells are ignored, and blank lines are skipped unnumbered.
-    position = {name: i for i, name in enumerate(header)}
-    columns = [position.get(colmap[logical]) for logical in LOGICAL_COLUMNS]
+    columns = _header_columns(reader, schema)
 
     # Many rows share a date, type, status or model text, so each distinct
     # string is parsed once per call.
@@ -313,6 +332,66 @@ def parse_records(
                           unparsable_rows=unparsable, category_corrections=relabelled)
     report.check()
     return records, report
+
+
+def select_records(
+    csv_text: str, categories: set[Category] | None = None,
+) -> tuple[list[LossRecord], tuple[date, date] | None]:
+    """The records ``parse_records(csv_text)`` returns whose category is in
+    ``categories`` (all of them when None), in file order, and the first and
+    last date of all the records it returns, of every category (None when
+    there are none).
+
+    For a caller that wants one category's records and no report: a row of
+    another category is dropped once its date, coverage and status are
+    checked, before its other cells are read. Dedup keys include the
+    category, so dropping such rows first drops no duplicate of a kept one.
+    """
+    reader = _csv_rows(csv_text)
+    i_date, i_type, i_model, i_status, *i_others = _header_columns(reader, None)  # LOGICAL_COLUMNS
+    i_cells = [i_model, *i_others]  # model, location, raion, oblast, url
+
+    def pick(text: str | None) -> tuple[Category, str] | None:
+        category, category_value = _category_and_value(text)
+        return (category, category_value) if categories is None or category in categories else None
+
+    # The date, type and status cells are read unstripped: their parsers
+    # strip and normalise them, so they read as parse_records' stripped cells.
+    day_of = functools.cache(_day_and_iso)
+    status_of = functools.cache(parse_status)
+    category_of = functools.cache(pick)
+    lo, hi = DEFAULT_COVERAGE
+
+    records: list[LossRecord] = []
+    days: set[date] = set()
+    seen_keys: set[str] = set()
+    for row in reader:
+        width = len(row)
+        if i_date >= width:  # a blank line, or no date cell
+            continue
+        try:
+            day, iso_day = day_of(row[i_date])
+        except ValueError:
+            continue
+        if not lo <= day <= hi:
+            continue
+        status = status_of(row[i_status] if i_status is not None and i_status < width else None)
+        if status is None:
+            continue
+        days.add(day)
+        picked = category_of(row[i_type] if i_type < width else None)
+        if picked is None:
+            continue
+        category, category_value = picked
+        model_text, location, raion, oblast, url = [
+            (row[i].strip() or None) if i is not None and i < width else None for i in i_cells
+        ]
+        key = _dedup_key(iso_day, category_value, model_text, location, url)
+        if key in seen_keys:
+            continue
+        seen_keys.add(key)
+        records.append(LossRecord(day, category, status, model_text, location, raion, oblast, url))
+    return records, ((min(days), max(days)) if days else None)
 
 
 class _Day(NamedTuple):

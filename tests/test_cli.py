@@ -180,6 +180,19 @@ def test_other_category_is_still_selectable(records_csv, tmp_path):
                  "--category", "Other", "--out", str(tmp_path / "s.csv")]) == 0
 
 
+def test_series_without_range_spans_records_of_every_category(tmp_path):
+    """The first and last days hold no tank record; the series still runs
+    from the first to the last valid record. Rows that are no record (an
+    unknown status, a date out of coverage) do not stretch it."""
+    data = tmp_path / "records.csv"
+    data.write_text(RECORDS_HEADER + "2022-03-01,ifv,,,,,,\n2022-03-03,tank,,,,,,a\n2022-03-03,tank,,,,,,b\n"
+                    "2022-03-04,apc,,,,,,\n2022-03-09,tank,,unclear,,,,\n2021-01-01,apc,,,,,,\n")
+    out = tmp_path / "tank.csv"
+    assert main(["aggregate", "--data", str(data), "--category", "tank", "--out", str(out)]) == 0
+    assert out.read_text() == ("period_start,value,observed\n2022-03-01,0,1\n2022-03-02,0,1\n"
+                               "2022-03-03,2,1\n2022-03-04,0,1\n")
+
+
 def test_aggregate_exclusion_masks_rows(records_csv, tmp_path):
     out = tmp_path / "series.csv"
     main(["aggregate", "--data", str(records_csv), "--granularity", "monthly",
@@ -433,15 +446,17 @@ assert cli.main(sys.argv[1:]) == 0
 print(json.dumps(sorted(sys.modules)))
 """
 
-# command -> (flags besides --data and --out, a module it loads, modules it must not load)
+# command -> (flags besides --data and --out, a module it loads, modules it must not load).
+# No command loads _strptime: dates are matched by ingest's own patterns.
 COMMAND_MODULES = {
-    "ingest": ([], "attrikit.ingest", {"numpy", "attrikit.series"}),
+    "ingest": ([], "attrikit.ingest", {"numpy", "attrikit.series", "_strptime"}),
     "aggregate": (["--granularity", "monthly"], "attrikit.series",
-                  {f"attrikit.{m}" for m in ("arima", "decomp", "gbtrees", "neural", "autodiff", "evaluate", "svg")}),
+                  {"_strptime"} | {f"attrikit.{m}" for m in ("arima", "decomp", "gbtrees", "neural", "autodiff",
+                                                             "evaluate", "svg")}),
     "forecast": (["--granularity", "monthly", "--model", "arima", "--horizon", "3", "--svg"], "attrikit.arima",
-                 {f"attrikit.{m}" for m in ("decomp", "gbtrees", "neural", "autodiff")}),
+                 {"_strptime"} | {f"attrikit.{m}" for m in ("decomp", "gbtrees", "neural", "autodiff")}),
     "compare": (["--granularity", "monthly", "--models", "arima,decomp", "--initial-train", "30", "--horizon", "2"],
-                "attrikit.decomp", {f"attrikit.{m}" for m in ("gbtrees", "neural", "autodiff")}),
+                "attrikit.decomp", {"_strptime"} | {f"attrikit.{m}" for m in ("gbtrees", "neural", "autodiff")}),
 }
 
 
@@ -497,10 +512,12 @@ def test_benchmark_traces_the_layers_a_command_runs(records_csv, tmp_path):
         "forecast", *common, "--horizon", "3", "--svg", "--out", str(tmp_path / "fc")])
     backtest = _traced_command_spans(tmp_path / "backtest.jsonl", [
         "backtest", *common, "--initial-train", "30", "--horizon", "2", "--out", str(tmp_path / "bt")])
-    both = {"cli.main", "ingest.parse_records", "series.aggregate", "series.apply_exclusions",
-            "factories.forecast_model", "arima.fit"}
+    ingest = _traced_command_spans(tmp_path / "ingest.jsonl", [
+        "ingest", "--data", str(records_csv), "--out", str(tmp_path / "ingested")])
+    both = {"cli.main", "series.aggregate", "series.apply_exclusions", "factories.forecast_model", "arima.fit"}
     assert both | {"svg.emit_svg"} <= forecast
     assert both | {"evaluate.rolling_backtest", "evaluate.fold"} <= backtest
+    assert {"cli.main", "ingest.parse_records"} <= ingest
 
 
 # Each runs in its own process. The daily gbt forecast uses every calendar flag.

@@ -7,7 +7,7 @@ import io
 import json
 import tempfile
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,7 @@ from attrikit.ingest import (
     parse_status,
     record_id_of,
     records_to_csv,
+    select_records,
 )
 
 HEADER = "date,type,model,status,location,raion,oblast,url\n"
@@ -99,6 +100,76 @@ def test_date_format_fallbacks():
     records, report = parse_records(text)
     assert [r.date for r in records] == [date(2022, 3, 1), date(2022, 3, 2), date(2022, 3, 3)]
     assert not report.unparsable_rows
+
+
+def strptime_loss_date(text):
+    """parse_loss_date as it was on datetime.strptime: the oracle it must match."""
+    cleaned = text.strip()
+    for fmt in ("%Y-%m-%d", "%d.%m.%Y", "%m/%d/%Y"):
+        try:
+            return datetime.strptime(cleaned, fmt).date()
+        except ValueError:
+            continue
+    raise ValueError(f"unparsable date {text!r}")
+
+
+# ASCII, Arabic-Indic, Devanagari and fullwidth decimal digits, and a
+# superscript two, which is a digit but not a decimal one.
+DATE_DIGITS = "0123456789" "\u0660\u0661\u0662\u0669" "\u0966\u0967\u0968" "\uff10\uff11\uff12" "\u00b2"
+OTHER_DIGITS = [str.maketrans("0123456789", "".join(chr(zero + i) for i in range(10)))
+                for zero in (0x660, 0x966, 0xFF10)]
+
+
+@st.composite
+def date_texts(draw):
+    """Mostly near-valid dates: a year, month and day in any of the three
+    orders, padded or not, with other digits, wrong separators, stray spaces
+    and trailing text. strptime's %m and %d take only ASCII digits, save the
+    second digit of a day from 10 to 29; its %Y takes any decimal digits."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(st.sampled_from(DATE_DIGITS + "-./ x"), max_size=12))
+    year = draw(st.one_of(st.integers(1900, 2100), st.integers(0, 9999)))
+    month = draw(st.one_of(st.integers(1, 12), st.integers(0, 13)))
+    day = draw(st.one_of(st.integers(1, 28), st.integers(0, 32)))
+    year = draw(st.sampled_from([f"{year:04d}"] * 3 + [str(year)]))
+    month, day = (draw(st.sampled_from([str(n), f"{n:02d}", f"{n:02d}", f" {n}"])) for n in (month, day))
+    year, month, day = (part.translate(draw(st.sampled_from(OTHER_DIGITS))) if draw(st.integers(0, 2)) == 0 else part
+                        for part in (year, month, day))
+    orders = [("-", (year, month, day)), (".", (day, month, year)), ("/", (month, day, year))]
+    sep, parts = draw(st.sampled_from(orders))
+    text = parts[0] + sep + parts[1] + draw(st.sampled_from([sep] * 7 + list("-./"))) + parts[2]
+    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", "", "", " ", "x", "0", "T00:00"]))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=3000)
+@given(text=date_texts())
+@example(text="2024-01- 5")
+@example(text="2024-1-5")
+@example(text="\u0662\u0660\u0662\u0664-01-05")
+@example(text="2024-\u0664-05")
+@example(text="29.02.2023")
+@example(text="29.02.2024")
+@example(text="0000-01-01")
+@example(text="2024-01-05x")
+@example(text="2024-01-05 00:00")
+@example(text="02/29/2024 ")
+def test_loss_date_matches_strptime(text):
+    try:
+        expected = strptime_loss_date(text)
+    except ValueError as err:
+        with pytest.raises(ValueError) as caught:
+            parse_loss_date(text)
+        assert str(caught.value) == str(err)
+    else:
+        assert parse_loss_date(text) == expected
+
+
+def test_loss_date_forms():
+    for text in (" 2024-1- 5 ", "5.1.2024", "1/5/2024", "05.01.2024", "01/ 5/2024"):
+        assert parse_loss_date(text) == date(2024, 1, 5)
+    for text in ("2024-01-05T00:00", "20240105", "2024-01-005", "5.1.24", "29.02.2023"):
+        with pytest.raises(ValueError, match="unparsable date"):
+            parse_loss_date(text)
 
 
 def test_unparsable_and_out_of_coverage_rows_skipped_not_raised():
@@ -390,7 +461,8 @@ def test_cli_ingest_survives_hostile_bytes(data):
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         pass
-    else:  # the library call on the same text, line ends untranslated
+    else:  # the library calls on the same text, line ends untranslated
+        assert_select_matches_parse(text, {Category.TANK})
         try:
             records, report = parse_records(text)
         except SchemaError:
@@ -600,3 +672,37 @@ def test_separator_in_fields_dedups_as_the_hash_did():
     records, report = parse_records(text)
     assert report.duplicates_removed == 2 and len(records) == 2
     assert_parse_matches_oracle(text, None, None)
+
+
+def assert_select_matches_parse(text, categories):
+    """select_records gives parse_records' records of those categories, and
+    the span of all its records; on bad input both raise the same error."""
+    try:
+        records, _ = parse_records(text)
+    except SchemaError as err:
+        with pytest.raises(SchemaError) as caught:
+            select_records(text, categories)
+        assert str(caught.value) == str(err)
+        return
+    selected, span = select_records(text, categories)
+    assert selected == [r for r in records if categories is None or r.category in categories]
+    days = [r.date for r in records]
+    assert span == ((min(days), max(days)) if days else None)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(data=st.data())
+def test_select_records_matches_filtered_parse(data):
+    text, _ = data.draw(loss_csv(remap=False))
+    categories = data.draw(st.one_of(st.none(), st.sets(st.sampled_from(Category), min_size=1)))
+    assert_select_matches_parse(text, categories)
+
+
+@pytest.mark.parametrize("text", [
+    "", "type,status\ntank,destroyed\n", "date\n2022-03-01\n", '"' + "x" * 140_000 + '"\n',
+    HEADER + '2022-03-01,"' + "x" * 140_000 + '"\n',
+])
+def test_select_records_rejects_what_parse_records_rejects(text):
+    with pytest.raises(SchemaError):
+        parse_records(text)
+    assert_select_matches_parse(text, {Category.TANK})
