@@ -30,7 +30,6 @@ from .ingest import (
     parse_category,
     parse_records,
     records_to_csv,
-    select_records,
 )
 
 if TYPE_CHECKING:
@@ -324,10 +323,10 @@ def _load_series(args: argparse.Namespace) -> tuple[CountSeries, list[ExclusionW
     categories, date_range = _option(args, "category"), _option(args, "range")
     # Without --range a series runs from the first to the last date of all
     # valid records, of every category, not only of those selected.
-    records, span = select_records(text, categories)
+    records, report = parse_records(text, categories=categories)
     windows = _option(args, "exclude", [])
     try:
-        series = _cli.aggregate(records, granularity, categories, date_range or span)
+        series = _cli.aggregate(records, granularity, categories, date_range or report.date_span)
     except ValueError as err:
         raise SchemaError(f"cannot build the series: {err}") from err
     return _cli.apply_exclusions(series, windows), windows
@@ -552,27 +551,28 @@ def build_parser() -> argparse.ArgumentParser:
 # OpenBLAS reads the first of these that is set, once, when each copy of the
 # library loads (numpy's, and scipy's under decomp). Its default pool spins an
 # idle worker thread for ~0.1 s after the load and after every threaded call,
-# which costs a statistical or tree fit CPU time and buys it nothing: its
-# largest product is decomp's ~1,200 x ~40 Gram matrix. The neural fits keep
-# the default, as their epochs run faster on a second thread.
+# which costs a statistical, tree or TCN fit CPU time and buys it nothing: a
+# full-preset daily tcn forecast takes as long on one thread, for half the
+# CPU. Only the LSTM keeps the default, as its epochs run faster on a second
+# thread.
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-_NEURAL_MODELS = frozenset({"lstm", "tcn"})
+_THREADED_MODELS = frozenset({"lstm"})
 
 
-def _fits_neural(args: argparse.Namespace) -> bool:
+def _fits_threaded_model(args: argparse.Namespace) -> bool:
     if args.command in ("forecast", "backtest"):
-        return _option(args, "model") in _NEURAL_MODELS
+        return _option(args, "model") in _THREADED_MODELS
     if args.command == "compare":
-        return not _NEURAL_MODELS.isdisjoint(_option(args, "models", MODEL_NAMES))
+        return not _THREADED_MODELS.isdisjoint(_option(args, "models", MODEL_NAMES))
     return False
 
 
 @contextlib.contextmanager
 def _blas_threads(args: argparse.Namespace):
-    """One BLAS thread for a command that fits no neural model, unless the
-    user chose a count. Works only while numpy is not yet loaded, which holds
+    """One BLAS thread for a command that fits no LSTM, unless the user
+    chose a count. Works only while numpy is not yet loaded, which holds
     for a command run in its own process; os.environ is restored either way."""
-    if _fits_neural(args) or any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+    if _fits_threaded_model(args) or any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
         yield
         return
     os.environ["OPENBLAS_NUM_THREADS"] = "1"

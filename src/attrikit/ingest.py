@@ -10,6 +10,7 @@ import csv
 import functools
 import io
 import re
+import sys
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
@@ -103,9 +104,12 @@ class IngestReport:
     duplicates_removed: int = 0
     unparsable_rows: list[tuple[int, str]] = field(default_factory=list)
     category_corrections: int = 0
+    other_categories: int = 0  # valid rows of a category not asked for
+    date_span: tuple[date, date] | None = None  # first and last date of the valid rows
 
     def check(self) -> None:
-        if self.rows_read != self.rows_parsed + len(self.unparsable_rows) + self.duplicates_removed:
+        if self.rows_read != (self.rows_parsed + len(self.unparsable_rows) + self.duplicates_removed
+                              + self.other_categories):
             raise AssertionError("ingest report row accounting does not balance")
 
 
@@ -225,10 +229,12 @@ def _csv_rows(text: str):
         raise SchemaError(f"line {reader.line_num}: {err}") from None
 
 
-def _header_columns(reader, schema: dict[str, str] | None) -> list[int | None]:
-    """Read the header row: the cell index of each of LOGICAL_COLUMNS, None
-    for a missing optional column. A schema naming an unknown logical column,
-    or a header without a mandatory column, raises SchemaError.
+def _header_columns(reader, schema: dict[str, str] | None) -> list[int]:
+    """Read the header row: the cell index of each of LOGICAL_COLUMNS. A
+    missing optional column gets an index past the end of every row, so its
+    cells read as a short row's missing ones. A schema naming an unknown
+    logical column, or a header without a mandatory column, raises
+    SchemaError.
 
     Rows are read as csv.DictReader reads them: a repeated header name reads
     its last column, cells past the end of a short row are blank, extra cells
@@ -244,7 +250,7 @@ def _header_columns(reader, schema: dict[str, str] | None) -> list[int | None]:
         if colmap[logical] not in header:
             raise SchemaError(f"mandatory column {colmap[logical]!r} (logical {logical!r}) missing from header")
     position = {name: i for i, name in enumerate(header)}
-    return [position.get(colmap[logical]) for logical in LOGICAL_COLUMNS]
+    return [position.get(colmap[logical], sys.maxsize) for logical in LOGICAL_COLUMNS]
 
 
 def parse_records(
@@ -252,6 +258,7 @@ def parse_records(
     schema: dict[str, str] | None = None,
     corrections: dict[str, Category] | None = None,
     coverage: tuple[date, date] = DEFAULT_COVERAGE,
+    categories: set[Category] | None = None,
 ) -> tuple[list[LossRecord], IngestReport]:
     """Parse a loss-record CSV into validated, deduplicated records.
 
@@ -264,63 +271,78 @@ def parse_records(
     categories by model text. A row whose dedup key (date, category, model,
     location, url) equals an earlier row's is counted as a duplicate and
     dropped.
+
+    ``categories``, when given, keeps only the records of those categories,
+    as corrections label them, and the report counts the other valid rows
+    in ``other_categories``. Dedup keys include the category, so dropping
+    those rows drops no duplicate of a kept one. The report's ``date_span``
+    is the first and last date of the valid rows of every category (None
+    when there are none).
     """
-    norm_corrections = {
-        _normalize_token(text): (cat, cat.value) for text, cat in (corrections or {}).items()
-    }
+    def label(category: Category) -> tuple[Category, str, bool]:
+        return category, category.value, categories is None or category in categories
+
+    norm_corrections = {_normalize_token(text): label(cat) for text, cat in (corrections or {}).items()}
 
     reader = _csv_rows(csv_text)
-    columns = _header_columns(reader, schema)
+    i_date, i_type, i_model, i_status, *i_others = _header_columns(reader, schema)  # LOGICAL_COLUMNS
+    i_cells = [i_model, *i_others]  # model, location, raion, oblast, url
 
     # Many rows share a date, type, status or model text, so each distinct
-    # string is parsed once per call.
+    # cell is parsed once per call. The date, type and status cells, and the
+    # model cell a correction looks up, are read unstripped: their parsers
+    # strip or normalise them. A row of a category not asked for is dropped
+    # before its other cells are stripped.
     day_of = functools.cache(_day_and_iso)
     status_of = functools.cache(parse_status)
-    category_of = functools.cache(_category_and_value)
-    correction_of = functools.cache(lambda text: norm_corrections.get(_normalize_token(text)))
+    category_of = functools.cache(lambda text: label(parse_category(text)))
+    correction_of = functools.cache(
+        lambda text: norm_corrections.get(_normalize_token(text)) if text.strip() else None)
     lo, hi = coverage
 
     records: list[LossRecord] = []
     unparsable: list[tuple[int, str]] = []
+    days: set[date] = set()
     # Two rows are duplicates when their dedup keys are equal, which is when
     # their record ids are, so no row is hashed here.
     seen_keys: set[str] = set()
-    rows_read = duplicates = relabelled = 0
+    duplicates = relabelled = others = blanks = 0
 
-    for row in reader:
-        if not row:
-            continue
-        rows_read += 1
-        line_no = rows_read + 1  # the header is line 1
-        width = len(row)
-        raw_date, raw_type, model_text, raw_status, location, raion, oblast, url = [  # LOGICAL_COLUMNS
-            (row[i].strip() or None) if i is not None and i < width else None for i in columns
-        ]
-
-        if raw_date is None:
-            unparsable.append((line_no, "missing date"))
-            continue
+    line_no = 1  # the header's; a blank line is no row and takes no number
+    for line_no, row in enumerate(reader, 2):
         try:
-            day, iso_day = day_of(raw_date)
-        except ValueError as err:
-            unparsable.append((line_no, str(err)))
+            day, iso_day = day_of(row[i_date])
+        except (IndexError, ValueError):
+            if not row:
+                blanks += 1
+                continue
+            cell = row[i_date].strip() if i_date < len(row) else ""
+            unparsable.append((line_no - blanks, f"unparsable date {cell!r}" if cell else "missing date"))
             continue
         if not lo <= day <= hi:
-            unparsable.append((line_no, f"date {iso_day} outside coverage window"))
+            unparsable.append((line_no - blanks, f"date {iso_day} outside coverage window"))
             continue
-
+        width = len(row)
+        raw_status = row[i_status] if i_status < width else None
         status = status_of(raw_status)
         if status is None:
-            unparsable.append((line_no, f"unknown status {raw_status!r}"))
+            unparsable.append((line_no - blanks, f"unknown status {raw_status.strip()!r}"))
+            continue
+        days.add(day)
+
+        category, category_value, keep = category_of(row[i_type] if i_type < width else None)
+        if norm_corrections and i_model < width:
+            corrected = correction_of(row[i_model])
+            if corrected is not None and corrected[0] is not category:
+                category, category_value, keep = corrected
+                relabelled += 1
+        if not keep:
+            others += 1
             continue
 
-        category, category_value = category_of(raw_type)
-        if model_text is not None and norm_corrections:
-            corrected = correction_of(model_text)
-            if corrected is not None and corrected[0] is not category:
-                category, category_value = corrected
-                relabelled += 1
-
+        model_text, location, raion, oblast, url = [
+            (row[i].strip() or None) if i < width else None for i in i_cells
+        ]
         key = _dedup_key(iso_day, category_value, model_text, location, url)
         if key in seen_keys:
             duplicates += 1
@@ -328,70 +350,11 @@ def parse_records(
         seen_keys.add(key)
         records.append(LossRecord(day, category, status, model_text, location, raion, oblast, url))
 
-    report = IngestReport(rows_read=rows_read, rows_parsed=len(records), duplicates_removed=duplicates,
-                          unparsable_rows=unparsable, category_corrections=relabelled)
+    report = IngestReport(rows_read=line_no - 1 - blanks, rows_parsed=len(records), duplicates_removed=duplicates,
+                          unparsable_rows=unparsable, category_corrections=relabelled, other_categories=others,
+                          date_span=(min(days), max(days)) if days else None)
     report.check()
     return records, report
-
-
-def select_records(
-    csv_text: str, categories: set[Category] | None = None,
-) -> tuple[list[LossRecord], tuple[date, date] | None]:
-    """The records ``parse_records(csv_text)`` returns whose category is in
-    ``categories`` (all of them when None), in file order, and the first and
-    last date of all the records it returns, of every category (None when
-    there are none).
-
-    For a caller that wants one category's records and no report: a row of
-    another category is dropped once its date, coverage and status are
-    checked, before its other cells are read. Dedup keys include the
-    category, so dropping such rows first drops no duplicate of a kept one.
-    """
-    reader = _csv_rows(csv_text)
-    i_date, i_type, i_model, i_status, *i_others = _header_columns(reader, None)  # LOGICAL_COLUMNS
-    i_cells = [i_model, *i_others]  # model, location, raion, oblast, url
-
-    def pick(text: str | None) -> tuple[Category, str] | None:
-        category, category_value = _category_and_value(text)
-        return (category, category_value) if categories is None or category in categories else None
-
-    # The date, type and status cells are read unstripped: their parsers
-    # strip and normalise them, so they read as parse_records' stripped cells.
-    day_of = functools.cache(_day_and_iso)
-    status_of = functools.cache(parse_status)
-    category_of = functools.cache(pick)
-    lo, hi = DEFAULT_COVERAGE
-
-    records: list[LossRecord] = []
-    days: set[date] = set()
-    seen_keys: set[str] = set()
-    for row in reader:
-        width = len(row)
-        if i_date >= width:  # a blank line, or no date cell
-            continue
-        try:
-            day, iso_day = day_of(row[i_date])
-        except ValueError:
-            continue
-        if not lo <= day <= hi:
-            continue
-        status = status_of(row[i_status] if i_status is not None and i_status < width else None)
-        if status is None:
-            continue
-        days.add(day)
-        picked = category_of(row[i_type] if i_type < width else None)
-        if picked is None:
-            continue
-        category, category_value = picked
-        model_text, location, raion, oblast, url = [
-            (row[i].strip() or None) if i is not None and i < width else None for i in i_cells
-        ]
-        key = _dedup_key(iso_day, category_value, model_text, location, url)
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        records.append(LossRecord(day, category, status, model_text, location, raion, oblast, url))
-    return records, ((min(days), max(days)) if days else None)
 
 
 class _Day(NamedTuple):
@@ -410,11 +373,6 @@ class _Day(NamedTuple):
 def _day_and_iso(text: str) -> _Day:
     day = parse_loss_date(text)
     return _Day(day, day.isoformat())
-
-
-def _category_and_value(text: str | None) -> tuple[Category, str]:
-    category = parse_category(text)
-    return category, category.value
 
 
 def normalize_geo(records: list[LossRecord], index: GeoIndex) -> list[LossRecord]:

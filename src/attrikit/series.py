@@ -411,42 +411,6 @@ def series_to_csv(series: CountSeries) -> str:
     return out.getvalue()
 
 
-def series_from_csv(text: str) -> CountSeries:
-    """Read back what ``series_to_csv`` wrote, strictly.
-
-    Raises ValueError for a wrong header, a row of other than three fields,
-    a value that is not a non-negative whole count, an ``observed`` other
-    than ``0`` or ``1``, non-contiguous periods, and a single row dated the
-    1st, which could be one day or one month.
-    """
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0][:3] != ["period_start", "value", "observed"]:
-        raise ValueError("expected header 'period_start,value,observed'")
-    body = [r for r in rows[1:] if r]
-    if not body:
-        raise ValueError("series file has no data rows")
-    if any(len(r) != 3 for r in body):
-        raise ValueError("every series row needs exactly period_start,value,observed")
-    if any(r[2] not in ("0", "1") for r in body):
-        raise ValueError("observed must be 0 or 1")
-    starts = [date.fromisoformat(r[0]) for r in body]
-    values = np.array([float(r[1]) for r in body])
-    for r, value in zip(body, values):
-        if not (value >= 0 and value.is_integer()):
-            raise ValueError(f"series row {','.join(r)!r}: value is not a non-negative whole count")
-    mask = np.array([r[2] == "1" for r in body])
-    if len(starts) > 1:
-        granularity = DAILY if (starts[1] - starts[0]).days == 1 else MONTHLY
-    elif starts[0].day == 1:
-        raise ValueError("granularity of a one-row series dated the 1st is ambiguous (day or month)")
-    else:
-        granularity = DAILY
-    expect = [period_start(starts[0], granularity, i) for i in range(len(starts))]
-    if expect != starts:
-        raise ValueError("series periods are not contiguous")
-    return CountSeries(granularity, starts[0], values, mask)
-
-
 def forecast_to_csv(forecast: Forecast) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

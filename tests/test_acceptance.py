@@ -22,7 +22,6 @@ from attrikit.series import (
     CountSeries,
     SupervisedMatrix,
     forecast_to_csv,
-    series_from_csv,
 )
 
 from conftest import within_taper_band

@@ -42,7 +42,6 @@ from attrikit.ingest import (
     parse_status,
     record_id_of,
     records_to_csv,
-    select_records,
 )
 
 HEADER = "date,type,model,status,location,raion,oblast,url\n"
@@ -201,7 +200,7 @@ def test_repeated_header_name_maps_to_its_last_column():
         record_id_of(date(2022, 3, 1), Category.TANK, "T-90M", "Bucha", None),
         record_id_of(date(2022, 3, 2), Category.TANK, None, "Irpin", None),
     ]
-    assert report == IngestReport(rows_read=2, rows_parsed=2)
+    assert report == IngestReport(rows_read=2, rows_parsed=2, date_span=(date(2022, 3, 1), date(2022, 3, 2)))
 
 
 def test_short_rows_read_missing_cells_as_blank():
@@ -218,7 +217,7 @@ def test_short_rows_read_missing_cells_as_blank():
         record_id_of(date(2022, 3, 1), Category.IFV, "BMP-2", None, None),
         record_id_of(date(2022, 3, 2), Category.OTHER, None, None, None),
     ]
-    assert report == IngestReport(rows_read=2, rows_parsed=2)
+    assert report == IngestReport(rows_read=2, rows_parsed=2, date_span=(date(2022, 3, 1), date(2022, 3, 2)))
 
 
 def test_long_row_ignores_extra_cells():
@@ -227,7 +226,7 @@ def test_long_row_ignores_extra_cells():
     assert [r.record_id for r in records] == [
         record_id_of(date(2022, 3, 1), Category.TANK, None, "Bucha", "http://a"),
     ]
-    assert report == IngestReport(rows_read=1, rows_parsed=1)
+    assert report == IngestReport(rows_read=1, rows_parsed=1, date_span=(date(2022, 3, 1), date(2022, 3, 1)))
 
 
 def test_blank_lines_are_skipped_and_not_numbered():
@@ -247,7 +246,7 @@ def test_blank_lines_are_skipped_and_not_numbered():
         (3, "unparsable date 'bad-date'"),
         (4, "missing date"),
         (5, "date 2021-01-01 outside coverage window"),
-    ])
+    ], date_span=(date(2022, 3, 1), date(2022, 3, 1)))
 
 
 def test_quoted_field_with_newline_and_comma():
@@ -259,7 +258,8 @@ def test_quoted_field_with_newline_and_comma():
     assert [r.record_id for r in records] == [
         record_id_of(date(2022, 3, 1), Category.TANK, "T-72B3, obr. 2016\nupgraded", "Bucha", None),
     ]
-    assert report == IngestReport(rows_read=2, rows_parsed=1, unparsable_rows=[(3, "unparsable date 'bad-date'")])
+    assert report == IngestReport(rows_read=2, rows_parsed=1, unparsable_rows=[(3, "unparsable date 'bad-date'")],
+                                  date_span=(date(2022, 3, 1), date(2022, 3, 1)))
 
 
 def test_missing_mandatory_column_names_it():
@@ -462,7 +462,7 @@ def test_cli_ingest_survives_hostile_bytes(data):
     except UnicodeDecodeError:
         pass
     else:  # the library calls on the same text, line ends untranslated
-        assert_select_matches_parse(text, {Category.TANK})
+        assert_select_matches_parse(text, None, None, {Category.TANK})
         try:
             records, report = parse_records(text)
         except SchemaError:
@@ -510,7 +510,8 @@ def test_parse_hashes_no_row(monkeypatch):
     monkeypatch.setattr(hashlib, "sha256", refuse)  # ingest imports hashlib on first use
     parsed, report = parse_records(text)
     assert parsed == records
-    assert report == IngestReport(rows_read=1000, rows_parsed=990, duplicates_removed=10)
+    assert report == IngestReport(rows_read=1000, rows_parsed=990, duplicates_removed=10,
+                                  date_span=(records[0].date, records[-1].date))
     with pytest.raises(AssertionError, match="sha256"):  # ids are still hashed, on demand
         parsed[0].record_id
 
@@ -560,6 +561,7 @@ def hashed_parse_records(csv_text, schema=None, corrections=None, coverage=DEFAU
     report = IngestReport()
     records = []
     seen_ids = set()
+    days = []
     line_no = 1
     for row in reader:
         if not row:
@@ -585,6 +587,7 @@ def hashed_parse_records(csv_text, schema=None, corrections=None, coverage=DEFAU
         if status is None:
             report.unparsable_rows.append((line_no, f"unknown status {raw_status!r}"))
             continue
+        days.append(day)
         category = category_of(raw_type)
         if model_text is not None:
             corrected = norm_corrections.get(ingest._normalize_token(model_text))
@@ -598,6 +601,7 @@ def hashed_parse_records(csv_text, schema=None, corrections=None, coverage=DEFAU
         seen_ids.add(record.record_id)
         records.append(record)
         report.rows_parsed += 1
+    report.date_span = (min(days), max(days)) if days else None
     report.check()
     return records, report
 
@@ -611,10 +615,10 @@ CORRECTIONS = {"T-72B3": Category.TANK, "mt-lb": Category.APC, "BMP-2": Category
 # one key.
 CELLS = {
     "date": ["2022-03-01", "01.03.2022", "03/01/2022", " 2022-03-02 ", "2025-07-31", "2022-02-23", "2025-08-01",
-             "31.02.2023", "2022-13-01", "not-a-date", ""],
+             "31.02.2023", "2022-13-01", "not-a-date", " not-a-date ", "", " "],
     "type": ["tank", "Tanks", " MBT", "ifv", "self-propelled artillery", "anti_aircraft", "zeppelin", ""],
     "model": ["", "T-72B3", "t-72b3 ", "MT-LB", "mt lb", "BMP-2", "a", "a\x1fb", "x\x1f"],
-    "status": ["", "destroyed", "Damaged", "lost", "destroyed and captured", "exploded", "?"],
+    "status": ["", "destroyed", "Damaged", "lost", "destroyed and captured", "exploded", " exploded ", "?"],
     "location": ["", "Bucha", " bucha", "c", "b\x1fc", "\x1fb", "Irpin, Kyiv"],
     "raion": ["", "Buchanskyi"],
     "oblast": ["", "Kyivska", "Kyiv\x1fska"],
@@ -674,28 +678,33 @@ def test_separator_in_fields_dedups_as_the_hash_did():
     assert_parse_matches_oracle(text, None, None)
 
 
-def assert_select_matches_parse(text, categories):
-    """select_records gives parse_records' records of those categories, and
-    the span of all its records; on bad input both raise the same error."""
+def assert_select_matches_parse(text, schema, corrections, categories):
+    """Selecting records by category gives the full parse's records of those
+    categories, its unparsable rows and date span, and a balanced report; on
+    bad input both parses raise the same error."""
     try:
-        records, _ = parse_records(text)
+        records, report = parse_records(text, schema=schema, corrections=corrections)
     except SchemaError as err:
         with pytest.raises(SchemaError) as caught:
-            select_records(text, categories)
+            parse_records(text, schema=schema, corrections=corrections, categories=categories)
         assert str(caught.value) == str(err)
         return
-    selected, span = select_records(text, categories)
-    assert selected == [r for r in records if categories is None or r.category in categories]
-    days = [r.date for r in records]
-    assert span == ((min(days), max(days)) if days else None)
+    selected, selected_report = parse_records(text, schema=schema, corrections=corrections, categories=categories)
+    assert selected == [r for r in records if r.category in categories]
+    assert selected_report.unparsable_rows == report.unparsable_rows
+    assert selected_report.date_span == report.date_span
+    assert selected_report.category_corrections == report.category_corrections
+    assert selected_report.rows_read == report.rows_read and selected_report.rows_parsed == len(selected)
+    selected_report.check()
 
 
-@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@settings(deadline=None, derandomize=True, database=None, max_examples=400)
 @given(data=st.data())
 def test_select_records_matches_filtered_parse(data):
-    text, _ = data.draw(loss_csv(remap=False))
-    categories = data.draw(st.one_of(st.none(), st.sets(st.sampled_from(Category), min_size=1)))
-    assert_select_matches_parse(text, categories)
+    text, schema = data.draw(loss_csv(data.draw(st.booleans())))
+    corrections = data.draw(st.sampled_from([None, CORRECTIONS]))
+    categories = data.draw(st.sets(st.sampled_from(Category)))
+    assert_select_matches_parse(text, schema, corrections, categories)
 
 
 @pytest.mark.parametrize("text", [
@@ -705,4 +714,4 @@ def test_select_records_matches_filtered_parse(data):
 def test_select_records_rejects_what_parse_records_rejects(text):
     with pytest.raises(SchemaError):
         parse_records(text)
-    assert_select_matches_parse(text, {Category.TANK})
+    assert_select_matches_parse(text, None, None, {Category.TANK})
