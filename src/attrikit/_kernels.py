@@ -1,4 +1,5 @@
-"""Two compiled scipy routines, loaded without importing their packages.
+"""Two compiled scipy routines, loaded without importing their packages,
+and a pin of numpy's BLAS to one thread.
 
 ARIMA filters its residuals with ``scipy.signal.lfilter`` and decomp
 solves its normal equations with ``scipy.linalg.cho_factor``/``cho_solve``.
@@ -9,14 +10,21 @@ once, straight from its extension file, and neither package's
 functions are the contract: if a file, a name or a call is not there, the
 first use falls back to them for the rest of the process. Both paths give
 the same bits.
+
+``one_blas_thread`` sets numpy's bundled OpenBLAS to one thread through
+its own thread-count functions, found through numpy's extension module.
+Where no such function is there, it does nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 from typing import Callable
 
@@ -111,3 +119,62 @@ def cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     definite and ``ValueError`` when an input is not finite.
     """
     return _solver()(gram, rhs)
+
+
+# The thread-count functions of OpenBLAS builds: scipy-openblas (numpy's
+# wheels) with 64-bit integers or 32, and plain OpenBLAS the same two ways.
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                        "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+def _thread_controls(lib) -> tuple[Callable, Callable] | None:
+    """The (get, set) thread-count functions ``lib`` exports, if any."""
+    for symbol in _BLAS_THREAD_SYMBOLS:
+        get, set_ = getattr(lib, symbol.format("get"), None), getattr(lib, symbol.format("set"), None)
+        if get is not None and set_ is not None:
+            return get, set_
+    return None
+
+
+@functools.cache
+def _blas_controls() -> tuple[Callable, Callable] | None:
+    """numpy's OpenBLAS thread controls. A handle on numpy's extension
+    module resolves symbols through the libraries it links, its BLAS too."""
+    try:
+        try:
+            from numpy._core import _multiarray_umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath
+        return _thread_controls(ctypes.CDLL(_multiarray_umath.__file__))
+    except _UNAVAILABLE:
+        return None
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 1
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with numpy's BLAS on one thread, then restore the
+    caller's count. Overlapping bodies on several Python threads share the
+    pin: the count is restored when the last of them exits."""
+    global _pin_depth, _pin_saved
+    controls = _blas_controls()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_saved)

@@ -551,28 +551,18 @@ def build_parser() -> argparse.ArgumentParser:
 # OpenBLAS reads the first of these that is set, once, when each copy of the
 # library loads (numpy's, and scipy's under decomp). Its default pool spins an
 # idle worker thread for ~0.1 s after the load and after every threaded call,
-# which costs a statistical, tree or TCN fit CPU time and buys it nothing: a
-# full-preset daily tcn forecast takes as long on one thread, for half the
-# CPU. Only the LSTM keeps the default, as its epochs run faster on a second
-# thread.
+# which costs CPU time and buys no command anything: neural fits train on one
+# thread whatever the count (``neural._train``), and no other fit gets faster
+# on a second.
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-_THREADED_MODELS = frozenset({"lstm"})
-
-
-def _fits_threaded_model(args: argparse.Namespace) -> bool:
-    if args.command in ("forecast", "backtest"):
-        return _option(args, "model") in _THREADED_MODELS
-    if args.command == "compare":
-        return not _THREADED_MODELS.isdisjoint(_option(args, "models", MODEL_NAMES))
-    return False
 
 
 @contextlib.contextmanager
-def _blas_threads(args: argparse.Namespace):
-    """One BLAS thread for a command that fits no LSTM, unless the user
-    chose a count. Works only while numpy is not yet loaded, which holds
-    for a command run in its own process; os.environ is restored either way."""
-    if _fits_threaded_model(args) or any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+def _blas_threads():
+    """One BLAS thread, unless the user chose a count. Works only while
+    numpy is not yet loaded, which holds for a command run in its own
+    process; os.environ is restored either way."""
+    if any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
         yield
         return
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -590,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
         _required(args, "out")
         if args.command != "synth":
             _required(args, "data")
-        with _blas_threads(args):
+        with _blas_threads():
             return args.func(args)
     except SchemaError as err:
         print(f"error: {err}", file=sys.stderr)

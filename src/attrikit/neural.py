@@ -9,7 +9,9 @@ and ``loss_and_grads(x, y)``, which training, forecasting and
 with Adam from a seeded initialization, and forecast recursively by
 feeding each prediction back as pseudo-history. Interval bounds use the
 train-RMSE * sqrt(step) heuristic and are labeled as such in the forecast
-metadata. Training is deterministic for a fixed (seed, data, spec) triple.
+metadata. Training is deterministic for a fixed (seed, data, spec) triple
+and runs on one BLAS thread whatever the caller's count, so its bits do
+not depend on the machine's core count.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from ._kernels import one_blas_thread
 from .autodiff import Adam, Tensor
 from .errors import ModelError
 from .series import (DAILY, CountSeries, Forecast, calendar_columns, check_request, period_days,
@@ -192,21 +195,23 @@ class LstmModel:
 
 
 def _train(model, x: np.ndarray, y: np.ndarray, epochs: int, lr: float) -> TrainReport:
+    """Full-batch Adam on one BLAS thread, whatever the caller's count:
+    a second thread would change the bits of the LSTM's weight gradients."""
     params = model.parameters()
     optimizer = Adam(params, lr=lr)
     report = TrainReport()
-    for epoch in range(epochs):
-        loss, grads = model.loss_and_grads(x, y)
-        if not np.isfinite(loss):
-            raise ModelError(f"training diverged at epoch {epoch}: non-finite loss")
-        report.epoch_losses.append(loss)
-        for p, grad in zip(params, grads):
-            p.grad = grad
-        optimizer.step()
+    with one_blas_thread():
+        for epoch in range(epochs):
+            loss, grads = model.loss_and_grads(x, y)
+            if not np.isfinite(loss):
+                raise ModelError(f"training diverged at epoch {epoch}: non-finite loss")
+            report.epoch_losses.append(loss)
+            for p, grad in zip(params, grads):
+                p.grad = grad
+            optimizer.step()
+        preds = model.predict(x)
     report.final_loss = report.epoch_losses[-1]
     report.epochs_run = epochs
-
-    preds = model.predict(x)
     model.rmse_train = float(np.sqrt(np.mean((preds - y) ** 2))) * model.std
     return report
 

@@ -621,34 +621,61 @@ def _forecasts_by_blas_threads(data, models, root, *flags):
 
 
 def test_outputs_identical_across_blas_thread_counts(records_csv, tmp_path):
-    """On this small series every model gives the same bits on one BLAS
-    thread or two. That does not hold at every size: on the seed-42 daily
-    series the LSTM's weight-gradient products change in the last bits
-    between one thread and two (see the next test)."""
+    """Every model gives the same bits whatever BLAS thread count the user
+    sets: neural fits train on one thread regardless, and the other fits'
+    products do not change with the count."""
     outputs = _forecasts_by_blas_threads(records_csv, BLAS_THREAD_FORECASTS, tmp_path)
     assert outputs["1"] == outputs["2"]
 
 
 def test_seed_42_daily_tank_outputs_identical_across_blas_thread_counts(tmp_path):
     """On the seed-42 daily tank series OpenBLAS splits products across
-    threads, and arima, decomp, gbt and tcn still give the same bits on one
-    thread or two. decomp's Gram matrix holds only because numpy computes
-    ``x.T @ x`` with syrk; ``x.T @ x.copy()`` changes in the last bits.
-    The LSTM is left out: its ``x_t.T @ d_gates`` and ``h_prev.T @ d_gates``
-    over 1,165 windows change bits between one thread and two, so daily
-    lstm outputs from machines with different core counts can differ in the
-    last bits."""
+    threads, and every model still gives the same bits on one thread or
+    two. decomp's Gram matrix holds only because numpy computes ``x.T @ x``
+    with syrk; ``x.T @ x.copy()`` changes in the last bits. The LSTM holds
+    only because it trains on one thread: its ``x_t.T @ d_gates`` and
+    ``h_prev.T @ d_gates`` over 1,165 windows change bits between one
+    thread and two."""
     data = tmp_path / "records.csv"
     assert main(["synth", "--seed", "42", "--out", str(data)]) == 0
-    outputs = _forecasts_by_blas_threads(data, ("arima", "decomp", "gbt", "tcn"), tmp_path, "--category", "tank")
+    outputs = _forecasts_by_blas_threads(data, BLAS_THREAD_FORECASTS, tmp_path, "--category", "tank")
     assert outputs["1"] == outputs["2"]
+
+
+# Prints the sha256 of the point, lower and upper bytes of a 3-epoch daily
+# lstm forecast on the seed-42 tank series.
+LSTM_BITS_RUN = """
+import hashlib
+import json
+import numpy as np
+from attrikit import factories
+from attrikit.ingest import Category, default_profile, generate_synthetic
+from attrikit.series import DAILY, aggregate
+
+series = aggregate(generate_synthetic(42), DAILY, {Category.TANK}, default_profile().span())
+fc = factories.forecast_model("lstm", series, 30, seed=5, params={"epochs": 3})
+print(json.dumps([hashlib.sha256(np.asarray(a).tobytes()).hexdigest() for a in (fc.point, fc.lower, fc.upper)]))
+"""
+
+
+def test_library_lstm_bits_identical_across_blas_thread_counts():
+    """The LSTM's weight-gradient products over ~1,200 windows change last
+    bits between one BLAS thread and two, which the CSV's 12 digits hide;
+    the forecast arrays show them."""
+    digests = {}
+    for threads in ("1", "2"):
+        run = _fresh_python("-c", LSTM_BITS_RUN, environ=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert run.returncode == 0, run.stderr
+        digests[threads] = json.loads(run.stdout.splitlines()[-1])
+    assert digests["1"] == digests["2"]
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-# Runs one command and prints, after each aggregate and fit, the thread count
-# of every OpenBLAS copy then loaded: numpy's, and scipy's once decomp solves.
-# With no command, it prints the count after a bare ``import numpy``.
+# Runs one command and prints the thread count of every OpenBLAS copy then
+# loaded (numpy's, and scipy's once decomp solves): after each aggregate and
+# fit, and inside each neural training epoch. With no command, it prints the
+# count after a bare ``import numpy``.
 BLAS_THREADS_RUN = """
 import ctypes
 import importlib
@@ -671,11 +698,21 @@ def blas_threads():
                 break
     return counts
 
-seen = []
+seen, in_fit = [], []
+
+def probed(method):
+    def wrapper(*args, **kwargs):
+        in_fit.append(blas_threads())
+        return method(*args, **kwargs)
+    return wrapper
 
 def counted(module, name):
     # The function is looked up at call time: taking it now would load numpy before main runs.
     def wrapper(*args, **kwargs):
+        if name == "forecast_model":  # numpy is loaded by now, so the neural module may be too
+            from attrikit import neural
+            for model in (neural.LstmModel, neural.TcnModel):
+                model.loss_and_grads = probed(model.loss_and_grads)
         result = getattr(importlib.import_module(module), name)(*args, **kwargs)
         seen.append(blas_threads())
         return result
@@ -688,19 +725,20 @@ if sys.argv[1:]:
 else:
     import numpy
     seen.append(blas_threads())
-print(json.dumps(seen))
+print(json.dumps({"after": seen, "in_fit": in_fit}))
 """
 
-# case -> (command flags besides --data and --out, variables the user set, whether BLAS runs on one thread)
+# case -> (command flags besides --data and --out, variables the user set, whether the command runs BLAS on one thread)
 BLAS_THREAD_CASES = {
     "aggregate": (["aggregate", "--granularity", "monthly"], {}, True),
     "arima": (["forecast", "--granularity", "monthly", "--model", "arima", "--horizon", "3"], {}, True),
     "decomp_daily": (["forecast", "--granularity", "daily", "--model", "decomp", "--horizon", "3"], {}, True),
-    "lstm": (["forecast", "--granularity", "monthly", "--model", "lstm", "--epochs", "2", "--horizon", "3"],
-             {}, False),
+    "lstm": (["forecast", "--granularity", "monthly", "--model", "lstm", "--epochs", "2", "--horizon", "3"], {}, True),
     "tcn": (["forecast", "--granularity", "monthly", "--model", "tcn", "--epochs", "2", "--horizon", "3"], {}, True),
     "arima_user_omp": (["forecast", "--granularity", "monthly", "--model", "arima", "--horizon", "3"],
                        {"OMP_NUM_THREADS": "2"}, False),
+    "lstm_user_openblas": (["forecast", "--granularity", "monthly", "--model", "lstm", "--epochs", "2",
+                            "--horizon", "3"], {"OPENBLAS_NUM_THREADS": "2"}, False),
 }
 
 
@@ -712,20 +750,24 @@ def _blas_thread_counts(env, *argv):
 
 @pytest.mark.parametrize("case", sorted(BLAS_THREAD_CASES))
 def test_blas_threads_of_a_command(records_csv, tmp_path, case):
-    """A command that fits no LSTM runs BLAS on one thread; an LSTM fit, or
-    a count the user set, keeps what a bare ``import numpy`` gets."""
+    """A command runs BLAS on one thread; a count the user set keeps what a
+    bare ``import numpy`` gets. Neural training runs on one thread either way."""
     flags, user_set, one_thread = BLAS_THREAD_CASES[case]
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
     env.update(user_set)
-    (bare,) = _blas_thread_counts(env)
+    (bare,) = _blas_thread_counts(env)["after"]
     if not bare:
         pytest.skip("no OpenBLAS thread-count symbol in numpy's BLAS")
     if not user_set and set(bare.values()) == {1}:
         pytest.skip("BLAS runs on one thread by default here: nothing to tell apart")
     expected = 1 if one_thread else set(bare.values()).pop()
-    seen = _blas_thread_counts(env, *flags, "--data", str(records_csv), "--out", str(tmp_path / "out"))
+    run = _blas_thread_counts(env, *flags, "--data", str(records_csv), "--out", str(tmp_path / "out"))
+    seen, in_fit = run["after"], run["in_fit"]
     assert len(seen) == (1 if flags[0] == "aggregate" else 2)
     assert {count for counts in seen for count in counts.values()} == {expected}
+    neural = "--epochs" in flags
+    assert len(in_fit) == (2 if neural else 0)  # one probe per epoch
+    assert {count for counts in in_fit for count in counts.values()} == ({1} if neural else set())
     if case == "decomp_daily":
         assert len(seen[-1]) == 2  # scipy's copy, which decomp's solve loads, is on one thread too
 
@@ -748,7 +790,7 @@ def test_main_leaves_the_environment_as_it_found_it(records_csv, tmp_path, monke
     forecast = ["forecast", "--granularity", "monthly", "--horizon", "2", "--out", str(tmp_path / "o")]
     runs = [
         (["--data", str(records_csv), "--model", "arima"], 0, "1"),
-        (["--data", str(records_csv), "--model", "lstm", "--epochs", "2", "--hidden", "3"], 0, None),
+        (["--data", str(records_csv), "--model", "lstm", "--epochs", "2", "--hidden", "3"], 0, "1"),
         (["--data", str(records_csv), "--model", "arima", "--config", str(tmp_path / "bad.cfg")], 2, None),
         (["--data", str(tiny), "--model", "arima"], 3, "1"),
     ]

@@ -1,5 +1,6 @@
 """LSTM/TCN inputs, training, forecasting, causality, gradients."""
 
+import threading
 from datetime import date, timedelta
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attrikit import _kernels
 from attrikit import autodiff as ad
 from attrikit.errors import ModelError
 from attrikit.neural import (
@@ -525,3 +527,91 @@ def test_divergence_error_names_epoch():
     rng = np.random.default_rng(11)
     with pytest.raises(ModelError, match="epoch 0"):
         _train(model, rng.normal(size=(5, 4, 1)), rng.normal(size=(5, 1)), epochs=3, lr=0.01)
+
+
+# -- one BLAS thread per fit -------------------------------------------------
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """numpy's BLAS thread controls, with the caller's count set to 2 for
+    the test so that the pin shows; the original count is restored after."""
+    controls = _kernels._blas_controls()
+    if controls is None:
+        pytest.skip("no OpenBLAS thread-count symbol in numpy's BLAS")
+    get, set_ = controls
+    original = get()
+    set_(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS would not run on two threads here")
+        yield get
+    finally:
+        set_(original)
+
+
+def test_fit_trains_on_one_blas_thread_and_restores_the_count(blas_at_two_threads, monkeypatch):
+    seen = []
+    original = LstmModel.loss_and_grads
+
+    def probed(self, x, y):
+        seen.append(blas_at_two_threads())
+        return original(self, x, y)
+
+    monkeypatch.setattr(LstmModel, "loss_and_grads", probed)
+    lstm_fit(sine_series(), LstmSpec(**{**SMALL_LSTM, "epochs": 3}, use_weekday=False))
+    assert seen == [1, 1, 1]
+    assert blas_at_two_threads() == 2
+
+
+def test_fit_that_raises_restores_the_blas_count(blas_at_two_threads, monkeypatch):
+    monkeypatch.setattr(LstmModel, "loss_and_grads", lambda self, x, y: (float("nan"), None))
+    with pytest.raises(ModelError, match="epoch 0"):
+        lstm_fit(sine_series(), LstmSpec(**SMALL_LSTM, use_weekday=False))
+    assert blas_at_two_threads() == 2
+
+
+def test_overlapping_fits_on_two_threads_share_the_pin(blas_at_two_threads, monkeypatch):
+    """The first fit starts, the second starts while the first trains, and
+    the first ends before the second's last epoch, which must still run on
+    one thread. The caller's count comes back once both have ended."""
+    first_inside, second_inside, first_done = threading.Event(), threading.Event(), threading.Event()
+    seen = {"first": [], "second": []}
+    original = LstmModel.loss_and_grads
+
+    def probed(self, x, y):
+        name = threading.current_thread().name
+        if name == "second" and seen["second"]:
+            assert first_done.wait(60)
+        seen[name].append(blas_at_two_threads())
+        if name == "first":
+            first_inside.set()
+            assert second_inside.wait(60)
+        else:
+            second_inside.set()
+        return original(self, x, y)
+
+    def first():
+        lstm_fit(sine_series(seed=0), LstmSpec(**{**SMALL_LSTM, "epochs": 1}, use_weekday=False))
+        first_done.set()
+
+    def second():
+        assert first_inside.wait(60)
+        lstm_fit(sine_series(seed=1), LstmSpec(**{**SMALL_LSTM, "epochs": 2}, use_weekday=False))
+
+    monkeypatch.setattr(LstmModel, "loss_and_grads", probed)
+    threads = [threading.Thread(target=first, name="first"), threading.Thread(target=second, name="second")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(120)
+    assert seen == {"first": [1], "second": [1, 1]}
+    assert blas_at_two_threads() == 2
+
+
+def test_pin_does_nothing_without_a_thread_symbol(blas_at_two_threads, monkeypatch):
+    assert _kernels._thread_controls(object()) is None
+    monkeypatch.setattr(_kernels, "_blas_controls", lambda: None)
+    with _kernels.one_blas_thread():
+        assert blas_at_two_threads() == 2
+    assert blas_at_two_threads() == 2
