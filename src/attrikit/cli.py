@@ -135,7 +135,10 @@ def _int_list(text: str) -> tuple[int, ...]:
         chunk = chunk.strip()
         if "-" in chunk[1:]:
             lo, _, hi = chunk.partition("-")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = int(lo), int(hi)
+            if lo > hi:
+                raise ValueError(f"reversed range {chunk!r}")
+            out.extend(range(lo, hi + 1))
         elif chunk:
             out.append(int(chunk))
     if not out:

@@ -1,5 +1,9 @@
 """Uniform fit+forecast adapters for the five model families.
 
+Every family meets one contract, ``fit(series, spec) -> fitted`` and
+``forecast(fitted, series, horizon, level)``, so one table of names
+(``_FAMILIES``) is all that ``MODELS`` needs to serve each of them.
+
 ``forecast_model`` fits the named model on a masked series and forecasts
 the periods following the last observed one, so a trailing exclusion
 window simply moves the origin back onto observed data. The backtest
@@ -17,10 +21,11 @@ SchemaError.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import ModelError, SchemaError
 from .evaluate import ForecastFactory
 from .series import DAILY, MONTHLY, CountSeries, Forecast
 
@@ -35,53 +40,32 @@ MONTHLY_PRESETS = {
 }
 
 
-# Each family's entry: (spec class, fit(series, spec), forecast(fitted, series,
-# horizon, level)). A fitted model carries its spec, so a forecast reads no
-# other. A family's module is imported when its entry is first made, and the
-# lambdas look each model function up on it at call time, so a function
-# replaced on the module (say, wrapped to time it) is the one that runs.
-
-
-def _arima():
-    from . import arima
-    return (arima.ArimaSpec, lambda s, spec: arima.fit(s, spec),
-            lambda m, s, h, level: arima.forecast(m, s, h, level=level))
-
-
-def _decomp():
-    from . import decomp
-    return (decomp.DecompSpec, lambda s, spec: decomp.fit(s, spec),
-            lambda m, s, h, level: decomp.forecast(m, s, h, level=level))
-
-
-def _lstm():
-    from . import neural
-    return (neural.LstmSpec, lambda s, spec: neural.lstm_fit(s, spec)[0],
-            lambda m, s, h, level: neural.lstm_forecast(m, s, h, level=level))
-
-
-def _tcn():
-    from . import neural
-    return (neural.TcnSpec, lambda s, spec: neural.tcn_fit(s, spec)[0],
-            lambda m, s, h, level: neural.tcn_forecast(m, s, h, level=level))
-
-
-def _gbt():
-    from . import gbtrees
-    return (gbtrees.GbtSpec, lambda s, spec: gbtrees.fit_series(s, spec),
-            lambda m, s, h, level: gbtrees.forecast_recursive(m, s, h, level=level))
-
-
-_FAMILIES = {"arima": _arima, "decomp": _decomp, "lstm": _lstm, "tcn": _tcn, "gbt": _gbt}
+# Each family's (module, spec class, fit, forecast) names. A fitted model
+# carries its spec, so a forecast reads no other.
+_FAMILIES = {
+    "arima": ("arima", "ArimaSpec", "fit", "forecast"),
+    "decomp": ("decomp", "DecompSpec", "fit", "forecast"),
+    "lstm": ("neural", "LstmSpec", "lstm_fit", "lstm_forecast"),
+    "tcn": ("neural", "TcnSpec", "tcn_fit", "tcn_forecast"),
+    "gbt": ("gbtrees", "GbtSpec", "fit_series", "forecast_recursive"),
+}
 MODEL_NAMES = tuple(_FAMILIES)
 
 
 class _Models(dict):
-    """name -> the family's entry, made when the family is first requested,
-    so that a run imports only the model modules it fits."""
+    """name -> (spec class, fit, forecast), made when the family is first
+    requested, so that a run imports only the model modules it fits. Each
+    function is looked up on its module at call time, so a function replaced
+    there (say, wrapped to time it) is the one that runs."""
 
     def __missing__(self, name: str):
-        return self.setdefault(name, _FAMILIES[name]())
+        module_name, spec_class, fit, forecast = _FAMILIES[name]
+        module = importlib.import_module(f".{module_name}", __package__)
+        return self.setdefault(name, (
+            getattr(module, spec_class),
+            lambda series, spec: getattr(module, fit)(series, spec),
+            lambda fitted, series, horizon, level: getattr(module, forecast)(fitted, series, horizon, level),
+        ))
 
 
 MODELS = _Models()
@@ -130,6 +114,8 @@ def build_factory(name: str, granularity: str = DAILY, seed: int = 0,
     _spec(name, granularity, seed, frozen_params)
 
     def fit_forecast(train: CountSeries, horizon: int) -> np.ndarray:
+        if not train.mask.any():
+            raise ModelError("the training range has no observed periods")
         gap = len(train) - 1 - train.last_observed_index()
         fc = forecast_model(name, train, gap + horizon, seed=seed, params=frozen_params)
         return np.asarray(fc.point[gap:], dtype=float)

@@ -7,16 +7,18 @@ supplies only the parameter tensors and Adam. Both offer ``predict(x)``
 and ``loss_and_grads(x, y)``, which training, forecasting and
 ``grad_check`` call. Both models standardize inputs, train full-batch
 with Adam from a seeded initialization, and forecast recursively by
-feeding each prediction back as pseudo-history. Interval bounds use the
-train-RMSE * sqrt(step) heuristic and are labeled as such in the forecast
-metadata. Training is deterministic for a fixed (seed, data, spec) triple
-and runs on one BLAS thread whatever the caller's count, so its bits do
-not depend on the machine's core count.
+feeding each prediction back as pseudo-history. ``lstm_fit`` and
+``tcn_fit`` return the fitted model, as every family's fit does; it keeps
+its spec and its per-epoch training losses (``epoch_losses``). Interval
+bounds use the train-RMSE * sqrt(step) heuristic and are labeled as such
+in the forecast metadata. Training is deterministic for a fixed (seed,
+data, spec) triple and runs on one BLAS thread whatever the caller's
+count, so its bits do not depend on the machine's core count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,13 +72,6 @@ class TcnSpec:
         object.__setattr__(self, "dilations", tuple(self.dilations))
 
 
-@dataclass
-class TrainReport:
-    epoch_losses: list[float] = field(default_factory=list)
-    final_loss: float = float("nan")
-    epochs_run: int = 0
-
-
 def receptive_field(spec: TcnSpec) -> int:
     return 1 + (spec.kernel - 1) * sum(spec.dilations)
 
@@ -127,6 +122,7 @@ class LstmModel:
         self.mean = mean
         self.std = std
         self.rmse_train = float("nan")
+        self.epoch_losses: list[float] = []
         self.lookback = spec.lookback
         self.calendar = ("weekday",) * spec.use_weekday + ("month",) * spec.use_month
         n_in = 1 + calendar_columns(np.empty(0, "M8[D]"), self.calendar).shape[1]
@@ -194,38 +190,35 @@ class LstmModel:
         return loss, [d_wx, d_wh, d_b, h_last.T @ d_out, d_out.sum(axis=0)]
 
 
-def _train(model, x: np.ndarray, y: np.ndarray, epochs: int, lr: float) -> TrainReport:
+def _train(model, x: np.ndarray, y: np.ndarray, epochs: int, lr: float) -> None:
     """Full-batch Adam on one BLAS thread, whatever the caller's count:
     a second thread would change the bits of the LSTM's weight gradients."""
     params = model.parameters()
     optimizer = Adam(params, lr=lr)
-    report = TrainReport()
     with one_blas_thread():
         for epoch in range(epochs):
             loss, grads = model.loss_and_grads(x, y)
             if not np.isfinite(loss):
                 raise ModelError(f"training diverged at epoch {epoch}: non-finite loss")
-            report.epoch_losses.append(loss)
+            model.epoch_losses.append(loss)
             for p, grad in zip(params, grads):
                 p.grad = grad
             optimizer.step()
         preds = model.predict(x)
-    report.final_loss = report.epoch_losses[-1]
-    report.epochs_run = epochs
     model.rmse_train = float(np.sqrt(np.mean((preds - y) ** 2))) * model.std
-    return report
 
 
-def _fit(model_class, spec, series: CountSeries) -> tuple:
+def _fit(model_class, spec, series: CountSeries):
     """Standardize by the observed counts, then train on every window."""
     _, vals = series.observed()
     std = float(vals.std())
     model = model_class(spec, float(vals.mean()), 1.0 if std < 1e-12 else std)
     x, y = _train_windows(model, series)
-    return model, _train(model, x, y, spec.epochs, spec.learning_rate)
+    _train(model, x, y, spec.epochs, spec.learning_rate)
+    return model
 
 
-def lstm_fit(series: CountSeries, spec: LstmSpec) -> tuple[LstmModel, TrainReport]:
+def lstm_fit(series: CountSeries, spec: LstmSpec) -> LstmModel:
     if spec.use_weekday and series.granularity != DAILY:
         raise ModelError("weekday features require a daily series; set use_weekday=False")
     n_obs = int(series.mask.sum())
@@ -272,6 +265,7 @@ class TcnModel:
         self.mean = mean
         self.std = std
         self.rmse_train = float("nan")
+        self.epoch_losses: list[float] = []
         self.lookback = receptive_field(spec)
         self.calendar = ()
         rng = np.random.default_rng(spec.seed)
@@ -362,7 +356,7 @@ class TcnModel:
         return loss, grads + head
 
 
-def tcn_fit(series: CountSeries, spec: TcnSpec) -> tuple[TcnModel, TrainReport]:
+def tcn_fit(series: CountSeries, spec: TcnSpec) -> TcnModel:
     rf = receptive_field(spec)
     longest = int(run_lengths(series.mask).max(initial=0))
     if longest <= rf:

@@ -117,7 +117,7 @@ def test_criterion_04_gradient_correctness():
         fresh = LstmModel(lstm_spec, 0.0, 1.0)
         worst = max(worst, grad_check(fresh, window))
         from attrikit.neural import lstm_fit, tcn_fit
-        trained, _ = lstm_fit(series, lstm_spec)
+        trained = lstm_fit(series, lstm_spec)
         worst = max(worst, grad_check(trained, window))
 
         tcn_spec = TcnSpec(kernel=2, dilations=(1, 2), channels=3, epochs=10,
@@ -125,7 +125,7 @@ def test_criterion_04_gradient_correctness():
         t_window = (rng.normal(size=(receptive_field(tcn_spec), 1)), np.array([-0.4]))
         fresh_tcn = TcnModel(tcn_spec, 0.0, 1.0)
         worst = max(worst, grad_check(fresh_tcn, t_window))
-        trained_tcn, _ = tcn_fit(series, tcn_spec)
+        trained_tcn = tcn_fit(series, tcn_spec)
         worst = max(worst, grad_check(trained_tcn, t_window))
     assert worst <= 1e-4, f"max relative error {worst:.2e}"
     _passed(4, f"grad_check <= 1e-4 for LSTM and TCN, init and after 10 steps, 3 seeds (worst {worst:.2e})")

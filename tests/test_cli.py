@@ -302,6 +302,18 @@ def test_model_too_big_to_allocate_exit_3(records_csv, tmp_path, capsys, hidden)
     assert err.startswith("model error: cannot allocate a parameter of shape") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["backtest", "compare"])
+def test_fold_with_no_observed_training_period_exit_3(records_csv, tmp_path, capsys, command):
+    # Every period of the first fold's ten training months is excluded.
+    run = {"backtest": ["--model", "arima"], "compare": ["--models", "decomp,arima"]}[command]
+    assert main([command, "--data", str(records_csv), "--granularity", "monthly", "--category", "tank",
+                 *run, "--exclude", "2022-01-01:2023-12-31", "--initial-train", "10",
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("model error: ") and err.count("\n") == 1
+    assert "fold at 2023-01-01: the training range has no observed periods" in err
+
+
 def test_backtest_writes_metrics(records_csv, tmp_path):
     out = tmp_path / "bt"
     code = main(["backtest", "--data", str(records_csv), "--model", "gbt",
@@ -367,6 +379,20 @@ def test_config_file_with_flag_override(records_csv, tmp_path):
                  "--horizon", "5"]) == 0  # flag beats config
     lines = (out / "forecast_arima.csv").read_text().strip().split("\n")
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_reversed_integer_range_exit_2(records_csv, tmp_path, capsys, source):
+    """A reversed range is an error that names its chunk, never an empty range."""
+    config = tmp_path / "reversed.conf"
+    config.write_text("dilations=4-1\n")
+    argv, chunk = {"flag": (["backtest", "--model", "gbt", "--lags", "1,12-6", "--initial-train", "30"], "12-6"),
+                   "config": (["forecast", "--model", "tcn", "--config", str(config)], "4-1")}[source]
+    assert main([*argv, "--data", str(records_csv), "--granularity", "monthly",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"reversed range '{chunk}'" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"reversed range '{chunk}'"):
+        _int_list(chunk)
 
 
 def test_config_unknown_key_exit_2(records_csv, tmp_path):
@@ -838,7 +864,7 @@ def test_benchmark_tracer_counts_lstm_epochs():
 
 def test_benchmark_tracer_counts_tcn_epochs():
     """The TCN kernels record no tape op, in training or in a forecast."""
-    spans = _traced_spans("model, _ = neural.tcn_fit(series, neural.TcnSpec(kernel=2, dilations=(1, 2), "
+    spans = _traced_spans("model = neural.tcn_fit(series, neural.TcnSpec(kernel=2, dilations=(1, 2), "
                           "channels=3, epochs=4))\nneural.tcn_forecast(model, series, 5)")
     (fit,) = [s for s in spans if s["name"] == "neural.tcn_fit"]
     adam = [s for s in spans if s["name"] == "autodiff.adam"]

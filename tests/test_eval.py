@@ -1,5 +1,6 @@
 """Backtest harness: metric arithmetic, fold logic, comparisons, factories."""
 
+import importlib
 from datetime import date
 
 import numpy as np
@@ -323,6 +324,33 @@ def test_forecast_model_origin_after_last_observed():
     fc = forecast_model("arima", series, 3, params={"p": 0, "d": 1, "q": 0, "use_log": False, "intercept": False})
     assert fc.origin == series.period_starts()[38]
     assert np.all(fc.point == 38.0)  # random walk repeats the last observed value
+
+
+@pytest.mark.parametrize("name", factories.MODEL_NAMES)
+def test_families_call_the_functions_on_their_module(name, monkeypatch):
+    """Each fit and forecast is looked up on its module at call time, so one
+    replaced there after the family's entry is made (as the benchmark's
+    tracer wraps them) is the one that runs."""
+    module_name, _, fit_name, forecast_name = factories._FAMILIES[name]
+    spec_class = factories.MODELS[name][0]
+    calls = []
+
+    def fit(series, spec):
+        calls.append(("fit", len(series), type(spec)))
+        return "fitted"
+
+    def forecast(fitted, series, horizon, level):
+        calls.append(("forecast", fitted, len(series), horizon, level))
+        return index_forecast(fitted, series, horizon, level)
+
+    module = importlib.import_module(f"attrikit.{module_name}")
+    monkeypatch.setattr(module, fit_name, fit)
+    monkeypatch.setattr(module, forecast_name, forecast)
+    series = daily(np.arange(40.0), np.arange(40) < 37)
+    assert forecast_model(name, series, 4, level=0.8).point.tolist() == [37.0, 38.0, 39.0, 40.0]
+    assert build_factory(name).fit_forecast(series, 2).tolist() == [40.0, 41.0]
+    assert calls == [("fit", 40, spec_class), ("forecast", "fitted", 37, 4, 0.8),
+                     ("fit", 40, spec_class), ("forecast", "fitted", 37, 5, 0.95)]
 
 
 def test_build_factory_rejects_unknown_name():

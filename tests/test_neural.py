@@ -208,14 +208,14 @@ def assert_training_bit_equals_adam_over_tape(model_class, spec, tape_forward):
     model = model_class(spec, 10.0, 3.0)
     oracle = model_class(spec, 10.0, 3.0)
     x, y = _train_windows(model, series)
-    report = _train(model, x, y, spec.epochs, spec.learning_rate)
+    _train(model, x, y, spec.epochs, spec.learning_rate)
 
     optimizer = ad.Adam(oracle.parameters(), lr=spec.learning_rate)
     losses = []
     for _ in range(spec.epochs):
         losses.append(tape_loss(tape_forward, oracle, x, y))
         optimizer.step()
-    assert bits(report.epoch_losses) == bits(losses)
+    assert bits(model.epoch_losses) == bits(losses)
     for p, q in zip(model.parameters(), oracle.parameters()):
         assert bits(p.value) == bits(q.value)
     preds = tape_forward(oracle, x).value
@@ -260,18 +260,18 @@ def test_lstm_training_bit_equals_adam_over_tape():
 
 def test_lstm_loss_trends_down_on_learnable_sine():
     series = sine_series()
-    _, report = lstm_fit(series, LstmSpec(**SMALL_LSTM, use_weekday=False))
-    assert report.epochs_run == len(report.epoch_losses) == SMALL_LSTM["epochs"]
-    assert fitted_loss_slope(report.epoch_losses) < 0
-    tail = report.epoch_losses[-30:]
+    model = lstm_fit(series, LstmSpec(**SMALL_LSTM, use_weekday=False))
+    assert len(model.epoch_losses) == SMALL_LSTM["epochs"]
+    assert fitted_loss_slope(model.epoch_losses) < 0
+    tail = model.epoch_losses[-30:]
     assert fitted_loss_slope(tail) < 0.05 * abs(tail[0])  # no blow-up late in training
 
 
 def test_lstm_deterministic_given_seed():
     series = sine_series()
     spec = LstmSpec(**SMALL_LSTM, use_weekday=False)
-    model_a, _ = lstm_fit(series, spec)
-    model_b, _ = lstm_fit(series, spec)
+    model_a = lstm_fit(series, spec)
+    model_b = lstm_fit(series, spec)
     for pa, pb in zip(model_a.parameters(), model_b.parameters()):
         assert np.array_equal(pa.value, pb.value)
 
@@ -279,7 +279,7 @@ def test_lstm_deterministic_given_seed():
 def test_lstm_constant_series_forecast_near_constant():
     series = daily(np.full(80, 10.0))
     spec = LstmSpec(lookback=6, hidden=4, epochs=150, learning_rate=0.02, seed=2, use_weekday=False)
-    model, _ = lstm_fit(series, spec)
+    model = lstm_fit(series, spec)
     fc = lstm_forecast(model, series, horizon=10)
     assert np.all(np.abs(fc.point - 10.0) <= 1.0)
 
@@ -287,7 +287,7 @@ def test_lstm_constant_series_forecast_near_constant():
 def test_lstm_forecast_shape_dates_and_standard_horizons():
     series = sine_series(n=150)
     spec = LstmSpec(**SMALL_LSTM, use_weekday=True)
-    model, _ = lstm_fit(series, spec)
+    model = lstm_fit(series, spec)
     for horizon in (7, 30, 70):
         fc = lstm_forecast(model, series, horizon=horizon)
         assert len(fc) == horizon
@@ -305,9 +305,9 @@ def test_forecast_window_comes_from_the_fitted_spec():
 
     series = sine_series()
     cases = (
-        ("lstm", lstm_forecast, lstm_fit(series, LstmSpec(**SMALL_LSTM, use_weekday=False))[0],
+        ("lstm", lstm_forecast, lstm_fit(series, LstmSpec(**SMALL_LSTM, use_weekday=False)),
          LstmSpec(**{**SMALL_LSTM, "lookback": 20}, use_weekday=False)),
-        ("tcn", tcn_forecast, tcn_fit(series, TcnSpec(**SMALL_TCN))[0],
+        ("tcn", tcn_forecast, tcn_fit(series, TcnSpec(**SMALL_TCN)),
          TcnSpec(**{**SMALL_TCN, "dilations": (1, 2, 4, 8)})),
     )
     for name, forecast, model, other_spec in cases:
@@ -327,7 +327,7 @@ def test_lstm_masked_tail_rejected():
     mask[-3:] = False
     series = daily(values, mask)
     spec = LstmSpec(**SMALL_LSTM, use_weekday=False)
-    model, _ = lstm_fit(series, spec)
+    model = lstm_fit(series, spec)
     with pytest.raises(ModelError, match="shift"):
         lstm_forecast(model, series, horizon=5)
 
@@ -339,8 +339,8 @@ def test_lstm_windows_skip_masked_periods():
     poisoned = values.copy()
     poisoned[50] = 1e9
     spec = LstmSpec(**SMALL_LSTM, use_weekday=False)
-    model_a, _ = lstm_fit(daily(values, mask), spec)
-    model_b, _ = lstm_fit(daily(poisoned, mask), spec)
+    model_a = lstm_fit(daily(values, mask), spec)
+    model_b = lstm_fit(daily(poisoned, mask), spec)
     for pa, pb in zip(model_a.parameters(), model_b.parameters()):
         assert np.array_equal(pa.value, pb.value)
 
@@ -437,8 +437,8 @@ def test_tcn_training_bit_equals_adam_over_tape():
 
 def test_tcn_loss_trends_down():
     series = sine_series()
-    _, report = tcn_fit(series, TcnSpec(**SMALL_TCN))
-    assert fitted_loss_slope(report.epoch_losses) < 0
+    model = tcn_fit(series, TcnSpec(**SMALL_TCN))
+    assert fitted_loss_slope(model.epoch_losses) < 0
 
 
 def test_tcn_deterministic_forecast_bytes():
@@ -448,7 +448,7 @@ def test_tcn_deterministic_forecast_bytes():
     spec = TcnSpec(**SMALL_TCN)
     out = []
     for _ in range(2):
-        model, _ = tcn_fit(series, spec)
+        model = tcn_fit(series, spec)
         fc = tcn_forecast(model, series, horizon=12)
         out.append(forecast_to_csv(fc))
     assert out[0] == out[1]
@@ -463,7 +463,7 @@ def test_tcn_receptive_field_error_reports_both_numbers():
 def test_tcn_forecast_shape():
     series = sine_series()
     spec = TcnSpec(**SMALL_TCN)
-    model, _ = tcn_fit(series, spec)
+    model = tcn_fit(series, spec)
     fc = tcn_forecast(model, series, horizon=9)
     assert len(fc) == 9
     assert fc.origin == series.end() + timedelta(days=1)
@@ -474,7 +474,7 @@ def test_tcn_tracks_terminal_regime(monthly_tanks_masked):
 
     spec = TcnSpec(kernel=2, dilations=(1, 2, 4), channels=8, epochs=2500,
                    learning_rate=5e-3, seed=5)
-    model, _ = tcn_fit(monthly_tanks_masked, spec)
+    model = tcn_fit(monthly_tanks_masked, spec)
     trimmed = monthly_tanks_masked.head(monthly_tanks_masked.last_observed_index() + 1)
     fc = tcn_forecast(model, trimmed, horizon=6)
     assert fc.origin == date(2025, 6, 1)
@@ -493,7 +493,7 @@ def test_grad_check_lstm_at_init_and_after_training():
     assert grad_check(fresh, window) <= 1e-4
 
     series = sine_series(n=60)
-    trained, _ = lstm_fit(series, spec)
+    trained = lstm_fit(series, spec)
     assert grad_check(trained, window) <= 1e-4
 
 
@@ -506,7 +506,7 @@ def test_grad_check_tcn_at_init_and_after_training():
     assert grad_check(fresh, window) <= 1e-4
 
     series = sine_series(n=60)
-    trained, _ = tcn_fit(series, spec)
+    trained = tcn_fit(series, spec)
     assert grad_check(trained, window) <= 1e-4
 
 
@@ -514,7 +514,7 @@ def test_destandardization_inverts_standardization():
     rng = np.random.default_rng(10)
     series = daily(rng.poisson(14.0, 90).astype(float))
     spec = LstmSpec(**SMALL_LSTM, use_weekday=False)
-    model, _ = lstm_fit(series, spec)
+    model = lstm_fit(series, spec)
     _, vals = series.observed()
     z = (vals - model.mean) / model.std
     back = z * model.std + model.mean
