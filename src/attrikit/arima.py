@@ -61,12 +61,12 @@ def _pacf_to_ar(pacf: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _unpack(x: np.ndarray, spec: ArimaSpec, mu_fixed: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _unpack(x: np.ndarray, spec: ArimaSpec) -> tuple[np.ndarray, np.ndarray, float]:
     p, q = spec.p, spec.q
     phi = _pacf_to_ar(np.tanh(x[:p])) if p else np.empty(0)
     # Invertible MA coefficients come from the same stationarity map.
     theta = -_pacf_to_ar(np.tanh(x[p:p + q])) if q else np.empty(0)
-    mu = float(x[p + q]) if spec.intercept else mu_fixed
+    mu = float(x[p + q]) if spec.intercept else 0.0
     return phi, theta, mu
 
 
@@ -77,11 +77,7 @@ def _observed_segments(series: CountSeries, use_log: bool) -> list[np.ndarray]:
         if np.any(vals < 0):
             raise ModelError("log transform requires non-negative values")
         vals = np.log1p(vals)
-    segments: list[np.ndarray] = []
-    cut = np.flatnonzero(np.diff(idx) > 1) + 1
-    for chunk in np.split(np.arange(idx.size), cut):
-        segments.append(vals[chunk])
-    return segments
+    return np.split(vals, np.flatnonzero(np.diff(idx) > 1) + 1)
 
 
 def _diff_segments(segments: list[np.ndarray], d: int) -> list[np.ndarray]:
@@ -139,7 +135,7 @@ def fit(series: CountSeries, spec: ArimaSpec, max_iter: int = 2000) -> ArimaFit:
         x0[-1] = mu0
 
     def objective(x: np.ndarray) -> float:
-        phi, theta, mu = _unpack(x, spec, 0.0)
+        phi, theta, mu = _unpack(x, spec)
         total, n_used = _css(zsegs, phi, theta, mu)
         if n_used == 0:
             return np.inf
@@ -150,15 +146,14 @@ def fit(series: CountSeries, spec: ArimaSpec, max_iter: int = 2000) -> ArimaFit:
         x_best = result.x
     else:
         x_best = x0
-    phi, theta, mu = _unpack(x_best, spec, 0.0)
+    phi, theta, mu = _unpack(x_best, spec)
     css, n_used = _css(zsegs, phi, theta, mu)
     if n_used == 0:
         raise ModelError("no usable residuals: observed segments too short for the AR order")
 
     sigma2 = max(css / n_used, 1e-12)
     loglik = -0.5 * n_used * (np.log(2.0 * np.pi * sigma2) + 1.0)
-    k = spec.p + spec.q + (1 if spec.intercept else 0) + 1
-    aic = 2.0 * k - 2.0 * loglik
+    aic = 2.0 * (n_params + 1) - 2.0 * loglik  # sigma2 is the extra parameter
     return ArimaFit(spec=spec, phi=phi, theta=theta, mu=mu, sigma2=sigma2, loglik=float(loglik),
                     aic=float(aic), n_used=n_used)
 

@@ -12,10 +12,11 @@ forecasting through any trailing masked gap and dropping the gap steps.
 
 The daily presets are the spec dataclass defaults. Monthly presets differ
 because monthly histories are short: smaller lookbacks/receptive fields, no
-weekday features, and more optimizer steps for the full-batch neural fits
-(gbt drops its weekday features on monthly data by itself). Everything can
-be overridden per model through ``params``; a parameter a spec rejects is a
-SchemaError.
+weekday features, and more optimizer steps for the full-batch neural fits.
+They are every per-granularity setting there is: a model given a daily-only
+calendar feature on monthly data raises ModelError rather than drop it.
+Everything can be overridden per model through ``params``; a parameter a
+spec rejects is a SchemaError.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ MONTHLY_PRESETS = {
     "decomp": {"n_changepoints": 10, "weekly_order": 0, "yearly_order": 3},
     "lstm": {"lookback": 6, "hidden": 16, "epochs": 2500, "learning_rate": 5e-3, "use_weekday": False},
     "tcn": {"kernel": 2, "dilations": (1, 2, 4), "channels": 8, "epochs": 2500, "learning_rate": 5e-3},
-    "gbt": {"lags": (1, 2, 3, 6, 12), "ma_windows": (3, 6)},
+    "gbt": {"lags": (1, 2, 3, 6, 12), "ma_windows": (3, 6), "calendar": frozenset({"month", "linear_index"})},
 }
 
 

@@ -250,19 +250,12 @@ def feature_importance(model: GbtModel) -> dict[str, float]:
     return dict(sorted(model.gains.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def _calendar(spec: GbtSpec, granularity: str) -> set[str]:
-    """The spec's calendar flags, less weekday on monthly data."""
-    calendar = set(spec.calendar)
-    if granularity != "daily":
-        calendar.discard("weekday")
-    return calendar
-
-
 def fit_series(series: CountSeries, spec: GbtSpec) -> GbtModel:
-    """Convenience: build the supervised matrix from a series, then fit."""
+    """Convenience: build the supervised matrix from a series, then fit.
+    A calendar flag the series' granularity lacks (weekday on monthly data)
+    is a ModelError."""
     try:
-        matrix = make_supervised(series, list(spec.lags), list(spec.ma_windows),
-                                 _calendar(spec, series.granularity))
+        matrix = make_supervised(series, list(spec.lags), list(spec.ma_windows), spec.calendar)
     except ValueError as err:
         raise ModelError(f"cannot build features: {err}") from err
     return fit(matrix, spec)
@@ -279,13 +272,16 @@ def forecast_recursive(model: GbtModel, series: CountSeries, horizon: int,
     """
     spec = model.spec
     lags, ma_windows = sorted(spec.lags), sorted(spec.ma_windows)
-    calendar = _calendar(spec, series.granularity)
-    if feature_names_for(lags, ma_windows, calendar, series.granularity) != tuple(model.feature_names):
+    try:
+        layout = feature_names_for(lags, ma_windows, spec.calendar, series.granularity)
+    except ValueError:  # a daily-only calendar flag on a monthly series
+        layout = None
+    if layout != tuple(model.feature_names):
         raise ModelError("model feature layout does not match the spec/series combination")
     check_request(horizon, level)  # before the horizon sizes the calendar block
     n = len(series)
     days = period_days(series.start, series.granularity, np.arange(n, n + horizon))
-    dated = target_calendar(days, series.start, calendar)
+    dated = target_calendar(days, series.start, spec.calendar)
     lag_back = np.array(lags, dtype=int)
 
     def step(history: np.ndarray, t: int) -> float:

@@ -227,7 +227,9 @@ def lstm_fit(series: CountSeries, spec: LstmSpec) -> LstmModel:
     return _fit(LstmModel, spec, series)
 
 
-def _forecast(model, series: CountSeries, horizon: int, level: float) -> Forecast:
+def lstm_forecast(model, series: CountSeries, horizon: int, level: float = 0.95) -> Forecast:
+    """Recursive forecast of a fitted LSTM or TCN, which read the same
+    windows; ``tcn_forecast`` is this function."""
     check_request(horizon, level)  # before the horizon sizes the inputs
     lookback = model.lookback
     inputs = _inputs(model, series, len(series) + horizon)
@@ -238,11 +240,6 @@ def _forecast(model, series: CountSeries, horizon: int, level: float) -> Forecas
         return float(model.predict(window[None])[0, 0]) * model.std + model.mean
 
     return recursive_forecast(series, horizon, level, lookback, model.rmse_train, step)
-
-
-def lstm_forecast(model: LstmModel, series: CountSeries, horizon: int,
-                  level: float = 0.95) -> Forecast:
-    return _forecast(model, series, horizon, level)
 
 
 # --------------------------------------------------------------------------
@@ -367,9 +364,7 @@ def tcn_fit(series: CountSeries, spec: TcnSpec) -> TcnModel:
     return _fit(TcnModel, spec, series)
 
 
-def tcn_forecast(model: TcnModel, series: CountSeries, horizon: int,
-                 level: float = 0.95) -> Forecast:
-    return _forecast(model, series, horizon, level)
+tcn_forecast = lstm_forecast
 
 
 # --------------------------------------------------------------------------

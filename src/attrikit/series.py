@@ -60,13 +60,6 @@ def period_index(start: date, granularity: str, day: date) -> int:
     return month_index(day) - month_index(start)
 
 
-def period_end(start: date, granularity: str, i: int) -> date:
-    """Last day covered by period ``i`` (inclusive)."""
-    if granularity == DAILY:
-        return period_start(start, granularity, i)
-    return add_months(start, i + 1) - timedelta(days=1)
-
-
 @dataclass(frozen=True, eq=False)
 class CountSeries:
     """Contiguous masked counts at daily or monthly granularity."""
@@ -95,10 +88,6 @@ class CountSeries:
 
     def period_starts(self) -> list[date]:
         return [period_start(self.start, self.granularity, i) for i in range(len(self))]
-
-    def end(self) -> date:
-        """Last day covered by the final period."""
-        return period_end(self.start, self.granularity, len(self) - 1)
 
     def observed(self) -> tuple[np.ndarray, np.ndarray]:
         """Indices and values of masked-in periods.

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from attrikit.cli import main
 from attrikit.errors import ConvergenceError, ModelError
 from attrikit.evaluate import BacktestSpec, MetricReport, rolling_backtest
-from attrikit.factories import MODEL_NAMES, build_factory, forecast_model
-from attrikit.series import MAX_HORIZON, MONTHLY, CountSeries
+from attrikit.factories import MODEL_NAMES, MODELS, _spec, build_factory, forecast_model
+from attrikit.series import DAILY, MAX_HORIZON, MONTHLY, CountSeries
 
 # Small models, so each example fits in well under a second.
 FAST_PARAMS = {
@@ -73,6 +73,19 @@ def test_one_horizon_cap_for_every_model(name):
         forecast_model(name, series, MAX_HORIZON + 1, params=params)
     with pytest.raises(ValueError):
         forecast_model(name, series, 0, params=params)
+
+
+@pytest.mark.parametrize("name", ["lstm", "decomp", "gbt"])
+def test_daily_calendar_on_monthly_data_is_a_model_error(name):
+    # Weekday features and weekly terms exist only on daily data. No model
+    # drops them by itself: the monthly presets leave them out, and a daily
+    # spec on a monthly series is a model error (exit 3).
+    rng = np.random.default_rng(2)
+    series = CountSeries(MONTHLY, date(2022, 3, 1), rng.poisson(20.0, 60).astype(float),
+                         np.ones(60, dtype=bool))
+    _, fit, _ = MODELS[name]
+    with pytest.raises(ModelError, match="week"):
+        fit(series, _spec(name, DAILY, 0, {}))
 
 
 # -- masked periods are never read --------------------------------------------

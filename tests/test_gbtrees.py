@@ -208,7 +208,7 @@ def test_recursive_forecast_180_days_july_to_december():
     rng = np.random.default_rng(7)
     values = rng.poisson(12.0, 500).astype(float)
     series = CountSeries(DAILY, date(2024, 2, 17), values, np.ones(500, dtype=bool))
-    assert series.end() == date(2025, 6, 30)
+    assert series.period_starts()[-1] == date(2025, 6, 30)
     spec = GbtSpec(n_trees=20, max_depth=2)
     model = fit_series(series, spec)
     fc = forecast_recursive(model, series, horizon=180)
@@ -227,14 +227,27 @@ def test_recursive_forecast_masked_tail_rejected():
         forecast_recursive(GbtModel(0.0, spec, ("lag_1", "lag_2")), series, horizon=3)
 
 
+def test_daily_model_forecast_on_monthly_series_is_a_model_error():
+    # The daily model's weekday columns have no monthly layout: a ModelError
+    # (exit 3), not the ValueError that feature_names_for raises.
+    rng = np.random.default_rng(8)
+    daily = CountSeries(DAILY, START, rng.poisson(8.0, 120).astype(float), np.ones(120, dtype=bool))
+    monthly = CountSeries(MONTHLY, START, rng.poisson(8.0, 60).astype(float), np.ones(60, dtype=bool))
+    model = fit_series(daily, GbtSpec(n_trees=3, lags=(1, 2), ma_windows=()))
+    with pytest.raises(ModelError, match="layout"):
+        forecast_recursive(model, monthly, horizon=3)
+
+
 @st.composite
 def forecast_requests(draw):
     """A daily or monthly series with non-integer counts and an interior gap,
-    a small gbt spec with random lags, windows and calendar flags, and a horizon."""
+    a small gbt spec with random lags, windows and calendar flags (weekday on
+    daily data only), and a horizon."""
     granularity = draw(st.sampled_from([DAILY, MONTHLY]))
     lags = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True)))
     ma_windows = tuple(draw(st.lists(st.integers(1, 12), max_size=3, unique=True)))
-    calendar = frozenset(draw(st.sets(st.sampled_from(["weekday", "month", "linear_index"]))))
+    flags = ["weekday", "month", "linear_index"] if granularity == DAILY else ["month", "linear_index"]
+    calendar = frozenset(draw(st.sets(st.sampled_from(flags))))
     depth = max(lags + ma_windows)
     n = draw(st.integers(depth + 30, depth + 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -268,8 +281,7 @@ def test_forecast_rows_are_training_rows(request):
         fc = forecast_recursive(model, series, horizon=horizon)
     extended = CountSeries(series.granularity, series.start, np.concatenate([series.values, fc.point]),
                            np.concatenate([series.mask, np.ones(horizon, dtype=bool)]))
-    calendar = spec.calendar if series.granularity == DAILY else spec.calendar - {"weekday"}
-    matrix = make_supervised(extended, list(spec.lags), list(spec.ma_windows), calendar)
+    matrix = make_supervised(extended, list(spec.lags), list(spec.ma_windows), spec.calendar)
     assert matrix.feature_names == model.feature_names
     training_row = dict(zip(matrix.target_dates, matrix.x))
     expected = np.array([training_row[day] for day in fc.period_starts()])

@@ -292,7 +292,7 @@ def test_lstm_forecast_shape_dates_and_standard_horizons():
         fc = lstm_forecast(model, series, horizon=horizon)
         assert len(fc) == horizon
         dates = fc.period_starts()
-        assert fc.origin == series.end() + timedelta(days=1)
+        assert fc.origin == series.start + timedelta(days=len(series))
         assert (np.diff([d.toordinal() for d in dates]) == 1).all()
         assert np.all(fc.lower <= fc.point) and np.all(fc.point <= fc.upper)
         assert fc.interval_method.endswith("heuristic")
@@ -466,7 +466,7 @@ def test_tcn_forecast_shape():
     model = tcn_fit(series, spec)
     fc = tcn_forecast(model, series, horizon=9)
     assert len(fc) == 9
-    assert fc.origin == series.end() + timedelta(days=1)
+    assert fc.origin == series.start + timedelta(days=len(series))
 
 
 def test_tcn_tracks_terminal_regime(monthly_tanks_masked):
