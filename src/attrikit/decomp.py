@@ -203,7 +203,10 @@ def predict(fit_result: DecompFit, dates: list[date], level: float = 0.95) -> Fo
 
 
 def forecast(fit_result: DecompFit, series: CountSeries, horizon: int, level: float = 0.95) -> Forecast:
-    """Forecast the ``horizon`` periods after the last observed one."""
+    """Forecast the ``horizon`` periods after the last observed one of a
+    series with the granularity of the fit."""
+    if series.granularity != fit_result.granularity:
+        raise ModelError(f"model was fitted on {fit_result.granularity} data; the series is {series.granularity}")
     check_request(horizon, level)
     first = series.last_observed_index() + 1
     dates = [period_start(series.start, series.granularity, first + i) for i in range(horizon)]

@@ -115,6 +115,13 @@ class LstmModel:
     lookback keeps the activations, and one reverse loop backpropagates
     through time (Werbos 1990). Every product and sum runs in the order
     the generic tape used, so fits are bit-identical to it.
+
+    Only ``loss_and_grads`` keeps activations, five arrays per step: the
+    gates i, f, o, the candidate and the cell state c. The reverse loop
+    recomputes tanh(c) of the step before once and uses it twice, for that
+    step's hidden state o * tanh(c) and as its own tanh(c); these are the
+    forward pass's ufuncs on the same inputs, so the bits are the same.
+    ``predict`` keeps nothing, so its memory does not grow with the lookback.
     """
 
     def __init__(self, spec: LstmSpec, mean: float, std: float):
@@ -123,6 +130,7 @@ class LstmModel:
         self.std = std
         self.rmse_train = float("nan")
         self.epoch_losses: list[float] = []
+        self.granularity: str | None = None  # the training series', set by the fit
         self.lookback = spec.lookback
         self.calendar = ("weekday",) * spec.use_weekday + ("month",) * spec.use_month
         n_in = 1 + calendar_columns(np.empty(0, "M8[D]"), self.calendar).shape[1]
@@ -139,25 +147,23 @@ class LstmModel:
     def parameters(self) -> list[Tensor]:
         return [self.wx, self.wh, self.b, self.w_out, self.b_out]
 
-    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
-        """Predictions (n, 1), the last hidden state and, per step,
-        (i, f, o, cand, c_prev, tanh(c), h_prev)."""
+    def _forward(self, x: np.ndarray, acts: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Predictions (n, 1) and the last hidden state; appends
+        (i, f, o, cand, c) per step to ``acts`` when one is given."""
         n, steps, _ = x.shape
         hs = self.spec.hidden
         wx, wh, b = self.wx.value, self.wh.value, self.b.value
         h = np.zeros((n, hs))
         c = np.zeros((n, hs))
-        acts = []
         for t in range(steps):
             gates = x[:, t, :] @ wx + h @ wh + b
             i, f, o = (1.0 / (1.0 + np.exp(-gates[:, k * hs:(k + 1) * hs])) for k in range(3))
             cand = np.tanh(gates[:, 3 * hs:])
-            c_prev, h_prev = c, h
             c = f * c + i * cand
-            tanh_c = np.tanh(c)
-            h = o * tanh_c
-            acts.append((i, f, o, cand, c_prev, tanh_c, h_prev))
-        return h @ self.w_out.value + self.b_out.value, h, acts
+            h = o * np.tanh(c)
+            if acts is not None:
+                acts.append((i, f, o, cand, c))
+        return h @ self.w_out.value + self.b_out.value, h
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """x: (n, lookback, features) -> predictions (n, 1)."""
@@ -166,7 +172,8 @@ class LstmModel:
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray] | None]:
         """Mean squared error and its gradient for each of ``parameters()``
         (None when the loss is not finite)."""
-        out, h_last, acts = self._forward(x)
+        acts: list[tuple] = []
+        out, h_last = self._forward(x, acts)
         diff = out - y
         loss = float((diff * diff).mean())
         if not np.isfinite(loss):
@@ -177,8 +184,15 @@ class LstmModel:
         d_h = d_out @ self.w_out.value.T
         d_c_next = 0.0  # reaches c_t through the next step's forget product
         d_wx, d_wh, d_b = np.zeros_like(self.wx.value), np.zeros_like(wh), np.zeros_like(self.b.value)
+        tanh_c = np.tanh(acts[-1][4])
         for t in reversed(range(len(acts))):
-            i, f, o, cand, c_prev, tanh_c, h_prev = acts[t]
+            i, f, o, cand, _ = acts[t]
+            if t:  # tanh(c_{t-1}) rebuilds h_{t-1} now and is tanh_c at step t-1
+                _, _, o_prev, _, c_prev = acts[t - 1]
+                tanh_prev = np.tanh(c_prev)
+                h_prev = o_prev * tanh_prev
+            else:
+                c_prev = h_prev = tanh_prev = np.zeros_like(h_last)
             d_c = d_h * o * (1.0 - tanh_c**2) + d_c_next
             d_gates = np.concatenate([d_c * cand * i * (1.0 - i), d_c * c_prev * f * (1.0 - f),
                                       d_h * tanh_c * o * (1.0 - o), d_c * i * (1.0 - cand**2)], axis=1)
@@ -187,6 +201,7 @@ class LstmModel:
             d_b += d_gates.sum(axis=0)
             d_c_next = d_c * f
             d_h = d_gates @ wh.T
+            tanh_c = tanh_prev
         return loss, [d_wx, d_wh, d_b, h_last.T @ d_out, d_out.sum(axis=0)]
 
 
@@ -213,6 +228,7 @@ def _fit(model_class, spec, series: CountSeries):
     _, vals = series.observed()
     std = float(vals.std())
     model = model_class(spec, float(vals.mean()), 1.0 if std < 1e-12 else std)
+    model.granularity = series.granularity
     x, y = _train_windows(model, series)
     _train(model, x, y, spec.epochs, spec.learning_rate)
     return model
@@ -229,7 +245,10 @@ def lstm_fit(series: CountSeries, spec: LstmSpec) -> LstmModel:
 
 def lstm_forecast(model, series: CountSeries, horizon: int, level: float = 0.95) -> Forecast:
     """Recursive forecast of a fitted LSTM or TCN, which read the same
-    windows; ``tcn_forecast`` is this function."""
+    windows; ``tcn_forecast`` is this function. The series must have the
+    granularity the model was fitted on."""
+    if series.granularity != model.granularity:
+        raise ModelError(f"model was fitted on {model.granularity} data; the series is {series.granularity}")
     check_request(horizon, level)  # before the horizon sizes the inputs
     lookback = model.lookback
     inputs = _inputs(model, series, len(series) + horizon)
@@ -255,6 +274,13 @@ class TcnModel:
     so fits are bit-identical to it: each causal conv is one batched matmul
     per tap over a dilated slice of the left-padded input, summed from tap
     0 upward before the bias is added.
+
+    Only ``loss_and_grads`` keeps activations: per block the padded input
+    and the ReLU mask, and the block's input itself only where a 1x1
+    projection reads it (only the first block can have one, and its input
+    is the data). The padded input already holds every other block's
+    input, so nothing is recomputed. ``predict`` and ``features`` keep
+    nothing.
     """
 
     def __init__(self, spec: TcnSpec, mean: float, std: float):
@@ -263,6 +289,7 @@ class TcnModel:
         self.std = std
         self.rmse_train = float("nan")
         self.epoch_losses: list[float] = []
+        self.granularity: str | None = None  # the training series', set by the fit
         self.lookback = receptive_field(spec)
         self.calendar = ()
         rng = np.random.default_rng(spec.seed)
@@ -288,12 +315,12 @@ class TcnModel:
         params.extend([self.w_out, self.b_out])
         return params
 
-    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
-        """Predictions (n, 1), the pre-head features (n, steps, channels)
-        and, per block, (input, padded input, conv > 0)."""
+    def _forward(self, x: np.ndarray, acts: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Predictions (n, 1) and the pre-head features (n, steps, channels);
+        appends (padded input, conv > 0, input or None) per block to ``acts``
+        when one is given."""
         n, steps, _ = x.shape
         cur = x
-        acts = []
         for block in self.blocks:
             dilation = block["dilation"]
             pad = (self.spec.kernel - 1) * dilation
@@ -305,10 +332,11 @@ class TcnModel:
                 conv += padded[:, i * dilation:i * dilation + steps] @ tap.value
             conv += block["bias"].value
             residual = cur if block["proj"] is None else cur @ block["proj"].value
-            acts.append((cur, padded, conv > 0.0))
+            if acts is not None:  # padded holds a copy of the input; only a projection reads it
+                acts.append((padded, conv > 0.0, None if block["proj"] is None else cur))
             cur = np.maximum(conv, 0.0) + residual
         out = cur[:, steps - 1:steps] @ self.w_out.value + self.b_out.value
-        return out.reshape(n, 1), cur, acts
+        return out.reshape(n, 1), cur
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """Pre-head activations, (n, steps, channels); strictly causal."""
@@ -321,7 +349,8 @@ class TcnModel:
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray] | None]:
         """Mean squared error and its gradient for each of ``parameters()``
         (None when the loss is not finite)."""
-        out, feats, acts = self._forward(x)
+        acts: list[tuple] = []
+        out, feats = self._forward(x, acts)
         diff = out - y
         loss = float((diff * diff).mean())
         if not np.isfinite(loss):
@@ -336,14 +365,14 @@ class TcnModel:
         grads: list[np.ndarray] = []
         taps = range(self.spec.kernel)
         for b in reversed(range(len(self.blocks))):
-            block, (cur, padded, active) = self.blocks[b], acts[b]
+            block, (padded, active, block_input) = self.blocks[b], acts[b]
             dilation, in_ch = block["dilation"], padded.shape[2]
             d_conv = d_cur * active
             block_grads = [padded[:, i * dilation:i * dilation + steps].reshape(-1, in_ch).T
                            @ d_conv.reshape(-1, channels) for i in taps]
             block_grads.append(d_conv.sum(axis=0).sum(axis=0))  # batch axis, then steps, as the tape did
             if block["proj"] is not None:
-                block_grads.append(cur.reshape(-1, in_ch).T @ d_cur.reshape(-1, channels))
+                block_grads.append(block_input.reshape(-1, in_ch).T @ d_cur.reshape(-1, channels))
             grads[:0] = block_grads
             if b:  # the first block's input is the data, which needs no gradient
                 d_padded = np.zeros_like(padded)

@@ -88,6 +88,24 @@ def test_daily_calendar_on_monthly_data_is_a_model_error(name):
         fit(series, _spec(name, DAILY, 0, {}))
 
 
+@pytest.mark.parametrize("name, fitted_on", [("lstm", DAILY), ("tcn", DAILY), ("decomp", DAILY),
+                                              ("gbt", DAILY), ("lstm", MONTHLY), ("tcn", MONTHLY),
+                                              ("decomp", MONTHLY)])
+def test_forecast_on_a_series_of_another_granularity_is_a_model_error(name, fitted_on):
+    # A model reads its series in the periods it was fitted on: weekdays,
+    # daily lags and weekly terms do not exist on monthly data, nor month
+    # steps on daily data.
+    rng = np.random.default_rng(3)
+    series = {g: CountSeries(g, date(2022, 3, 1), rng.poisson(20.0, n).astype(float), np.ones(n, dtype=bool))
+              for g, n in ((DAILY, 150), (MONTHLY, 60))}
+    other = MONTHLY if fitted_on == DAILY else DAILY
+    _, fit, forecast = MODELS[name]
+    fitted = fit(series[fitted_on], _spec(name, fitted_on, 0, FAST_PARAMS[name]))
+    message = None if name == "gbt" else f"fitted on {fitted_on} data; the series is {other}"
+    with pytest.raises(ModelError, match=message):
+        forecast(fitted, series[other], 3, 0.95)
+
+
 # -- masked periods are never read --------------------------------------------
 
 

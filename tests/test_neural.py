@@ -1,6 +1,7 @@
 """LSTM/TCN inputs, training, forecasting, causality, gradients."""
 
 import threading
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -433,6 +434,76 @@ def test_tcn_kernel_bit_equals_tape(case):
 def test_tcn_training_bit_equals_adam_over_tape():
     spec = TcnSpec(kernel=3, dilations=(1, 2), channels=4, epochs=40, learning_rate=0.02, seed=4)
     assert_training_bit_equals_adam_over_tape(TcnModel, spec, tape_tcn_forward)
+
+
+# -- daily shape: ~1,200 windows, as the full-preset daily fits train on ------
+
+
+def daily_windows(model, n=1200):
+    """The model's ``n`` training windows of a seeded daily count series."""
+    rng = np.random.default_rng(5)
+    return _train_windows(model, daily(rng.poisson(20.0, n + model.lookback).astype(float)))
+
+
+def daily_lstm(lookback=28):
+    return LstmModel(LstmSpec(lookback=lookback, hidden=32, seed=3), 20.0, 4.5)
+
+
+def daily_tcn():
+    return TcnModel(TcnSpec(seed=3), 20.0, 4.5)
+
+
+def test_lstm_kernel_bit_equals_tape_at_daily_shape():
+    # Larger batches take other BLAS and SIMD paths than the cases above.
+    model = daily_lstm()
+    assert_kernel_bit_equals_tape(model, *daily_windows(model), tape_lstm_forward)
+
+
+def test_tcn_kernel_bit_equals_tape_at_daily_shape():
+    model = daily_tcn()
+    x, y = daily_windows(model)
+    assert bits(model.features(x)) == bits(tape_tcn_features(model, x).value)
+    assert_kernel_bit_equals_tape(model, x, y, tape_tcn_forward)
+
+
+def peak_bytes(call):
+    """The most memory ``call`` held at once, in bytes, as tracemalloc sees it."""
+    call()  # once untraced, so that lazy set-up is not counted
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lstm_keeps_five_arrays_per_step_and_predict_keeps_none():
+    # One step's activation is A = n * hidden * 8 bytes. Backpropagation
+    # through time keeps i, f, o, cand and c per step. A fixed ~20 A comes
+    # on top: one step's gates, 4 A wide, and the backward pass's gate
+    # gradients, built as four A-sized pieces and then joined. Seven arrays
+    # per step (tanh(c) and h_prev as well) would take 212 A at lookback 28,
+    # and predict would keep them too.
+    peaks = {}
+    for lookback in (7, 28):
+        model = daily_lstm(lookback)
+        x, y = daily_windows(model)
+        act = len(x) * model.spec.hidden * 8
+        grads_peak = peak_bytes(lambda: model.loss_and_grads(x, y))
+        assert grads_peak < (5 * lookback + 24) * act
+        peaks[lookback] = peak_bytes(lambda: model.predict(x))
+    assert abs(peaks[28] - peaks[7]) < act  # predict keeps no step's activations
+
+
+def test_tcn_keeps_no_copied_block_input():
+    # B = n * steps * channels * 8 bytes is one block's output. The padded
+    # input of a block already holds its input. Keeping both would take
+    # 13.26 B for the default spec, whose last three blocks take B-sized
+    # inputs without a projection; the bound is that less those three.
+    model = daily_tcn()
+    x, y = daily_windows(model)
+    block = x.shape[0] * x.shape[1] * model.spec.channels * 8
+    assert peak_bytes(lambda: model.loss_and_grads(x, y)) < (13.5 - 3) * block
 
 
 def test_tcn_loss_trends_down():
