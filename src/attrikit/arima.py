@@ -18,7 +18,7 @@ import numpy as np
 from ._kernels import linear_filter
 from .errors import ModelError
 from .optim import nelder_mead
-from .series import CountSeries, Forecast, check_request, period_start
+from .series import CountSeries, Forecast, forecast_input, period_start
 from .stats import two_sided_z
 
 
@@ -47,6 +47,7 @@ class ArimaFit:
     loglik: float
     aic: float
     n_used: int
+    granularity: str
 
 
 def _pacf_to_ar(pacf: np.ndarray) -> np.ndarray:
@@ -155,7 +156,7 @@ def fit(series: CountSeries, spec: ArimaSpec, max_iter: int = 2000) -> ArimaFit:
     loglik = -0.5 * n_used * (np.log(2.0 * np.pi * sigma2) + 1.0)
     aic = 2.0 * (n_params + 1) - 2.0 * loglik  # sigma2 is the extra parameter
     return ArimaFit(spec=spec, phi=phi, theta=theta, mu=mu, sigma2=sigma2, loglik=float(loglik),
-                    aic=float(aic), n_used=n_used)
+                    aic=float(aic), n_used=n_used, granularity=series.granularity)
 
 
 def _psi_weights(phi: np.ndarray, theta: np.ndarray, d: int, horizon: int) -> np.ndarray:
@@ -182,21 +183,14 @@ def forecast(fit_result: ArimaFit, series: CountSeries, horizon: int,
     differencing anchors of the final observed segment, and maps point and
     bounds through the inverse log transform when one was used. No
     back-transform bias correction is applied: the point path is the
-    transformed-scale path mapped directly. The forecast origin is the
-    period following the last observed one.
+    transformed-scale path mapped directly. The input depth
+    ``forecast_input`` checks is max(d + 1, p + d).
     """
-    check_request(horizon, level)
     spec = fit_result.spec
-
-    segments = _observed_segments(series, spec.use_log)
-    final = segments[-1]
-    if len(final) < spec.d + 1:
-        raise ModelError("final observed segment too short to anchor differencing")
-
-    z = np.diff(final, n=spec.d) if spec.d else final.copy()
     p, q = spec.p, spec.q
-    if len(z) < p:
-        raise ModelError("final observed segment too short for the AR order")
+    series = forecast_input(series, fit_result.granularity, max(spec.d + 1, p + spec.d), horizon, level)
+    final = _observed_segments(series, spec.use_log)[-1]
+    z = np.diff(final, n=spec.d) if spec.d else final.copy()
 
     zt = list(z - fit_result.mu)
     # Innovations over the final segment, conditioned exactly as in fitting.
@@ -216,15 +210,10 @@ def forecast(fit_result: ArimaFit, series: CountSeries, horizon: int,
         e_hist.append(0.0)
     z_path = fit_result.mu + np.asarray(z_future)
 
-    # Integrate back through the final segment's tail values.
-    tails = [float(np.diff(final, n=k)[-1]) for k in range(spec.d)]
-    w_path = np.empty(horizon)
-    for h in range(horizon):
-        v = z_path[h]
-        for k in range(spec.d - 1, -1, -1):
-            v = tails[k] + v
-            tails[k] = v
-        w_path[h] = v
+    # Integrate back through the final segment's tail values, from the (d-1)th difference down.
+    w_path = z_path
+    for k in range(spec.d - 1, -1, -1):
+        w_path = np.cumsum(np.concatenate(([np.diff(final, n=k)[-1]], w_path)))[1:]
 
     psi = _psi_weights(fit_result.phi, fit_result.theta, spec.d, horizon)
     half = two_sided_z(level) * np.sqrt(fit_result.sigma2 * np.cumsum(psi**2))
@@ -233,5 +222,5 @@ def forecast(fit_result: ArimaFit, series: CountSeries, horizon: int,
     if spec.use_log:
         w_path, lower, upper = np.expm1(w_path), np.expm1(lower), np.expm1(upper)
 
-    origin = period_start(series.start, series.granularity, series.last_observed_index() + 1)
+    origin = period_start(series.start, series.granularity, len(series))
     return Forecast(series.granularity, origin, w_path, lower, upper, level, interval_method="gaussian_psi")

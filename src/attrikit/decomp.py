@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import cholesky_solve
 from .errors import ModelError
-from .series import DAILY, CountSeries, Forecast, check_request, period_index, period_start
+from .series import DAILY, CountSeries, Forecast, forecast_input, period_index, period_start
 from .stats import two_sided_z
 
 WEEKLY_PERIOD = 7.0
@@ -205,9 +205,6 @@ def predict(fit_result: DecompFit, dates: list[date], level: float = 0.95) -> Fo
 def forecast(fit_result: DecompFit, series: CountSeries, horizon: int, level: float = 0.95) -> Forecast:
     """Forecast the ``horizon`` periods after the last observed one of a
     series with the granularity of the fit."""
-    if series.granularity != fit_result.granularity:
-        raise ModelError(f"model was fitted on {fit_result.granularity} data; the series is {series.granularity}")
-    check_request(horizon, level)
-    first = series.last_observed_index() + 1
-    dates = [period_start(series.start, series.granularity, first + i) for i in range(horizon)]
+    series = forecast_input(series, fit_result.granularity, 0, horizon, level)
+    dates = [period_start(series.start, series.granularity, len(series) + i) for i in range(horizon)]
     return predict(fit_result, dates, level)

@@ -5,10 +5,11 @@ Every family meets one contract, ``fit(series, spec) -> fitted`` and
 (``_FAMILIES``) is all that ``MODELS`` needs to serve each of them.
 
 ``forecast_model`` fits the named model on a masked series and forecasts
-the periods following the last observed one, so a trailing exclusion
-window simply moves the origin back onto observed data. The backtest
-factories built on top realign those forecasts to absolute periods by
-forecasting through any trailing masked gap and dropping the gap steps.
+the periods following the last observed one (``series.forecast_input``),
+so a trailing exclusion window simply moves the origin back onto observed
+data. The backtest factories built on top realign those forecasts to
+absolute periods by forecasting through any trailing masked gap and
+dropping the gap steps.
 
 The daily presets are the spec dataclass defaults. Monthly presets differ
 because monthly histories are short: smaller lookbacks/receptive fields, no
@@ -91,17 +92,14 @@ def _spec(name: str, granularity: str, seed: int, params: dict):
 
 def forecast_model(name: str, series: CountSeries, horizon: int, seed: int = 0,
                    params: dict | None = None, level: float = 0.95) -> Forecast:
-    """Fit the named model and forecast from the last observed period.
-
-    The model trains on the masked series as given (only observed values
-    are ever read) and forecasts from the series truncated at the last
-    observed period, so lookback windows end on real data.
+    """Fit the named model on the masked series as given (only observed
+    values are ever read) and forecast from it; each family's forecast
+    starts after the last observed period, so lookback windows end on
+    real data.
     """
     spec = _spec(name, series.granularity, seed, dict(params or {}))
     _, fit, forecast = MODELS[name]
-    fitted = fit(series, spec)
-    trimmed = series.head(series.last_observed_index() + 1)
-    return forecast(fitted, trimmed, horizon, level)
+    return forecast(fit(series, spec), series, horizon, level)
 
 
 def build_factory(name: str, granularity: str = DAILY, seed: int = 0,

@@ -29,8 +29,7 @@ from .series import (
     CountSeries,
     Forecast,
     SupervisedMatrix,
-    check_request,
-    feature_names_for,
+    forecast_input,
     make_supervised,
     period_days,
     recursive_forecast,
@@ -94,6 +93,7 @@ class GbtModel:
     total_gain: float = 0.0
     rmse_train: float = 0.0
     stage_rmse: list[float] = field(default_factory=list)
+    granularity: str | None = None  # the training series', set by fit_series
 
 
 def _rank_columns(x: np.ndarray) -> np.ndarray:
@@ -253,12 +253,15 @@ def feature_importance(model: GbtModel) -> dict[str, float]:
 def fit_series(series: CountSeries, spec: GbtSpec) -> GbtModel:
     """Convenience: build the supervised matrix from a series, then fit.
     A calendar flag the series' granularity lacks (weekday on monthly data)
-    is a ModelError."""
+    is a ModelError. The model keeps the series' granularity, which its
+    forecasts require."""
     try:
         matrix = make_supervised(series, list(spec.lags), list(spec.ma_windows), spec.calendar)
     except ValueError as err:
         raise ModelError(f"cannot build features: {err}") from err
-    return fit(matrix, spec)
+    model = fit(matrix, spec)
+    model.granularity = series.granularity
+    return model
 
 
 def forecast_recursive(model: GbtModel, series: CountSeries, horizon: int,
@@ -267,18 +270,13 @@ def forecast_recursive(model: GbtModel, series: CountSeries, horizon: int,
 
     Each step's row is the ``make_supervised`` row of its period: the lags
     and trailing means of the history, then the calendar columns of its
-    date. Intervals use the train-residual RMSE * sqrt(step) heuristic and
+    date. The input depth ``forecast_input`` checks is the largest lag or
+    window. Intervals use the train-residual RMSE * sqrt(step) heuristic and
     are labeled as such.
     """
     spec = model.spec
     lags, ma_windows = sorted(spec.lags), sorted(spec.ma_windows)
-    try:
-        layout = feature_names_for(lags, ma_windows, spec.calendar, series.granularity)
-    except ValueError:  # a daily-only calendar flag on a monthly series
-        layout = None
-    if layout != tuple(model.feature_names):
-        raise ModelError("model feature layout does not match the spec/series combination")
-    check_request(horizon, level)  # before the horizon sizes the calendar block
+    series = forecast_input(series, model.granularity, max(lags + ma_windows, default=0), horizon, level)
     n = len(series)
     days = period_days(series.start, series.granularity, np.arange(n, n + horizon))
     dated = target_calendar(days, series.start, spec.calendar)
@@ -288,5 +286,4 @@ def forecast_recursive(model: GbtModel, series: CountSeries, horizon: int,
         means = [history[t - w:t].mean() for w in ma_windows]
         return predict(model, np.concatenate((history[t - lag_back], means, dated[t - n])))
 
-    depth = max(lags + ma_windows, default=0)
-    return recursive_forecast(series, horizon, level, depth, model.rmse_train, step)
+    return recursive_forecast(series, horizon, level, model.rmse_train, step)

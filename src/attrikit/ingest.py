@@ -253,6 +253,14 @@ def _header_columns(reader, schema: dict[str, str] | None) -> list[int]:
     return [position.get(colmap[logical], sys.maxsize) for logical in LOGICAL_COLUMNS]
 
 
+def check_categories(categories: set[Category] | None) -> None:
+    """A category filter holds Category members only: a name such as
+    ``"tank"`` would match no record, so it is a TypeError, not an empty result."""
+    wrong = sorted(repr(c) for c in categories or () if not isinstance(c, Category))
+    if wrong:
+        raise TypeError(f"category filter members must be Category values, not {', '.join(wrong)}")
+
+
 def parse_records(
     csv_text: str,
     schema: dict[str, str] | None = None,
@@ -272,13 +280,16 @@ def parse_records(
     location, url) equals an earlier row's is counted as a duplicate and
     dropped.
 
-    ``categories``, when given, keeps only the records of those categories,
-    as corrections label them, and the report counts the other valid rows
+    ``categories``, when given, keeps only the records of those categories
+    (Category members; any other member is a TypeError), as corrections
+    label them, and the report counts the other valid rows
     in ``other_categories``. Dedup keys include the category, so dropping
     those rows drops no duplicate of a kept one. The report's ``date_span``
     is the first and last date of the valid rows of every category (None
     when there are none).
     """
+    check_categories(categories)
+
     def label(category: Category) -> tuple[Category, str, bool]:
         return category, category.value, categories is None or category in categories
 

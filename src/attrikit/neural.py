@@ -26,7 +26,7 @@ from . import autodiff as ad
 from ._kernels import one_blas_thread
 from .autodiff import Adam, Tensor
 from .errors import ModelError
-from .series import (DAILY, CountSeries, Forecast, calendar_columns, check_request, period_days,
+from .series import (DAILY, CountSeries, Forecast, calendar_columns, forecast_input, period_days,
                      recursive_forecast, run_lengths)
 
 
@@ -245,12 +245,10 @@ def lstm_fit(series: CountSeries, spec: LstmSpec) -> LstmModel:
 
 def lstm_forecast(model, series: CountSeries, horizon: int, level: float = 0.95) -> Forecast:
     """Recursive forecast of a fitted LSTM or TCN, which read the same
-    windows; ``tcn_forecast`` is this function. The series must have the
-    granularity the model was fitted on."""
-    if series.granularity != model.granularity:
-        raise ModelError(f"model was fitted on {model.granularity} data; the series is {series.granularity}")
-    check_request(horizon, level)  # before the horizon sizes the inputs
+    windows; ``tcn_forecast`` is this function. The input depth
+    ``forecast_input`` checks is the lookback (the TCN's receptive field)."""
     lookback = model.lookback
+    series = forecast_input(series, model.granularity, lookback, horizon, level)
     inputs = _inputs(model, series, len(series) + horizon)
 
     def step(history: np.ndarray, t: int) -> float:
@@ -258,7 +256,7 @@ def lstm_forecast(model, series: CountSeries, horizon: int, level: float = 0.95)
         window[:, 0] = (history[t - lookback:t] - model.mean) / model.std
         return float(model.predict(window[None])[0, 0]) * model.std + model.mean
 
-    return recursive_forecast(series, horizon, level, lookback, model.rmse_train, step)
+    return recursive_forecast(series, horizon, level, model.rmse_train, step)
 
 
 # --------------------------------------------------------------------------

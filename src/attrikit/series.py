@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ModelError
-from .ingest import Category, LossRecord
+from .ingest import Category, LossRecord, check_categories
 from .stats import two_sided_z
 
 DAILY = "daily"
@@ -176,37 +176,46 @@ class Forecast:
         return [period_start(self.origin, self.granularity, i) for i in range(len(self))]
 
 
-def check_request(horizon: int, level: float) -> None:
-    """The horizon and level check every model runs before forecasting."""
+def forecast_input(series: CountSeries, granularity: str | None, depth: int, horizon: int,
+                   level: float) -> CountSeries:
+    """The forecast contract, checked first by every model's forecast.
+
+    ``series`` must have the ``granularity`` the model was fitted on, the
+    horizon must lie in 1..MAX_HORIZON and the level in (0, 1). The origin
+    is the period after the last observed one, and the ``depth`` periods
+    before it, the model's input window, must all be observed. Returns the
+    series cut at that origin, so a trailing masked gap moves the origin
+    back onto observed data.
+    """
+    if series.granularity != granularity:
+        raise ModelError(f"model was fitted on {granularity} data; the series is {series.granularity}")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if horizon > MAX_HORIZON:
         raise ModelError(f"horizon {horizon} exceeds {MAX_HORIZON} periods; extrapolation that far is not meaningful")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
+    origin = series.last_observed_index() + 1
+    if origin < depth:
+        raise ModelError(f"series shorter than the {depth}-period input window")
+    if not series.mask[origin - depth:origin].all():
+        raise ModelError(f"masked periods in the final {depth}-period input window before the forecast origin")
+    return series.head(origin)
 
 
-def recursive_forecast(series: CountSeries, horizon: int, level: float, depth: int, rmse: float,
+def recursive_forecast(series: CountSeries, horizon: int, level: float, rmse: float,
                        step: Callable[[np.ndarray, int], float]) -> Forecast:
     """Forecast the ``horizon`` periods after ``series`` one step at a time.
 
     ``step(history, t)`` predicts period ``t`` from ``history``: the
     observed counts, NaN at masked periods, then from ``len(series)`` on
     every earlier prediction clamped at zero (the pseudo-history fed back).
-    The final ``depth`` periods must be observed, so every input window is
-    real data or fed-back predictions. Bounds are point +/- z * rmse *
+    ``series`` is what ``forecast_input`` returns, so every input window
+    is real data or fed-back predictions. Bounds are point +/- z * rmse *
     sqrt(step), a heuristic and labeled as such; the origin is the period
     after the series.
     """
-    check_request(horizon, level)
     n = len(series)
-    if n < depth:
-        raise ModelError(f"series shorter than the {depth}-period input window")
-    if not series.mask[n - depth:].all():
-        raise ModelError(
-            f"masked periods in the final {depth}-period input window; shift the forecast origin "
-            "to end on observed data (e.g. truncate the series at the last observed period)"
-        )
     idx, vals = series.observed()
     history = np.full(n + horizon, np.nan)
     history[idx] = vals
@@ -233,8 +242,10 @@ def aggregate(
 
     Periods with no matching records get an observed zero: within
     coverage, the absence of a confirmed loss is a real observation of
-    zero under minimum-count semantics.
+    zero under minimum-count semantics. ``category_filter`` holds Category
+    members (``ingest.check_categories``).
     """
+    check_categories(category_filter)
     if date_range is None:
         if not records:
             raise ValueError("cannot infer a date range from zero records")
@@ -277,25 +288,6 @@ def apply_exclusions(series: CountSeries, windows: list[ExclusionWindow]) -> Cou
 # Supervised matrix
 
 
-def feature_names_for(
-    lags: list[int],
-    ma_windows: list[int],
-    calendar: set[str],
-    granularity: str,
-) -> tuple[str, ...]:
-    names = [f"lag_{k}" for k in sorted(lags)]
-    names += [f"ma_{w}" for w in sorted(ma_windows)]
-    if "weekday" in calendar:
-        if granularity != DAILY:
-            raise ValueError("weekday features require daily granularity")
-        names += [f"weekday_{i}" for i in range(WEEKDAY_FEATURES)]
-    if "month" in calendar:
-        names += [f"month_{i}" for i in range(1, MONTH_FEATURES + 1)]
-    if "linear_index" in calendar:
-        names.append("linear_index")
-    return tuple(names)
-
-
 def make_supervised(
     series: CountSeries,
     lags: list[int],
@@ -332,7 +324,15 @@ def make_supervised(
     if depth >= idx.size:
         raise ValueError(f"max lag/window {depth} exceeds observed length {idx.size}")
 
-    names = feature_names_for(lags, ma_windows, calendar, series.granularity)
+    names = [f"lag_{k}" for k in sorted(lags)] + [f"ma_{w}" for w in sorted(ma_windows)]
+    if "weekday" in calendar:
+        if series.granularity != DAILY:
+            raise ValueError("weekday features require daily granularity")
+        names += [f"weekday_{i}" for i in range(WEEKDAY_FEATURES)]
+    if "month" in calendar:
+        names += [f"month_{i}" for i in range(1, MONTH_FEATURES + 1)]
+    if "linear_index" in calendar:
+        names.append("linear_index")
     n = len(series)
     missing = np.isnan(history)
     dropped = missing[depth:].copy()
@@ -347,7 +347,7 @@ def make_supervised(
     columns.append(target_calendar(days, series.start, calendar))
     keep = ~dropped
     x = np.column_stack(columns)[keep]
-    return SupervisedMatrix(names, x, history[depth:][keep], tuple(days[keep].tolist()))
+    return SupervisedMatrix(tuple(names), x, history[depth:][keep], tuple(days[keep].tolist()))
 
 
 def run_lengths(mask: np.ndarray) -> np.ndarray:

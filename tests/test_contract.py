@@ -17,7 +17,8 @@ from attrikit.cli import main
 from attrikit.errors import ConvergenceError, ModelError
 from attrikit.evaluate import BacktestSpec, MetricReport, rolling_backtest
 from attrikit.factories import MODEL_NAMES, MODELS, _spec, build_factory, forecast_model
-from attrikit.series import DAILY, MAX_HORIZON, MONTHLY, CountSeries
+from attrikit.ingest import Category, parse_records
+from attrikit.series import DAILY, MAX_HORIZON, MONTHLY, CountSeries, aggregate
 
 # Small models, so each example fits in well under a second.
 FAST_PARAMS = {
@@ -88,9 +89,8 @@ def test_daily_calendar_on_monthly_data_is_a_model_error(name):
         fit(series, _spec(name, DAILY, 0, {}))
 
 
-@pytest.mark.parametrize("name, fitted_on", [("lstm", DAILY), ("tcn", DAILY), ("decomp", DAILY),
-                                              ("gbt", DAILY), ("lstm", MONTHLY), ("tcn", MONTHLY),
-                                              ("decomp", MONTHLY)])
+@pytest.mark.parametrize("fitted_on", [DAILY, MONTHLY])
+@pytest.mark.parametrize("name", MODEL_NAMES)
 def test_forecast_on_a_series_of_another_granularity_is_a_model_error(name, fitted_on):
     # A model reads its series in the periods it was fitted on: weekdays,
     # daily lags and weekly terms do not exist on monthly data, nor month
@@ -101,9 +101,53 @@ def test_forecast_on_a_series_of_another_granularity_is_a_model_error(name, fitt
     other = MONTHLY if fitted_on == DAILY else DAILY
     _, fit, forecast = MODELS[name]
     fitted = fit(series[fitted_on], _spec(name, fitted_on, 0, FAST_PARAMS[name]))
-    message = None if name == "gbt" else f"fitted on {fitted_on} data; the series is {other}"
-    with pytest.raises(ModelError, match=message):
+    with pytest.raises(ModelError, match=f"fitted on {fitted_on} data; the series is {other}"):
         forecast(fitted, series[other], 3, 0.95)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_forecast_from_a_masked_tail_equals_the_cut_series(name):
+    # Every family forecasts from the period after the last observed one,
+    # called directly or through forecast_model.
+    rng = np.random.default_rng(4)
+    mask = np.ones(60, dtype=bool)
+    mask[-3:] = False
+    series = CountSeries(MONTHLY, date(2022, 3, 1), rng.poisson(20.0, 60).astype(float), mask)
+    _, fit, forecast = MODELS[name]
+    fitted = fit(series, _spec(name, MONTHLY, 0, FAST_PARAMS[name]))
+    tail, cut = forecast(fitted, series, 4, 0.9), forecast(fitted, series.head(57), 4, 0.9)
+    assert tail.origin == cut.origin == date(2026, 12, 1)
+    for part in ("point", "lower", "upper"):
+        assert getattr(tail, part).tobytes() == getattr(cut, part).tobytes()
+
+
+@pytest.mark.parametrize("name, params, depth", [("arima", {"p": 2, "d": 1}, 3), ("gbt", {}, 3),
+                                                 ("lstm", {}, 4), ("tcn", {}, 4)])
+def test_final_observed_run_shorter_than_the_input_window_is_a_model_error(name, params, depth):
+    # The depth periods before the origin are the forecast's input window:
+    # ARIMA's max(d + 1, p + d) differencing and AR anchors, gbt's largest
+    # lag or window, the LSTM lookback, the TCN receptive field.
+    values = np.random.default_rng(5).poisson(20.0, 60).astype(float)
+
+    def final_run(k):
+        mask = np.ones(60, dtype=bool)
+        mask[-k - 1] = False
+        return CountSeries(MONTHLY, date(2022, 3, 1), values, mask)
+
+    _, fit, forecast = MODELS[name]
+    fitted = fit(final_run(depth), _spec(name, MONTHLY, 0, {**FAST_PARAMS[name], **params}))
+    assert len(forecast(fitted, final_run(depth), 3, 0.95)) == 3
+    with pytest.raises(ModelError, match=f"masked periods in the final {depth}-period input window"):
+        forecast(fitted, final_run(depth - 1), 3, 0.95)
+
+
+def test_category_filter_of_names_is_a_type_error(synth_records):
+    # A filter of names instead of Category members would match no record.
+    with pytest.raises(TypeError, match="'tank'"):
+        parse_records("date,type\n2023-01-05,tank\n", categories={"tank"})
+    with pytest.raises(TypeError, match="'tank'"):
+        aggregate(synth_records, MONTHLY, {Category.IFV, "tank"})
+    assert aggregate(synth_records, MONTHLY, {Category.IFV}).values.sum() > 0
 
 
 # -- masked periods are never read --------------------------------------------

@@ -264,9 +264,11 @@ def test_factory_realigns_over_masked_tail():
 
 
 def index_forecast(fitted, series, horizon, level):
-    """A forecast whose point at each period is that period's absolute index."""
-    points = np.arange(len(series), len(series) + horizon, dtype=float)
-    origin = period_start(series.start, series.granularity, len(series))
+    """A forecast whose point at each period is that period's absolute index,
+    from the period after the last observed one, as every family forecasts."""
+    n = series.last_observed_index() + 1
+    points = np.arange(n, n + horizon, dtype=float)
+    origin = period_start(series.start, series.granularity, n)
     return Forecast(series.granularity, origin, points, points, points, level)
 
 
@@ -349,8 +351,8 @@ def test_families_call_the_functions_on_their_module(name, monkeypatch):
     series = daily(np.arange(40.0), np.arange(40) < 37)
     assert forecast_model(name, series, 4, level=0.8).point.tolist() == [37.0, 38.0, 39.0, 40.0]
     assert build_factory(name).fit_forecast(series, 2).tolist() == [40.0, 41.0]
-    assert calls == [("fit", 40, spec_class), ("forecast", "fitted", 37, 4, 0.8),
-                     ("fit", 40, spec_class), ("forecast", "fitted", 37, 5, 0.95)]
+    assert calls == [("fit", 40, spec_class), ("forecast", "fitted", 40, 4, 0.8),
+                     ("fit", 40, spec_class), ("forecast", "fitted", 40, 5, 0.95)]
 
 
 def test_build_factory_rejects_unknown_name():

@@ -218,23 +218,14 @@ def test_recursive_forecast_180_days_july_to_december():
     assert (np.diff([d.toordinal() for d in dates]) == 1).all()
 
 
-def test_recursive_forecast_masked_tail_rejected():
-    mask = np.ones(100, dtype=bool)
-    mask[-1] = False
-    series = CountSeries(DAILY, START, np.arange(100.0), mask)
-    spec = GbtSpec(n_trees=2, lags=(1, 2), ma_windows=(), calendar=frozenset())
-    with pytest.raises(ModelError, match="masked"):
-        forecast_recursive(GbtModel(0.0, spec, ("lag_1", "lag_2")), series, horizon=3)
-
-
 def test_daily_model_forecast_on_monthly_series_is_a_model_error():
     # The daily model's weekday columns have no monthly layout: a ModelError
-    # (exit 3), not the ValueError that feature_names_for raises.
+    # (exit 3) that names both granularities.
     rng = np.random.default_rng(8)
     daily = CountSeries(DAILY, START, rng.poisson(8.0, 120).astype(float), np.ones(120, dtype=bool))
     monthly = CountSeries(MONTHLY, START, rng.poisson(8.0, 60).astype(float), np.ones(60, dtype=bool))
     model = fit_series(daily, GbtSpec(n_trees=3, lags=(1, 2), ma_windows=()))
-    with pytest.raises(ModelError, match="layout"):
+    with pytest.raises(ModelError, match="fitted on daily data; the series is monthly"):
         forecast_recursive(model, monthly, horizon=3)
 
 

@@ -322,17 +322,6 @@ def test_forecast_window_comes_from_the_fitted_spec():
             MODELS[name][2](model, series, other_spec, 5, 0.95)
 
 
-def test_lstm_masked_tail_rejected():
-    values = np.arange(100.0)
-    mask = np.ones(100, dtype=bool)
-    mask[-3:] = False
-    series = daily(values, mask)
-    spec = LstmSpec(**SMALL_LSTM, use_weekday=False)
-    model = lstm_fit(series, spec)
-    with pytest.raises(ModelError, match="shift"):
-        lstm_forecast(model, series, horizon=5)
-
-
 def test_lstm_windows_skip_masked_periods():
     values = np.arange(100.0)
     mask = np.ones(100, dtype=bool)
