@@ -18,7 +18,7 @@ import numpy as np
 from ._kernels import linear_filter
 from .errors import ModelError
 from .optim import nelder_mead
-from .series import CountSeries, Forecast, forecast_input, period_start
+from .series import CountSeries, Forecast, check_fit_input, forecast_input, period_start
 from .stats import two_sided_z
 
 
@@ -117,18 +117,13 @@ def fit(series: CountSeries, spec: ArimaSpec, max_iter: int = 2000) -> ArimaFit:
 
     The optimizer walks the transformed space from phi = theta = 0 and
     mu = the sample mean of the differenced data, so identical inputs give
-    identical fits.
+    identical fits. The series needs p + q + d + 10 observed periods, p + d
+    + 1 of them consecutive, so that some differenced segment is longer than
+    p and the sum of squares has a residual.
     """
-    n_obs = int(series.mask.sum())
-    minimum = spec.p + spec.q + spec.d + 10
-    if n_obs < minimum:
-        raise ModelError(f"need at least {minimum} observed periods for ARIMA{(spec.p, spec.d, spec.q)}, have {n_obs}")
-
+    check_fit_input(series, spec.p + spec.q + spec.d + 10, spec.p + spec.d + 1)
     zsegs = _diff_segments(_observed_segments(series, spec.use_log), spec.d)
-    pooled = np.concatenate(zsegs) if zsegs else np.empty(0)
-    if pooled.size <= spec.p:
-        raise ModelError("not enough contiguous observed data after differencing")
-    mu0 = float(pooled.mean()) if spec.intercept else 0.0
+    mu0 = float(np.concatenate(zsegs).mean()) if spec.intercept else 0.0
 
     n_params = spec.p + spec.q + (1 if spec.intercept else 0)
     x0 = np.zeros(n_params)
@@ -136,11 +131,7 @@ def fit(series: CountSeries, spec: ArimaSpec, max_iter: int = 2000) -> ArimaFit:
         x0[-1] = mu0
 
     def objective(x: np.ndarray) -> float:
-        phi, theta, mu = _unpack(x, spec)
-        total, n_used = _css(zsegs, phi, theta, mu)
-        if n_used == 0:
-            return np.inf
-        return total
+        return _css(zsegs, *_unpack(x, spec))[0]
 
     if n_params:
         result = nelder_mead(objective, x0, max_iter=max_iter)
@@ -149,9 +140,6 @@ def fit(series: CountSeries, spec: ArimaSpec, max_iter: int = 2000) -> ArimaFit:
         x_best = x0
     phi, theta, mu = _unpack(x_best, spec)
     css, n_used = _css(zsegs, phi, theta, mu)
-    if n_used == 0:
-        raise ModelError("no usable residuals: observed segments too short for the AR order")
-
     sigma2 = max(css / n_used, 1e-12)
     loglik = -0.5 * n_used * (np.log(2.0 * np.pi * sigma2) + 1.0)
     aic = 2.0 * (n_params + 1) - 2.0 * loglik  # sigma2 is the extra parameter

@@ -33,7 +33,7 @@ from .ingest import (
 )
 
 if TYPE_CHECKING:
-    from .evaluate import BacktestSpec, MetricReport, ModelComparison
+    from .evaluate import BacktestSpec, MetricReport
     from .series import CountSeries, ExclusionWindow, Forecast
 
 # Each command loads only the modules it runs: ``ingest`` and ``synth`` load
@@ -425,9 +425,12 @@ def _backtest_spec(args: argparse.Namespace, granularity: str) -> BacktestSpec:
     )
 
 
-def _report_row(name: str, report: MetricReport) -> str:
-    return (f"{name},{report.mae:.12g},{report.rmse:.12g},{report.smape:.12g},"
-            f"{report.n_points},{len(report.per_fold)}")
+def _reports_csv(reports: dict[str, MetricReport]) -> str:
+    """The metrics CSV of ``backtest`` and ``compare``: one row per model, in name order."""
+    rows = ["model,mae,rmse,smape,n_points,n_folds"]
+    for name, r in sorted(reports.items()):
+        rows.append(f"{name},{r.mae:.12g},{r.rmse:.12g},{r.smape:.12g},{r.n_points},{len(r.per_fold)}")
+    return "\n".join(rows) + "\n"
 
 
 def _report_json(report: MetricReport) -> dict:
@@ -452,8 +455,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     report = _cli.rolling_backtest(factory, series, spec)
 
     out_dir = _option(args, "out")
-    header = "model,mae,rmse,smape,n_points,n_folds"
-    _write(out_dir / f"backtest_{model}.csv", header + "\n" + _report_row(model, report) + "\n")
+    _write(out_dir / f"backtest_{model}.csv", _reports_csv({model: report}))
     _write(out_dir / f"backtest_{model}.json", json.dumps(_report_json(report), indent=2, sort_keys=True))
     if _option(args, "svg"):
         fig = _cli.FigureSpec(kind="backtest_folds", title=f"{model} backtest folds (mae)")
@@ -462,13 +464,6 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     print(f"backtest {model}: {len(report.per_fold)} folds, "
           f"mae={report.mae:.4g} rmse={report.rmse:.4g} smape={report.smape:.4g}")
     return 0
-
-
-def _comparison_csv(comparison: ModelComparison) -> str:
-    lines = ["model,mae,rmse,smape,n_points,n_folds"]
-    for name in sorted(comparison.reports):
-        lines.append(_report_row(name, comparison.reports[name]))
-    return "\n".join(lines) + "\n"
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -482,7 +477,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     comparison = _cli.compare(factories, series, spec)
 
     out_dir = _option(args, "out")
-    _write(out_dir / "comparison.csv", _comparison_csv(comparison))
+    _write(out_dir / "comparison.csv", _reports_csv(comparison.reports))
     _write(out_dir / "comparison.json", json.dumps({
         "fingerprint": comparison.fingerprint,
         "spec": {"initial_train": spec.initial_train, "step": spec.step,

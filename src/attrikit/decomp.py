@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import cholesky_solve
 from .errors import ModelError
-from .series import DAILY, CountSeries, Forecast, forecast_input, period_index, period_start
+from .series import DAILY, CountSeries, Forecast, check_fit_input, forecast_input, period_index, period_start
 from .stats import two_sided_z
 
 WEEKLY_PERIOD = 7.0
@@ -95,12 +95,8 @@ def fit(series: CountSeries, spec: DecompSpec) -> DecompFit:
     history length), matching the usual normalized parameterization of
     this model family.
     """
-    if spec.weekly_order > 0 and series.granularity != DAILY:
-        raise ModelError("weekly seasonality requires a daily series; set weekly_order=0 for monthly data")
-
+    check_fit_input(series, 2, daily_only="weekly seasonality terms" if spec.weekly_order else None)
     idx, vals = series.observed()
-    if idx.size < 2:
-        raise ModelError("need at least 2 observed periods")
     t_obs = idx.astype(float)
 
     # Yearly harmonics need at least two full cycles of history to be

@@ -26,9 +26,11 @@ import numpy as np
 
 from .errors import ModelError
 from .series import (
+    CALENDAR_FLAGS,
     CountSeries,
     Forecast,
     SupervisedMatrix,
+    check_fit_input,
     forecast_input,
     make_supervised,
     period_days,
@@ -50,6 +52,11 @@ class GbtSpec:
     def __post_init__(self):
         if self.n_trees < 1 or self.max_depth < 1:
             raise ValueError("n_trees and max_depth must be >= 1")
+        unknown = set(self.calendar) - set(CALENDAR_FLAGS)
+        if unknown:
+            raise ValueError(f"unknown calendar flags: {sorted(unknown)}")
+        if not (self.lags or self.ma_windows or self.calendar):
+            raise ValueError("no features requested: lags, ma_windows and calendar all empty")
         if any(k < 1 for k in self.lags) or any(w < 1 for w in self.ma_windows):
             raise ValueError("lags and moving-average windows must be >= 1")
         if len(set(self.lags)) < len(self.lags) or len(set(self.ma_windows)) < len(self.ma_windows):
@@ -252,13 +259,14 @@ def feature_importance(model: GbtModel) -> dict[str, float]:
 
 def fit_series(series: CountSeries, spec: GbtSpec) -> GbtModel:
     """Convenience: build the supervised matrix from a series, then fit.
-    A calendar flag the series' granularity lacks (weekday on monthly data)
-    is a ModelError. The model keeps the series' granularity, which its
-    forecasts require."""
-    try:
-        matrix = make_supervised(series, list(spec.lags), list(spec.ma_windows), spec.calendar)
-    except ValueError as err:
-        raise ModelError(f"cannot build features: {err}") from err
+    A row needs its target and the largest lag or window before it
+    observed, so the series needs a run of that many periods plus one, and
+    weekday features need a daily series. The model keeps the series'
+    granularity, which its forecasts require."""
+    depth = max(spec.lags + spec.ma_windows, default=0)
+    check_fit_input(series, min_run=depth + 1,
+                    daily_only="weekday features" if "weekday" in spec.calendar else None)
+    matrix = make_supervised(series, list(spec.lags), list(spec.ma_windows), spec.calendar)
     model = fit(matrix, spec)
     model.granularity = series.granularity
     return model

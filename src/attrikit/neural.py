@@ -26,7 +26,7 @@ from . import autodiff as ad
 from ._kernels import one_blas_thread
 from .autodiff import Adam, Tensor
 from .errors import ModelError
-from .series import (DAILY, CountSeries, Forecast, calendar_columns, forecast_input, period_days,
+from .series import (CountSeries, Forecast, calendar_columns, check_fit_input, forecast_input, period_days,
                      recursive_forecast, run_lengths)
 
 
@@ -92,13 +92,10 @@ def _inputs(model, series: CountSeries, n: int) -> np.ndarray:
 
 def _train_windows(model, series: CountSeries) -> tuple[np.ndarray, np.ndarray]:
     """Every window [t-lookback, t] that is fully observed: inputs
-    (windows, lookback, features) and standardized targets (windows, 1)."""
+    (windows, lookback, features) and standardized targets (windows, 1).
+    The fits' ``check_fit_input`` makes sure there is at least one."""
     lookback = model.lookback
     targets = np.flatnonzero(run_lengths(series.mask) > lookback)
-    if not targets.size:
-        raise ModelError(
-            f"no training windows: need {lookback + 1} consecutive observed periods"
-        )
     inputs = _inputs(model, series, len(series))
     return inputs[targets[:, None] + np.arange(-lookback, 0)], inputs[targets, :1]
 
@@ -235,11 +232,8 @@ def _fit(model_class, spec, series: CountSeries):
 
 
 def lstm_fit(series: CountSeries, spec: LstmSpec) -> LstmModel:
-    if spec.use_weekday and series.granularity != DAILY:
-        raise ModelError("weekday features require a daily series; set use_weekday=False")
-    n_obs = int(series.mask.sum())
-    if n_obs < spec.lookback + 30:
-        raise ModelError(f"need at least lookback+30={spec.lookback + 30} observed periods, have {n_obs}")
+    check_fit_input(series, spec.lookback + 30, spec.lookback + 1,
+                    "weekday features" if spec.use_weekday else None)
     return _fit(LstmModel, spec, series)
 
 
@@ -381,13 +375,7 @@ class TcnModel:
 
 
 def tcn_fit(series: CountSeries, spec: TcnSpec) -> TcnModel:
-    rf = receptive_field(spec)
-    longest = int(run_lengths(series.mask).max(initial=0))
-    if longest <= rf:
-        raise ModelError(
-            f"receptive field {rf} exceeds the usable window length "
-            f"{max(longest - 1, 0)} (need {rf + 1} consecutive observed periods)"
-        )
+    check_fit_input(series, min_run=receptive_field(spec) + 1)
     return _fit(TcnModel, spec, series)
 
 

@@ -203,6 +203,27 @@ def forecast_input(series: CountSeries, granularity: str | None, depth: int, hor
     return series.head(origin)
 
 
+def check_fit_input(series: CountSeries, min_observed: int = 1, min_run: int = 1,
+                    daily_only: str | None = None) -> None:
+    """The fit contract, checked first by every model's fit.
+
+    ``daily_only`` names the model's daily-only features (weekday one-hots,
+    weekly terms), which a monthly series lacks. The series must then hold
+    at least ``min_observed`` observed periods, ``min_run`` of them
+    consecutive: the data a model needs to fit at all.
+    """
+    if daily_only and series.granularity != DAILY:
+        raise ModelError(f"{daily_only} require a daily series")
+    n_obs = int(series.mask.sum())
+    if n_obs == 0:
+        raise ModelError("the training range has no observed periods")
+    if n_obs < min_observed:
+        raise ModelError(f"need at least {min_observed} observed periods, have {n_obs}")
+    longest = int(run_lengths(series.mask).max())
+    if longest < min_run:
+        raise ModelError(f"need {min_run} consecutive observed periods; the longest run is {longest}")
+
+
 def recursive_forecast(series: CountSeries, horizon: int, level: float, rmse: float,
                        step: Callable[[np.ndarray, int], float]) -> Forecast:
     """Forecast the ``horizon`` periods after ``series`` one step at a time.

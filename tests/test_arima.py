@@ -1,5 +1,6 @@
 """ARIMA fitting and forecasting against independent estimators."""
 
+import warnings
 from datetime import date
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from attrikit._kernels import linear_filter
-from attrikit.arima import ArimaFit, ArimaSpec, fit, forecast
+from attrikit.arima import ArimaFit, ArimaSpec, _diff_segments, _observed_segments, fit, forecast
 from attrikit.errors import ConvergenceError, ModelError
-from attrikit.series import DAILY, MAX_HORIZON, CountSeries
+from attrikit.series import DAILY, MAX_HORIZON, MONTHLY, CountSeries, check_fit_input
 
 from conftest import within_taper_band
 
@@ -155,6 +156,48 @@ def test_interior_gap_restarts_recursion():
 def test_too_short_series_rejected():
     with pytest.raises(ModelError, match="observed periods"):
         fit(make_series(np.arange(8.0)), ArimaSpec(1, 1, 1, use_log=False))
+
+
+def test_observed_runs_too_short_to_difference_are_rejected_before_fitting():
+    # 40 of 60 months are observed, enough for ARIMA(1,1,1)'s 13, but in
+    # pairs: no run holds the p + d + 1 = 3 periods a residual needs. The
+    # fit must say so, not spend Nelder-Mead's iterations on an objective
+    # with no residual.
+    mask = np.zeros(60, dtype=bool)
+    for i in range(0, 60, 3):
+        mask[i:i + 2] = True
+    values = np.random.default_rng(17).poisson(20.0, 60).astype(float)
+    series = CountSeries(MONTHLY, date(2022, 3, 1), values, mask)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match="need 3 consecutive observed periods; the longest run is 2") as err:
+            fit(series, ArimaSpec())
+    assert not isinstance(err.value, ConvergenceError)
+
+
+@st.composite
+def arima_orders_and_masks(draw):
+    """p, d, q in 0..2 and a mask of observed runs, each followed by 0-3
+    masked periods, whose lengths stay near the p + d + 1 a residual needs."""
+    p, d, q = (draw(st.integers(0, 2)) for _ in range(3))
+    longest = draw(st.integers(1, p + d + 2))
+    runs = draw(st.lists(st.tuples(st.integers(1, longest), st.integers(0, 3)), min_size=1, max_size=25))
+    return p, d, q, np.concatenate([[True] * run + [False] * gap for run, gap in runs])
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(case=arima_orders_and_masks())
+def test_fit_check_leaves_a_differenced_segment_longer_than_p(case):
+    # Whenever the fit check passes, some differenced segment is longer than
+    # p, so the sum of squares always has residuals to sum.
+    p, d, q, mask = case
+    series = make_series(np.arange(len(mask), dtype=float), mask=mask)
+    try:
+        check_fit_input(series, p + q + d + 10, p + d + 1)
+    except ModelError:
+        return
+    segments = _diff_segments(_observed_segments(series, use_log=False), d)
+    assert max(len(z) for z in segments) > p
 
 
 def test_nonconvergence_carries_objective():

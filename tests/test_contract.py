@@ -80,13 +80,41 @@ def test_one_horizon_cap_for_every_model(name):
 def test_daily_calendar_on_monthly_data_is_a_model_error(name):
     # Weekday features and weekly terms exist only on daily data. No model
     # drops them by itself: the monthly presets leave them out, and a daily
-    # spec on a monthly series is a model error (exit 3).
+    # spec on a monthly series is a model error (exit 3), with one message.
     rng = np.random.default_rng(2)
     series = CountSeries(MONTHLY, date(2022, 3, 1), rng.poisson(20.0, 60).astype(float),
                          np.ones(60, dtype=bool))
+    features = "weekly seasonality terms" if name == "decomp" else "weekday features"
     _, fit, _ = MODELS[name]
-    with pytest.raises(ModelError, match="week"):
+    with pytest.raises(ModelError, match=f"^{features} require a daily series$"):
         fit(series, _spec(name, DAILY, 0, {}))
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_fit_on_a_series_with_no_observed_period_is_a_model_error(name):
+    series = CountSeries(MONTHLY, date(2022, 3, 1), np.ones(60), np.zeros(60, dtype=bool))
+    _, fit, _ = MODELS[name]
+    with pytest.raises(ModelError, match="^the training range has no observed periods$"):
+        fit(series, _spec(name, MONTHLY, 0, FAST_PARAMS[name]))
+
+
+@pytest.mark.parametrize("name, needed", [("arima", 3), ("decomp", None), ("lstm", 5), ("tcn", 5), ("gbt", 4)])
+def test_fit_needs_a_run_as_long_as_the_windows_it_reads(name, needed):
+    # 40 of 60 months observed, in pairs. ARIMA(1,1,1) needs p + d + 1
+    # consecutive periods for one residual, the LSTM lookback + 1 and the
+    # TCN its receptive field + 1 for one window, gbt its largest lag or
+    # window + 1 for one row. Decomp reads no window and fits.
+    mask = np.zeros(60, dtype=bool)
+    for i in range(0, 60, 3):
+        mask[i:i + 2] = True
+    series = CountSeries(MONTHLY, date(2022, 3, 1), np.random.default_rng(6).poisson(20.0, 60).astype(float), mask)
+    _, fit, _ = MODELS[name]
+    spec = _spec(name, MONTHLY, 0, FAST_PARAMS[name])
+    if needed is None:
+        fit(series, spec)
+        return
+    with pytest.raises(ModelError, match=f"^need {needed} consecutive observed periods; the longest run is 2$"):
+        fit(series, spec)
 
 
 @pytest.mark.parametrize("fitted_on", [DAILY, MONTHLY])

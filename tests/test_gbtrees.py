@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import attrikit.gbtrees as gb
-from attrikit.errors import ModelError
+from attrikit.errors import ModelError, SchemaError
+from attrikit.factories import _spec, forecast_model
 from attrikit.gbtrees import (
     GbtModel,
     GbtSpec,
@@ -290,6 +291,19 @@ def test_spec_validation():
         GbtSpec(learning_rate=0.0)
     with pytest.raises(ValueError):
         GbtSpec(learning_rate=1.5)
+
+
+@pytest.mark.parametrize("params", [{"calendar": {"foo"}}, {"lags": (), "ma_windows": (), "calendar": frozenset()}])
+def test_unbuildable_features_are_schema_errors(params):
+    # An unknown calendar flag, or no feature at all, is a bad parameter like
+    # any other: the spec rejects it before anything is fitted.
+    with pytest.raises(ValueError, match="calendar"):
+        GbtSpec(**params)
+    with pytest.raises(SchemaError, match="^bad gbt parameters"):
+        _spec("gbt", DAILY, 0, params)
+    series = CountSeries(DAILY, START, np.random.default_rng(3).poisson(5.0, 60).astype(float), np.ones(60, bool))
+    with pytest.raises(SchemaError, match="^bad gbt parameters"):
+        forecast_model("gbt", series, 3, params=params)
 
 
 def test_prediction_invariant_under_column_permutation():
