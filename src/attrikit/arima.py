@@ -18,8 +18,11 @@ import numpy as np
 from ._kernels import linear_filter
 from .errors import ModelError
 from .optim import nelder_mead
-from .series import CountSeries, Forecast, check_fit_input, forecast_input, period_start
+from .series import CountSeries, Forecast, check_fit_input, forecast_input, period_start, split_runs
 from .stats import two_sided_z
+
+# Nelder-Mead iterations a fit may take before it raises ConvergenceError.
+MAX_ITER = 2000
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ def _observed_segments(series: CountSeries, use_log: bool) -> list[np.ndarray]:
         if np.any(vals < 0):
             raise ModelError("log transform requires non-negative values")
         vals = np.log1p(vals)
-    return np.split(vals, np.flatnonzero(np.diff(idx) > 1) + 1)
+    return split_runs(idx, vals)
 
 
 def _diff_segments(segments: list[np.ndarray], d: int) -> list[np.ndarray]:
@@ -112,7 +115,7 @@ def _css(zsegs: list[np.ndarray], phi: np.ndarray, theta: np.ndarray, mu: float)
     return total, n_used
 
 
-def fit(series: CountSeries, spec: ArimaSpec, max_iter: int = 2000) -> ArimaFit:
+def fit(series: CountSeries, spec: ArimaSpec) -> ArimaFit:
     """Estimate (phi, theta, mu) by CSS with a fixed, deterministic start.
 
     The optimizer walks the transformed space from phi = theta = 0 and
@@ -134,7 +137,7 @@ def fit(series: CountSeries, spec: ArimaSpec, max_iter: int = 2000) -> ArimaFit:
         return _css(zsegs, *_unpack(x, spec))[0]
 
     if n_params:
-        result = nelder_mead(objective, x0, max_iter=max_iter)
+        result = nelder_mead(objective, x0, max_iter=MAX_ITER)
         x_best = result.x
     else:
         x_best = x0

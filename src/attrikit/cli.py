@@ -18,7 +18,7 @@ from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from .errors import ConvergenceError, ModelError, SchemaError
+from .errors import ModelError, SchemaError
 from .ingest import (
     Category,
     default_profile,
@@ -34,7 +34,7 @@ from .ingest import (
 
 if TYPE_CHECKING:
     from .evaluate import BacktestSpec, MetricReport
-    from .series import CountSeries, ExclusionWindow, Forecast
+    from .series import CountSeries, ExclusionWindow
 
 # Each command loads only the modules it runs: ``ingest`` and ``synth`` load
 # no series code, and a fit imports only the model families it fits. So the
@@ -53,7 +53,7 @@ _LAZY = {
     "evaluate": ("BacktestSpec", "compare", "rolling_backtest"),
     "factories": ("build_factory", "forecast_model"),
     "series": ("ExclusionWindow", "aggregate", "apply_exclusions", "forecast_to_csv", "series_to_csv"),
-    "svg": ("FigureSpec", "emit_svg"),
+    "svg": ("emit_svg",),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -391,11 +391,6 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _forecast_figure(series: CountSeries, fc: Forecast, windows, title: str) -> str:
-    spec = _cli.FigureSpec(kind="history_plus_forecast", title=title)
-    return _cli.emit_svg(spec, {"series": series, "forecast": fc, "exclusions": windows})
-
-
 def cmd_forecast(args: argparse.Namespace) -> int:
     model = _required(args, "model")
     horizon = _option(args, "horizon", 12)
@@ -408,8 +403,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     out_dir = _option(args, "out")
     _write(out_dir / f"forecast_{model}.csv", _cli.forecast_to_csv(fc))
     if _option(args, "svg"):
-        title = f"{model} forecast, {series.granularity} horizon {horizon}"
-        _write(out_dir / f"forecast_{model}.svg", _forecast_figure(series, fc, windows, title))
+        _write(out_dir / f"forecast_{model}.svg", _cli.emit_svg(
+            "history_plus_forecast", f"{model} forecast, {series.granularity} horizon {horizon}",
+            series=series, forecast=fc, exclusions=windows))
     print(f"forecast_{model}.csv: {len(fc)} periods from {fc.origin.isoformat()} "
           f"(interval: {fc.interval_method})")
     return 0
@@ -458,9 +454,9 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     _write(out_dir / f"backtest_{model}.csv", _reports_csv({model: report}))
     _write(out_dir / f"backtest_{model}.json", json.dumps(_report_json(report), indent=2, sort_keys=True))
     if _option(args, "svg"):
-        fig = _cli.FigureSpec(kind="backtest_folds", title=f"{model} backtest folds (mae)")
         folds = [(f.origin, f.mae) for f in report.per_fold]
-        _write(out_dir / f"backtest_{model}.svg", _cli.emit_svg(fig, {"metric": "mae", "folds": folds}))
+        _write(out_dir / f"backtest_{model}.svg", _cli.emit_svg(
+            "backtest_folds", f"{model} backtest folds (mae)", folds=folds, metric="mae"))
     print(f"backtest {model}: {len(report.per_fold)} folds, "
           f"mae={report.mae:.4g} rmse={report.rmse:.4g} smape={report.smape:.4g}")
     return 0
@@ -488,8 +484,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if _option(args, "svg"):
         for metric in ("mae", "rmse", "smape"):
             rows = [(name, getattr(comparison.reports[name], metric)) for name in sorted(comparison.reports)]
-            fig = _cli.FigureSpec(kind="comparison_bars", title=f"model comparison ({metric})")
-            _write(out_dir / f"comparison_{metric}.svg", _cli.emit_svg(fig, {"metric": metric, "rows": rows}))
+            _write(out_dir / f"comparison_{metric}.svg", _cli.emit_svg(
+                "comparison_bars", f"model comparison ({metric})", rows=rows, metric=metric))
     n_folds = len(next(iter(comparison.reports.values())).per_fold)
     print(f"compared {len(names)} models over {n_folds} folds; "
           f"ranking by rmse: {', '.join(comparison.ranking)}")
@@ -583,7 +579,7 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ModelError, ConvergenceError, MemoryError) as err:
+    except (ModelError, MemoryError) as err:
         print(f"model error: {err}", file=sys.stderr)
         return 3
     except OSError as err:

@@ -85,30 +85,34 @@ def _changepoints(t_obs: np.ndarray, spec: DecompSpec) -> np.ndarray:
     return np.unique(eligible[positions.astype(int)]).astype(float)
 
 
+def _yearly_order(series: CountSeries, spec: DecompSpec) -> int:
+    """The yearly order a fit can use. Yearly harmonics need at least two
+    full cycles of observed history to be identifiable (with less, low
+    orders are nearly affine and the normal equations go numerically
+    singular), and the order is capped below the Nyquist limit of the period."""
+    period = _yearly_period(series.granularity)
+    idx = np.flatnonzero(series.mask)
+    if idx.size == 0 or idx[-1] - idx[0] + 1 < 2.0 * period:
+        return 0
+    return min(spec.yearly_order, int((period - 1) // 2))
+
+
 def fit(series: CountSeries, spec: DecompSpec) -> DecompFit:
     """Ridge least squares on observed rows only.
 
-    The normal equations are solved through a symmetric positive-definite
-    factorization; with a zero penalty and dependent columns the system
-    can be singular, in which case the error advises a nonzero penalty.
-    The trend penalty acts on the normalized-time delta block (deltas per
-    history length), matching the usual normalized parameterization of
-    this model family.
+    The series needs one observed period per unpenalized column (trend,
+    offset and two per harmonic) and one more for the residual. The normal
+    equations are solved through a symmetric positive-definite
+    factorization; dependent columns make the system singular, and with a
+    zero penalty the error advises a nonzero one. The trend penalty acts on
+    the normalized-time delta block (deltas per history length), matching
+    the usual normalized parameterization of this model family.
     """
-    check_fit_input(series, 2, daily_only="weekly seasonality terms" if spec.weekly_order else None)
+    yearly_order = _yearly_order(series, spec)
+    check_fit_input(series, 3 + 2 * (spec.weekly_order + yearly_order),
+                    daily_only="weekly seasonality terms" if spec.weekly_order else None)
     idx, vals = series.observed()
     t_obs = idx.astype(float)
-
-    # Yearly harmonics need at least two full cycles of history to be
-    # identifiable (with less, low orders are nearly affine and the normal
-    # equations go numerically singular), and the order is capped below
-    # the Nyquist limit of the period.
-    yearly_order = spec.yearly_order
-    span = float(t_obs[-1] - t_obs[0] + 1)
-    if span < 2.0 * _yearly_period(series.granularity):
-        yearly_order = 0
-    max_yearly = int((_yearly_period(series.granularity) - 1) // 2)
-    yearly_order = min(yearly_order, max_yearly)
 
     t_max = float(len(series) - 1)
     cps = _changepoints(t_obs, spec)
@@ -127,9 +131,8 @@ def fit(series: CountSeries, spec: DecompSpec) -> DecompFit:
     try:
         coef = cholesky_solve(gram, x.T @ vals)
     except np.linalg.LinAlgError as err:
-        raise ModelError(
-            "singular design: duplicate or dependent columns with zero trend_penalty; use a nonzero penalty"
-        ) from err
+        advice = " with zero trend_penalty; use a nonzero penalty" if spec.trend_penalty == 0 else ""
+        raise ModelError(f"singular design: duplicate or dependent columns{advice}") from err
 
     resid = vals - x @ coef
     sigma = float(np.sqrt(np.mean(resid**2)))
@@ -149,6 +152,8 @@ def fit(series: CountSeries, spec: DecompSpec) -> DecompFit:
 
 
 def _times_for(fit_result: DecompFit, dates: list[date]) -> np.ndarray:
+    if not dates:
+        raise ValueError("empty date list")
     return np.array([period_index(fit_result.start, fit_result.granularity, d) for d in dates], dtype=float)
 
 
@@ -158,16 +163,17 @@ def _trend(fit_result: DecompFit, t: np.ndarray) -> np.ndarray:
     return fit_result.k * t + fit_result.m + hinge @ fit_result.delta
 
 
-def components(fit_result: DecompFit, dates: list[date]) -> dict[str, np.ndarray]:
-    """Trend, weekly, and yearly parts; they sum to the point forecast before clamping."""
-    if not dates:
-        raise ValueError("empty date list")
-    t = _times_for(fit_result, dates)
+def _parts(fit_result: DecompFit, t: np.ndarray) -> dict[str, np.ndarray]:
     n_weekly = 2 * fit_result.weekly_order
     weekly = _fourier_block(t, WEEKLY_PERIOD, fit_result.weekly_order) @ fit_result.beta[:n_weekly]
     yearly = (_fourier_block(t, _yearly_period(fit_result.granularity), fit_result.yearly_order)
               @ fit_result.beta[n_weekly:])
     return {"trend": _trend(fit_result, t), "weekly": weekly, "yearly": yearly}
+
+
+def components(fit_result: DecompFit, dates: list[date]) -> dict[str, np.ndarray]:
+    """Trend, weekly, and yearly parts; they sum to the point forecast before clamping."""
+    return _parts(fit_result, _times_for(fit_result, dates))
 
 
 def predict(fit_result: DecompFit, dates: list[date], level: float = 0.95) -> Forecast:
@@ -179,16 +185,11 @@ def predict(fit_result: DecompFit, dates: list[date], level: float = 0.95) -> Fo
     bounds are clamped at zero by the Forecast. Dates must be consecutive
     periods (the Forecast container is contiguous by construction).
     """
-    if not dates:
-        raise ValueError("empty date list")
-
     t = _times_for(fit_result, dates)
-    if len(dates) > 1:
-        steps = np.diff(t)
-        if not np.all(steps == 1.0):
-            raise ValueError("prediction dates must be consecutive periods")
+    if not np.all(np.diff(t) == 1.0):
+        raise ValueError("prediction dates must be consecutive periods")
 
-    parts = components(fit_result, dates)
+    parts = _parts(fit_result, t)
     point = parts["trend"] + parts["weekly"] + parts["yearly"]
 
     t_beyond = np.maximum(t - fit_result.t_max, 0.0)

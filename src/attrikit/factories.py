@@ -27,7 +27,7 @@ import importlib
 
 import numpy as np
 
-from .errors import ModelError, SchemaError
+from .errors import SchemaError
 from .evaluate import ForecastFactory
 from .series import DAILY, MONTHLY, CountSeries, Forecast
 
@@ -113,9 +113,8 @@ def build_factory(name: str, granularity: str = DAILY, seed: int = 0,
     _spec(name, granularity, seed, frozen_params)
 
     def fit_forecast(train: CountSeries, horizon: int) -> np.ndarray:
-        if not train.mask.any():
-            raise ModelError("the training range has no observed periods")
-        gap = len(train) - 1 - train.last_observed_index()
+        # With nothing observed the fit's own check raises; the gap is moot.
+        gap = len(train) - 1 - train.last_observed_index() if train.mask.any() else 0
         fc = forecast_model(name, train, gap + horizon, seed=seed, params=frozen_params)
         return np.asarray(fc.point[gap:], dtype=float)
 

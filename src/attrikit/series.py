@@ -377,6 +377,12 @@ def run_lengths(mask: np.ndarray) -> np.ndarray:
     return count - np.maximum.accumulate(np.where(mask, 0, count))
 
 
+def split_runs(idx: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
+    """``values`` split where the increasing period indices ``idx`` skip
+    a period: one array per run of consecutive observed periods."""
+    return np.split(values, np.flatnonzero(np.diff(idx) > 1) + 1)
+
+
 def period_days(start: date, granularity: str, t: np.ndarray) -> np.ndarray:
     """First day of each period ``t`` as ``datetime64[D]`` (``period_start`` over an array)."""
     if granularity == DAILY:

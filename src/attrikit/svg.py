@@ -1,4 +1,4 @@
-"""Deterministic SVG figures: history+forecast, components, bars, folds.
+"""Deterministic SVG figures: history+forecast, comparison bars, backtest folds.
 
 Output is a standalone SVG 1.1 document with no timestamps, random ids,
 or environment-dependent content, so identical inputs yield identical
@@ -9,14 +9,12 @@ one shaded rect each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from datetime import date, timedelta
 
 import numpy as np
 
-from .series import CountSeries, ExclusionWindow, Forecast
-
-KINDS = ("history_plus_forecast", "components", "comparison_bars", "backtest_folds")
+from .series import CountSeries, ExclusionWindow, Forecast, split_runs
 
 WIDTH, HEIGHT = 900, 480
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 62.0, 18.0, 44.0, 52.0
@@ -25,17 +23,6 @@ HISTORY_COLOR = "#1f5fa8"
 FORECAST_COLOR = "#e36209"
 BAND_COLOR = "#f5c9a4"
 EXCLUSION_COLOR = "#c8c8c8"
-COMPONENT_COLORS = {"trend": "#1f5fa8", "weekly": "#2a8f4d", "yearly": "#a04bb8"}
-
-
-@dataclass(frozen=True)
-class FigureSpec:
-    kind: str
-    title: str
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown figure kind {self.kind!r}")
 
 
 def _fmt(v: float) -> str:
@@ -96,14 +83,14 @@ def _date_ticks(first: date, last: date) -> list[date]:
 
 
 class _Canvas:
-    def __init__(self, spec: FigureSpec):
+    def __init__(self, title: str):
         self.parts: list[str] = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{WIDTH}" height="{HEIGHT}" '
             f'viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<text x="{_fmt(WIDTH / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{_esc(spec.title)}</text>',
+            f'font-family="sans-serif" font-size="16">{_esc(title)}</text>',
         ]
         self.x0, self.x1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
         self.y0, self.y1 = HEIGHT - MARGIN_BOTTOM, MARGIN_TOP  # y grows downward
@@ -114,8 +101,8 @@ class _Canvas:
 
 
 class _TimeAxes(_Canvas):
-    def __init__(self, spec: FigureSpec, first: date, last: date, vlo: float, vhi: float):
-        super().__init__(spec)
+    def __init__(self, title: str, first: date, last: date, vlo: float, vhi: float):
+        super().__init__(title)
         self.first, self.last = first, last
         pad = 0.06 * (vhi - vlo if vhi > vlo else max(abs(vhi), 1.0))
         self.vlo = min(vlo, 0.0) if vlo >= 0 else vlo - pad
@@ -181,73 +168,37 @@ class _TimeAxes(_Canvas):
                           f'fill-opacity="0.45" stroke="none" class="exclusion"/>')
 
 
-def _observed_runs(series: CountSeries) -> list[tuple[list[date], np.ndarray]]:
-    runs = []
-    starts = series.period_starts()
-    idx = np.flatnonzero(series.mask)
-    if idx.size == 0:
-        return runs
-    cut = np.flatnonzero(np.diff(idx) > 1) + 1
-    for chunk in np.split(idx, cut):
-        runs.append(([starts[i] for i in chunk], series.values[chunk]))
-    return runs
-
-
-def _history_plus_forecast(spec: FigureSpec, data: dict) -> str:
-    series: CountSeries = data["series"]
-    forecast: Forecast | None = data.get("forecast")
-    exclusions: list[ExclusionWindow] = list(data.get("exclusions", ()))
+def _history_plus_forecast(title: str, series: CountSeries, forecast: Forecast | None = None,
+                           exclusions: Iterable[ExclusionWindow] = ()) -> str:
     if len(series) == 0:
         raise ValueError("empty series")
 
     days = series.period_starts()
     first, last = days[0], days[-1]
     values = [series.values.max(), series.values.min()]
-    if forecast is not None and len(forecast):
-        f_days = forecast.period_starts()
+    f_days = forecast.period_starts() if forecast is not None else []
+    if f_days:
         first, last = min(first, f_days[0]), max(last, f_days[-1])
         values += [float(np.max(forecast.upper)), float(np.min(forecast.lower))]
 
-    axes = _TimeAxes(spec, first, last, float(min(values)), float(max(values)))
+    axes = _TimeAxes(title, first, last, float(min(values)), float(max(values)))
     for window in exclusions:
         axes.exclusion_rect(window)
-    if forecast is not None and len(forecast):
-        f_days = forecast.period_starts()
+    if f_days:
         axes.band(f_days, forecast.lower, forecast.upper, BAND_COLOR)
-    for run_days, run_values in _observed_runs(series):
-        axes.polyline(run_days, run_values, HISTORY_COLOR, css_class="history")
-    if forecast is not None and len(forecast):
+    idx, observed = series.observed()
+    for run, run_values in zip(split_runs(idx, idx), split_runs(idx, observed)):
+        axes.polyline([days[i] for i in run], run_values, HISTORY_COLOR, css_class="history")
+    if f_days:
         axes.polyline(f_days, forecast.point, FORECAST_COLOR, dashed=True, css_class="forecast")
     axes.draw_axes()
     return axes.finish()
 
 
-def _components(spec: FigureSpec, data: dict) -> str:
-    days: list[date] = list(data["dates"])
-    if not days:
-        raise ValueError("empty component table")
-    parts = {k: np.asarray(data[k], dtype=float) for k in ("trend", "weekly", "yearly")}
-    lo = min(float(v.min()) for v in parts.values())
-    hi = max(float(v.max()) for v in parts.values())
-    axes = _TimeAxes(spec, days[0], days[-1], lo, hi)
-    for name, values in parts.items():
-        axes.polyline(days, values, COMPONENT_COLORS[name], css_class=f"component-{name}")
-    axes.draw_axes()
-    y_legend = MARGIN_TOP - 8
-    x_legend = MARGIN_LEFT
-    for name in ("trend", "weekly", "yearly"):
-        axes.parts.append(f'<rect x="{_fmt(x_legend)}" y="{_fmt(y_legend - 8)}" width="10" height="10" '
-                          f'fill="{COMPONENT_COLORS[name]}" class="legend-swatch"/>')
-        axes.parts.append(f'<text x="{_fmt(x_legend + 14)}" y="{_fmt(y_legend + 1)}" '
-                          f'font-family="sans-serif" font-size="11">{name}</text>')
-        x_legend += 90
-    return axes.finish()
-
-
-def _bars(spec: FigureSpec, rows: list[tuple[str, float]], unit: str) -> str:
+def _comparison_bars(title: str, rows: list[tuple[str, float]], metric: str = "") -> str:
     if not rows:
         raise ValueError("no bars to draw")
-    canvas = _Canvas(spec)
+    canvas = _Canvas(title)
     x0, x1, y0, y1 = canvas.x0, canvas.x1, canvas.y0, canvas.y1
     vhi = max(v for _, v in rows)
     vhi = vhi if vhi > 0 else 1.0
@@ -266,18 +217,16 @@ def _bars(spec: FigureSpec, rows: list[tuple[str, float]], unit: str) -> str:
     canvas.parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y0)}" '
                         f'stroke="#333333" stroke-width="1"/>')
     canvas.parts.append(f'<text x="{_fmt(x0)}" y="{_fmt(y1 - 6)}" font-family="sans-serif" '
-                        f'font-size="11">{_esc(unit)}</text>')
+                        f'font-size="11">{_esc(metric)}</text>')
     return canvas.finish()
 
 
-def _backtest_folds(spec: FigureSpec, data: dict) -> str:
-    folds: list[tuple[date, float]] = list(data["folds"])
+def _backtest_folds(title: str, folds: list[tuple[date, float]], metric: str = "mae") -> str:
     if not folds:
         raise ValueError("no folds to draw")
-    metric = data.get("metric", "mae")
     days = [d for d, _ in folds]
     values = np.array([v for _, v in folds], dtype=float)
-    axes = _TimeAxes(spec, days[0], days[-1] if days[-1] > days[0] else days[0] + timedelta(days=1),
+    axes = _TimeAxes(title, days[0], days[-1] if days[-1] > days[0] else days[0] + timedelta(days=1),
                      float(values.min()), float(values.max()))
     axes.polyline(days, values, FORECAST_COLOR, css_class="fold-metric")
     for d, v in folds:
@@ -289,12 +238,14 @@ def _backtest_folds(spec: FigureSpec, data: dict) -> str:
     return axes.finish()
 
 
-def emit_svg(spec: FigureSpec, data: dict) -> str:
-    """Render one figure; output bytes depend only on (spec, data)."""
-    if spec.kind == "history_plus_forecast":
-        return _history_plus_forecast(spec, data)
-    if spec.kind == "components":
-        return _components(spec, data)
-    if spec.kind == "comparison_bars":
-        return _bars(spec, list(data["rows"]), data.get("metric", ""))
-    return _backtest_folds(spec, data)
+def emit_svg(kind: str, title: str, **data) -> str:
+    """Render one figure; output bytes depend only on the arguments. ``data``
+    are the figure's keywords: ``history_plus_forecast`` takes ``series``,
+    ``forecast`` and ``exclusions``; ``comparison_bars`` ``rows`` of (name,
+    value) and ``metric``; ``backtest_folds`` ``folds`` of (origin, value)
+    and ``metric``."""
+    figure = {"history_plus_forecast": _history_plus_forecast, "comparison_bars": _comparison_bars,
+              "backtest_folds": _backtest_folds}.get(kind)
+    if figure is None:
+        raise ValueError(f"unknown figure kind {kind!r}")
+    return figure(title, **data)

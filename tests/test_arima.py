@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+from attrikit import arima
 from attrikit._kernels import linear_filter
 from attrikit.arima import ArimaFit, ArimaSpec, _diff_segments, _observed_segments, fit, forecast
 from attrikit.errors import ConvergenceError, ModelError
@@ -200,10 +201,11 @@ def test_fit_check_leaves_a_differenced_segment_longer_than_p(case):
     assert max(len(z) for z in segments) > p
 
 
-def test_nonconvergence_carries_objective():
+def test_nonconvergence_carries_objective(monkeypatch):
     y = simulate_arma(300, phi=0.5, theta=0.3, seed=13)
-    with pytest.raises(ConvergenceError) as err:
-        fit(make_series(y), ArimaSpec(2, 0, 2, use_log=False, intercept=True), max_iter=2)
+    monkeypatch.setattr(arima, "MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match="within 2 iterations") as err:
+        fit(make_series(y), ArimaSpec(2, 0, 2, use_log=False, intercept=True))
     assert err.value.objective is not None
 
 

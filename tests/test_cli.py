@@ -129,6 +129,20 @@ def test_ingest_geo_index_applied(tmp_path):
     assert "Buchanskyi" in (out / "records.csv").read_text()
 
 
+def test_ingest_schema_maps_columns(tmp_path, capsys):
+    data = tmp_path / "r.csv"
+    data.write_text("day,kind,status\n2022-03-01,tank,destroyed\n")
+    out = tmp_path / "o"
+    assert main(["ingest", "--data", str(data), "--schema", "date=day, type=kind", "--out", str(out)]) == 0
+    assert json.loads((out / "ingest_report.json").read_text())["rows_parsed"] == 1
+    assert "2022-03-01,tank" in (out / "records.csv").read_text()
+    capsys.readouterr()
+    for schema, message in (("date", "bad schema 'date': entry 'date' is not logical=column"),
+                            ("foo=bar", "unknown logical column 'foo' in schema")):
+        assert main(["ingest", "--data", str(data), "--schema", schema, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_aggregate_writes_series(records_csv, tmp_path):
     out = tmp_path / "series.csv"
     code = main(["aggregate", "--data", str(records_csv), "--granularity", "monthly",

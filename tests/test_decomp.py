@@ -164,10 +164,39 @@ def test_monthly_requires_weekly_disabled():
     assert result.yearly_order <= 5  # capped below the monthly Nyquist order
 
 
+def mondays_only(n=120):
+    """Observed on Mondays only, where a weekly harmonic is constant and so
+    dependent on the offset column, whatever the penalty."""
+    mask = np.zeros(n, dtype=bool)
+    mask[(date(2022, 3, 7) - START).days::7] = True
+    return daily(np.random.default_rng(0).poisson(5.0, n), mask=mask)
+
+
 def test_singular_zero_penalty_advises():
-    s = daily(np.arange(4.0))
-    with pytest.raises(ModelError, match="penalty"):
-        fit(s, DecompSpec(n_changepoints=0, weekly_order=3, yearly_order=3, trend_penalty=0.0))
+    with pytest.raises(ModelError, match="with zero trend_penalty; use a nonzero penalty"):
+        fit(mondays_only(), DecompSpec(weekly_order=1, trend_penalty=0.0))
+
+
+def test_singular_design_with_a_penalty_does_not_blame_it():
+    with pytest.raises(ModelError, match="^singular design: duplicate or dependent columns$"):
+        fit(mondays_only(), DecompSpec(weekly_order=1, trend_penalty=10.0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8])
+def test_short_daily_series_needs_a_period_per_unpenalized_column(n):
+    # Trend, offset, six weekly columns and one residual: nine periods.
+    with pytest.raises(ModelError, match=f"^need at least 9 observed periods, have {n}$"):
+        fit(daily(np.arange(float(n)) % 5), DecompSpec())
+    assert fit(daily(np.arange(9.0) % 5), DecompSpec()).weekly_order == 3
+
+
+def test_sparse_months_count_the_yearly_columns():
+    # Four months observed over 31: yearly order 3 stays on, so 3 + 2 * 3 periods are needed.
+    mask = np.zeros(31, dtype=bool)
+    mask[[0, 10, 20, 30]] = True
+    series = CountSeries(MONTHLY, date(2022, 1, 1), np.arange(31.0), mask)
+    with pytest.raises(ModelError, match="^need at least 9 observed periods, have 4$"):
+        fit(series, DecompSpec(weekly_order=0, yearly_order=3))
 
 
 def test_too_short_series():
@@ -278,8 +307,8 @@ def _model_outputs(monthly, daily_series):
         fc = forecast(fitted, series, 30)
         out += [a.tobytes() for a in (fitted.delta, fitted.beta, fc.point, fc.lower, fc.upper)]
         out.append(repr((fitted.k, fitted.m, fitted.sigma)))
-    with pytest.raises(ModelError) as singular:
-        fit(daily(np.arange(4.0)), DecompSpec(n_changepoints=0, weekly_order=3, yearly_order=3, trend_penalty=0.0))
+    with pytest.raises(ModelError, match="singular") as singular:
+        fit(mondays_only(), DecompSpec(weekly_order=1, trend_penalty=0.0))
     out.append(str(singular.value))
     return out
 

@@ -158,6 +158,15 @@ def test_zero_folds_error_states_arithmetic():
         rolling_backtest(naive_factory(), series, BacktestSpec(10, 1, 3))
 
 
+def test_backtest_rejects_other_granularity_and_wrong_length_predictions():
+    series = daily(np.arange(30.0))
+    with pytest.raises(ValueError, match="backtest granularity 'monthly' does not match series"):
+        rolling_backtest(naive_factory(), series, BacktestSpec(10, 5, 5, granularity=MONTHLY))
+    short = ForecastFactory("short", lambda train, horizon: np.zeros(horizon - 1))
+    with pytest.raises(ModelError, match=r"factory 'short' returned \(4,\) predictions, expected \(5,\)"):
+        rolling_backtest(short, series, BacktestSpec(10, 5, 5))
+
+
 def test_backtest_never_shows_future_to_factory():
     calls = []
 

@@ -426,6 +426,17 @@ def test_profile_file_errors():
         load_profile("2022-03-01,2022-03-31,tank\n")
 
 
+@pytest.mark.parametrize("load, text, message", [
+    (load_geo_index, "bucha,Buchanskyi\n", r"^geo index line 3: expected 'location,raion/oblast'$"),
+    (load_corrections, "T-90M,tank,extra\n", r"^correction table line 3: expected 'model_text,category'$"),
+    (load_profile, "2022-13-01,2022-12-31,tank,1.0\n", r"^profile line 3: "),
+])
+def test_table_loaders_skip_blank_lines_and_name_a_bad_one(load, text, message):
+    # Line 1 is blank and line 2 holds only blank cells: both are skipped, yet counted.
+    with pytest.raises(SchemaError, match=message):
+        load("\n , \n" + text)
+
+
 @pytest.mark.parametrize("load", [load_corrections, load_geo_index, load_profile])
 def test_table_loaders_reject_oversized_field(load):
     with pytest.raises(SchemaError, match="field larger than field limit"):

@@ -584,6 +584,16 @@ def test_divergence_error_names_epoch():
         _train(model, rng.normal(size=(5, 4, 1)), rng.normal(size=(5, 1)), epochs=3, lr=0.01)
 
 
+def test_tcn_divergence_error_names_epoch():
+    model = TcnModel(TcnSpec(kernel=2, dilations=(1, 2), channels=3), 0.0, 1.0)
+    model.w_out.value[0, 0] = np.inf
+    rng = np.random.default_rng(11)
+    x, y = rng.normal(size=(5, 4, 1)), rng.normal(size=(5, 1))
+    assert model.loss_and_grads(x, y)[1] is None  # no gradients of a non-finite loss
+    with pytest.raises(ModelError, match="epoch 0"):
+        _train(model, x, y, epochs=3, lr=0.01)
+
+
 # -- one BLAS thread per fit -------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from attrikit.series import DAILY, CountSeries, ExclusionWindow, Forecast
-from attrikit.svg import FigureSpec, emit_svg
+from attrikit.svg import emit_svg
 
 START = date(2025, 5, 1)
 
@@ -26,8 +26,7 @@ def small_forecast(n=10):
 
 def test_two_point_series_renders_polyline_with_two_vertices():
     series = CountSeries(DAILY, START, np.array([1.0, 4.0]), np.ones(2, dtype=bool))
-    spec = FigureSpec("history_plus_forecast", "two points")
-    out = emit_svg(spec, {"series": series})
+    out = emit_svg("history_plus_forecast", "two points", series=series)
     history = [ln for ln in out.splitlines() if 'class="history"' in ln]
     assert len(history) == 1
     points_attr = history[0].split('points="')[1].split('"')[0]
@@ -40,52 +39,41 @@ def test_one_rect_per_exclusion_window():
         ExclusionWindow(date(2025, 5, 31), date(2025, 6, 9)),
         ExclusionWindow(date(2025, 6, 20), date(2025, 6, 25)),
     ]
-    spec = FigureSpec("history_plus_forecast", "exclusions")
-    out = emit_svg(spec, {"series": series, "forecast": small_forecast(), "exclusions": windows})
+    out = emit_svg("history_plus_forecast", "exclusions", series=series, forecast=small_forecast(),
+                   exclusions=windows)
     assert out.count("<rect") == 2
     assert out.count('class="exclusion"') == 2
 
 
 def test_history_split_into_runs_at_masked_gap():
     series = small_series(40, masked=range(15, 20))
-    spec = FigureSpec("history_plus_forecast", "gap")
-    out = emit_svg(spec, {"series": series})
+    out = emit_svg("history_plus_forecast", "gap", series=series)
     assert out.count('class="history"') == 2  # one polyline per observed run
 
 
 def test_forecast_band_and_dashed_line_present():
-    spec = FigureSpec("history_plus_forecast", "forecast")
-    out = emit_svg(spec, {"series": small_series(), "forecast": small_forecast()})
+    out = emit_svg("history_plus_forecast", "forecast", series=small_series(), forecast=small_forecast())
     assert out.count('class="interval-band"') == 1
     dashed = [ln for ln in out.splitlines() if 'class="forecast"' in ln]
     assert len(dashed) == 1 and "stroke-dasharray" in dashed[0]
 
 
 def test_identical_inputs_identical_bytes():
-    spec = FigureSpec("history_plus_forecast", "determinism")
     data = {"series": small_series(), "forecast": small_forecast(),
             "exclusions": [ExclusionWindow(date(2025, 5, 10), date(2025, 5, 12))]}
-    assert emit_svg(spec, data) == emit_svg(spec, data)
+    assert emit_svg("history_plus_forecast", "determinism", **data) == \
+        emit_svg("history_plus_forecast", "determinism", **data)
 
 
 def test_empty_series_rejected():
     empty = CountSeries(DAILY, START, np.empty(0), np.empty(0, dtype=bool))
     with pytest.raises(ValueError):
-        emit_svg(FigureSpec("history_plus_forecast", "empty"), {"series": empty})
-
-
-def test_components_figure_sums_legend_and_lines():
-    days = [date(2025, 5, 1 + i) for i in range(14)]
-    t = np.arange(14.0)
-    data = {"dates": days, "trend": 2 + 0.1 * t, "weekly": np.sin(t), "yearly": np.zeros(14)}
-    out = emit_svg(FigureSpec("components", "components"), data)
-    for name in ("trend", "weekly", "yearly"):
-        assert f'class="component-{name}"' in out
+        emit_svg("history_plus_forecast", "empty", series=empty)
 
 
 def test_comparison_bars_one_rect_per_model():
     rows = [("arima", 3.2), ("decomp", 2.8), ("gbt", 3.9)]
-    out = emit_svg(FigureSpec("comparison_bars", "rmse"), {"metric": "rmse", "rows": rows})
+    out = emit_svg("comparison_bars", "rmse", rows=rows, metric="rmse")
     assert out.count('class="bar"') == 3
     for name, _ in rows:
         assert f">{name}</text>" in out
@@ -93,22 +81,23 @@ def test_comparison_bars_one_rect_per_model():
 
 def test_backtest_folds_figure():
     folds = [(date(2025, 5, 1), 2.0), (date(2025, 5, 15), 3.0), (date(2025, 6, 1), 2.5)]
-    out = emit_svg(FigureSpec("backtest_folds", "folds"), {"metric": "mae", "folds": folds})
+    out = emit_svg("backtest_folds", "folds", folds=folds, metric="mae")
     assert out.count('class="fold-point"') == 3
 
 
 def test_empty_bars_and_folds_rejected():
     with pytest.raises(ValueError):
-        emit_svg(FigureSpec("comparison_bars", "x"), {"metric": "rmse", "rows": []})
+        emit_svg("comparison_bars", "x", rows=[], metric="rmse")
     with pytest.raises(ValueError):
-        emit_svg(FigureSpec("backtest_folds", "x"), {"metric": "mae", "folds": []})
+        emit_svg("backtest_folds", "x", folds=[], metric="mae")
 
 
-def test_figure_spec_validation():
-    with pytest.raises(ValueError):
-        FigureSpec("pie_chart", "nope")
+def test_unknown_figure_kind_rejected():
+    for kind in ("pie_chart", "components"):
+        with pytest.raises(ValueError, match=f"unknown figure kind '{kind}'"):
+            emit_svg(kind, "nope", rows=[("m", 1.0)])
 
 
 def test_no_volatile_content():
-    out = emit_svg(FigureSpec("comparison_bars", "t"), {"metric": "mae", "rows": [("m", 1.0)]})
+    out = emit_svg("comparison_bars", "t", rows=[("m", 1.0)], metric="mae")
     assert "id=" not in out and "timestamp" not in out.lower()
