@@ -9,7 +9,7 @@ once, straight from its extension file, and neither package's
 ``__init__`` runs. Those routine names are scipy internals, so the public
 functions are the contract: if a file, a name or a call is not there, the
 first use falls back to them for the rest of the process. Both paths give
-the same bits.
+the same bits, and both refuse a Gram matrix whose columns are dependent.
 
 ``one_blas_thread`` sets numpy's bundled OpenBLAS to one thread through
 its own thread-count functions, found through numpy's extension module.
@@ -31,6 +31,10 @@ from typing import Callable
 import numpy as np
 
 _ONE = np.ones(1)
+# The least U_jj^2 / G_jj a Cholesky factor U of G may have, the share of
+# column j's norm that the columns before it do not explain. Below it the
+# columns are dependent and the factorization succeeded only by rounding.
+MIN_PIVOT_SHARE = 1e-10
 # What a moved, renamed or re-signed internal raises when it is loaded or first called.
 _UNAVAILABLE = (ImportError, OSError, AttributeError, TypeError, ValueError)
 
@@ -63,10 +67,19 @@ def _public_filter(a, x):
     return lfilter(_ONE, a, x)
 
 
+def _check_pivots(gram, factor):
+    share = np.diag(factor) ** 2 / np.diag(gram)
+    j = int(np.argmin(share))
+    if share[j] < MIN_PIVOT_SHARE:
+        raise np.linalg.LinAlgError(f"column {j} depends on the columns before it (pivot share {share[j]:.1e})")
+
+
 def _public_solve(gram, rhs):
     from scipy.linalg import cho_factor, cho_solve
 
-    return cho_solve(cho_factor(gram), rhs)
+    factor = cho_factor(gram)
+    _check_pivots(gram, factor[0])
+    return cho_solve(factor, rhs)
 
 
 @functools.cache
@@ -102,6 +115,7 @@ def _solver() -> Callable:
         # A negative info flags an illegal argument, which the wrapper's shape checks rule out.
         if info > 0:
             raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+        _check_pivots(gram, factor)
         return potrs(factor, rhs, lower=0)[0]
 
     return direct
@@ -116,7 +130,8 @@ def cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``cho_solve(cho_factor(gram), rhs)`` for a symmetric positive-definite ``gram``.
 
     Raises ``numpy.linalg.LinAlgError`` when ``gram`` is not positive
-    definite and ``ValueError`` when an input is not finite.
+    definite, or its factor U has a U_jj^2 / G_jj below ``MIN_PIVOT_SHARE``,
+    and ``ValueError`` when an input is not finite.
     """
     return _solver()(gram, rhs)
 

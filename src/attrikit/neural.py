@@ -4,16 +4,19 @@ Each model runs its own hand-written forward and backward kernels: the
 LSTM a sequence loop with backpropagation through time, the TCN batched
 causal convolutions. Neither records a gradient graph; ``autodiff``
 supplies only the parameter tensors and Adam. Both offer ``predict(x)``
-and ``loss_and_grads(x, y)``, which training, forecasting and
-``grad_check`` call. Both models standardize inputs, train full-batch
-with Adam from a seeded initialization, and forecast recursively by
-feeding each prediction back as pseudo-history. ``lstm_fit`` and
-``tcn_fit`` return the fitted model, as every family's fit does; it keeps
-its spec and its per-epoch training losses (``epoch_losses``). Interval
-bounds use the train-RMSE * sqrt(step) heuristic and are labeled as such
-in the forecast metadata. Training is deterministic for a fixed (seed,
-data, spec) triple and runs on one BLAS thread whatever the caller's
-count, so its bits do not depend on the machine's core count.
+and ``loss_and_grads(x, y, acts=None)``, which training, forecasting and
+``grad_check`` call. Training passes one ``acts`` list to every epoch of
+a fit, so each epoch writes its kept activations into the arrays the
+first epoch allocated instead of allocating and faulting in new ones.
+Both models standardize inputs, train full-batch with Adam from a seeded
+initialization, and forecast recursively by feeding each prediction back
+as pseudo-history. ``lstm_fit`` and ``tcn_fit`` return the fitted model,
+as every family's fit does; it keeps its spec and its per-epoch training
+losses (``epoch_losses``). Interval bounds use the train-RMSE * sqrt(step)
+heuristic and are labeled as such in the forecast metadata. Training is
+deterministic for a fixed (seed, data, spec) triple and runs on one BLAS
+thread whatever the caller's count, so its bits do not depend on the
+machine's core count.
 """
 
 from __future__ import annotations
@@ -114,7 +117,10 @@ class LstmModel:
     the generic tape used, so fits are bit-identical to it.
 
     Only ``loss_and_grads`` keeps activations, five arrays per step: the
-    gates i, f, o, the candidate and the cell state c. The reverse loop
+    gates i, f, o, the candidate and the cell state c. Given a list that
+    an earlier call on the same inputs filled, it writes them into that
+    call's arrays with ``out=``: the same ufuncs on the same operands, so
+    the same bits. The reverse loop
     recomputes tanh(c) of the step before once and uses it twice, for that
     step's hidden state o * tanh(c) and as its own tanh(c); these are the
     forward pass's ufuncs on the same inputs, so the bits are the same.
@@ -145,20 +151,23 @@ class LstmModel:
         return [self.wx, self.wh, self.b, self.w_out, self.b_out]
 
     def _forward(self, x: np.ndarray, acts: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Predictions (n, 1) and the last hidden state; appends
-        (i, f, o, cand, c) per step to ``acts`` when one is given."""
+        """Predictions (n, 1) and the last hidden state. Given an empty
+        ``acts``, appends (i, f, o, cand, c) per step; given a filled one,
+        writes them into its arrays."""
         n, steps, _ = x.shape
         hs = self.spec.hidden
         wx, wh, b = self.wx.value, self.wh.value, self.b.value
         h = np.zeros((n, hs))
         c = np.zeros((n, hs))
+        kept = acts or None
         for t in range(steps):
+            into = kept[t] if kept else (None,) * 5
             gates = x[:, t, :] @ wx + h @ wh + b
-            i, f, o = (1.0 / (1.0 + np.exp(-gates[:, k * hs:(k + 1) * hs])) for k in range(3))
-            cand = np.tanh(gates[:, 3 * hs:])
-            c = f * c + i * cand
+            i, f, o = (np.divide(1.0, 1.0 + np.exp(-gates[:, k * hs:(k + 1) * hs]), out=into[k]) for k in range(3))
+            cand = np.tanh(gates[:, 3 * hs:], out=into[3])
+            c = np.add(f * c, i * cand, out=into[4])
             h = o * np.tanh(c)
-            if acts is not None:
+            if acts is not None and kept is None:
                 acts.append((i, f, o, cand, c))
         return h @ self.w_out.value + self.b_out.value, h
 
@@ -166,10 +175,13 @@ class LstmModel:
         """x: (n, lookback, features) -> predictions (n, 1)."""
         return self._forward(x)[0]
 
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray] | None]:
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
+                       acts: list | None = None) -> tuple[float, list[np.ndarray] | None]:
         """Mean squared error and its gradient for each of ``parameters()``
-        (None when the loss is not finite)."""
-        acts: list[tuple] = []
+        (None when the loss is not finite). ``acts`` is a list the caller
+        keeps between calls on the same ``x``: the first call fills it, later
+        ones write their activations into its arrays."""
+        acts = [] if acts is None else acts
         out, h_last = self._forward(x, acts)
         diff = out - y
         loss = float((diff * diff).mean())
@@ -204,18 +216,22 @@ class LstmModel:
 
 def _train(model, x: np.ndarray, y: np.ndarray, epochs: int, lr: float) -> None:
     """Full-batch Adam on one BLAS thread, whatever the caller's count:
-    a second thread would change the bits of the LSTM's weight gradients."""
+    a second thread would change the bits of the LSTM's weight gradients.
+    Every epoch writes its activations into the first epoch's arrays, which
+    are freed before the final ``predict``."""
     params = model.parameters()
     optimizer = Adam(params, lr=lr)
+    acts: list = []
     with one_blas_thread():
         for epoch in range(epochs):
-            loss, grads = model.loss_and_grads(x, y)
+            loss, grads = model.loss_and_grads(x, y, acts)
             if not np.isfinite(loss):
                 raise ModelError(f"training diverged at epoch {epoch}: non-finite loss")
             model.epoch_losses.append(loss)
             for p, grad in zip(params, grads):
                 p.grad = grad
             optimizer.step()
+        del acts
         preds = model.predict(x)
     model.rmse_train = float(np.sqrt(np.mean((preds - y) ** 2))) * model.std
 
@@ -268,11 +284,13 @@ class TcnModel:
     0 upward before the bias is added.
 
     Only ``loss_and_grads`` keeps activations: per block the padded input
-    and the ReLU mask, and the block's input itself only where a 1x1
-    projection reads it (only the first block can have one, and its input
-    is the data). The padded input already holds every other block's
-    input, so nothing is recomputed. ``predict`` and ``features`` keep
-    nothing.
+    and the ReLU mask. The padded input already holds the block's input,
+    so nothing is recomputed; a 1x1 projection reads the data itself (only
+    the first block can have one). Once a block's tap gradients have read
+    its padded input, the backward pass sums the gradient of that input
+    into the same array. Given a list an earlier call on the same inputs
+    filled, the forward pass writes into that call's arrays. ``predict``
+    and ``features`` keep nothing.
     """
 
     def __init__(self, spec: TcnSpec, mean: float, std: float):
@@ -308,15 +326,16 @@ class TcnModel:
         return params
 
     def _forward(self, x: np.ndarray, acts: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Predictions (n, 1) and the pre-head features (n, steps, channels);
-        appends (padded input, conv > 0, input or None) per block to ``acts``
-        when one is given."""
+        """Predictions (n, 1) and the pre-head features (n, steps, channels).
+        Given an empty ``acts``, appends (padded input, conv > 0) per block;
+        given a filled one, writes them into its arrays."""
         n, steps, _ = x.shape
         cur = x
-        for block in self.blocks:
+        kept = acts or None
+        for b, block in enumerate(self.blocks):
             dilation = block["dilation"]
             pad = (self.spec.kernel - 1) * dilation
-            padded = np.empty((n, pad + steps, cur.shape[2]))
+            padded = kept[b][0] if kept else np.empty((n, pad + steps, cur.shape[2]))
             padded[:, :pad] = 0.0  # causal: zeros before the first step
             padded[:, pad:] = cur
             conv = padded[:, :steps] @ block["taps"][0].value
@@ -324,8 +343,10 @@ class TcnModel:
                 conv += padded[:, i * dilation:i * dilation + steps] @ tap.value
             conv += block["bias"].value
             residual = cur if block["proj"] is None else cur @ block["proj"].value
-            if acts is not None:  # padded holds a copy of the input; only a projection reads it
-                acts.append((padded, conv > 0.0, None if block["proj"] is None else cur))
+            if acts is not None:
+                active = np.greater(conv, 0.0, out=kept[b][1] if kept else None)
+                if kept is None:
+                    acts.append((padded, active))
             cur = np.maximum(conv, 0.0) + residual
         out = cur[:, steps - 1:steps] @ self.w_out.value + self.b_out.value
         return out.reshape(n, 1), cur
@@ -338,10 +359,13 @@ class TcnModel:
         """x: (n, steps, 1) -> predictions (n, 1)."""
         return self._forward(x)[0]
 
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray] | None]:
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
+                       acts: list | None = None) -> tuple[float, list[np.ndarray] | None]:
         """Mean squared error and its gradient for each of ``parameters()``
-        (None when the loss is not finite)."""
-        acts: list[tuple] = []
+        (None when the loss is not finite). ``acts`` is a list the caller
+        keeps between calls on the same ``x``: the first call fills it, later
+        ones write their activations into its arrays."""
+        acts = [] if acts is None else acts
         out, feats = self._forward(x, acts)
         diff = out - y
         loss = float((diff * diff).mean())
@@ -357,20 +381,20 @@ class TcnModel:
         grads: list[np.ndarray] = []
         taps = range(self.spec.kernel)
         for b in reversed(range(len(self.blocks))):
-            block, (padded, active, block_input) = self.blocks[b], acts[b]
+            block, (padded, active) = self.blocks[b], acts[b]
             dilation, in_ch = block["dilation"], padded.shape[2]
             d_conv = d_cur * active
             block_grads = [padded[:, i * dilation:i * dilation + steps].reshape(-1, in_ch).T
                            @ d_conv.reshape(-1, channels) for i in taps]
             block_grads.append(d_conv.sum(axis=0).sum(axis=0))  # batch axis, then steps, as the tape did
-            if block["proj"] is not None:
-                block_grads.append(block_input.reshape(-1, in_ch).T @ d_cur.reshape(-1, channels))
+            if block["proj"] is not None:  # only the first block's, whose input is x
+                block_grads.append(x.reshape(-1, in_ch).T @ d_cur.reshape(-1, channels))
             grads[:0] = block_grads
             if b:  # the first block's input is the data, which needs no gradient
-                d_padded = np.zeros_like(padded)
+                padded[...] = 0.0  # its last reader was the tap gradients; now it sums d_padded
                 for i in taps:  # tap 0 first: a different order changes the last bits
-                    d_padded[:, i * dilation:i * dilation + steps] += d_conv @ block["taps"][i].value.T
-                d_cur = d_cur + d_padded[:, padded.shape[1] - steps:]
+                    padded[:, i * dilation:i * dilation + steps] += d_conv @ block["taps"][i].value.T
+                d_cur = d_cur + padded[:, padded.shape[1] - steps:]
         return loss, grads + head
 
 

@@ -164,12 +164,12 @@ def test_monthly_requires_weekly_disabled():
     assert result.yearly_order <= 5  # capped below the monthly Nyquist order
 
 
-def mondays_only(n=120):
+def mondays_only(n=120, start=START):
     """Observed on Mondays only, where a weekly harmonic is constant and so
     dependent on the offset column, whatever the penalty."""
     mask = np.zeros(n, dtype=bool)
-    mask[(date(2022, 3, 7) - START).days::7] = True
-    return daily(np.random.default_rng(0).poisson(5.0, n), mask=mask)
+    mask[(date(2022, 3, 7) - start).days % 7::7] = True
+    return daily(np.random.default_rng(0).poisson(5.0, n), mask=mask, start=start)
 
 
 def test_singular_zero_penalty_advises():
@@ -180,6 +180,16 @@ def test_singular_zero_penalty_advises():
 def test_singular_design_with_a_penalty_does_not_blame_it():
     with pytest.raises(ModelError, match="^singular design: duplicate or dependent columns$"):
         fit(mondays_only(), DecompSpec(weekly_order=1, trend_penalty=10.0))
+
+
+@pytest.mark.parametrize("n", [60, 120, 200, 400])
+@pytest.mark.parametrize("weekday", range(7))
+def test_mondays_only_design_is_singular_at_every_length_and_start(n, weekday):
+    # Four of these 28 factor by rounding alone (U_jj^2 / G_jj ~ 1e-16) and
+    # used to fit weekly coefficients of ~1e14 and forecast as much.
+    series = mondays_only(n, start=date(2022, 3, 7) + timedelta(days=weekday))
+    with pytest.raises(ModelError, match="^singular design: duplicate or dependent columns$"):
+        fit(series, DecompSpec(weekly_order=1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 8])
@@ -259,7 +269,9 @@ def test_declining_monthly_forecast_is_clamped_and_ordered():
 @given(n=st.integers(1, 40), extra_rows=st.integers(-5, 60), ridge=st.sampled_from([0.0, 1e-8, 0.5, 10.0]),
        scale=st.sampled_from([1e-3, 1.0, 1e3]), duplicate=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_cholesky_solve_bit_equals_cho_solve(n, extra_rows, ridge, scale, duplicate, seed):
-    """Ridge normal equations, as decomp builds them: the same bits, or the same refusal."""
+    """Ridge normal equations, as decomp builds them: the same bits, or the
+    same refusal, or, where cho_factor's factor U has a U_jj^2 / G_jj below
+    ``MIN_PIVOT_SHARE``, a refusal of dependent columns."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((max(n + extra_rows, 1), n)) * scale
     if duplicate:
@@ -270,6 +282,10 @@ def test_cholesky_solve_bit_equals_cho_solve(n, extra_rows, ridge, scale, duplic
         expected = cho_solve(cho_factor(gram), rhs)
     except np.linalg.LinAlgError as err:
         with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(err))):
+            cholesky_solve(gram, rhs)
+        return
+    if (np.diag(cho_factor(gram)[0]) ** 2 / np.diag(gram)).min() < _kernels.MIN_PIVOT_SHARE:
+        with pytest.raises(np.linalg.LinAlgError, match="depends on the columns before it"):
             cholesky_solve(gram, rhs)
         return
     got = cholesky_solve(gram, rhs)
@@ -321,6 +337,18 @@ def test_fallback_kernels_match_direct_path(fallback_kernels, monthly_tanks_mask
     assert _model_outputs(monthly_tanks_masked, daily_all) == direct
     assert _kernels._filter() is _kernels._public_filter
     assert _kernels._solver() is _kernels._public_solve
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_cholesky_solve_refuses_columns_dependent_up_to_rounding(fallback_kernels, fallback):
+    if fallback:
+        fallback_kernels()
+    # Positive definite, but column 1 is column 0 up to a share of 1e-12 of its norm.
+    message = r"^column 1 depends on the columns before it \(pivot share 1\.0e-12\)$"
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        cholesky_solve(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]]), np.ones(2))
+    assert np.array_equal(cholesky_solve(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]]), np.array([1.0, 1.0])),
+                          [1.0, 0.0])
 
 
 @pytest.mark.parametrize("fallback", [False, True])

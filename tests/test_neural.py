@@ -17,6 +17,7 @@ from attrikit.neural import (
     LstmSpec,
     TcnModel,
     TcnSpec,
+    _fit,
     _train,
     _train_windows,
     grad_check,
@@ -199,6 +200,25 @@ def assert_kernel_bit_equals_tape(model, x, y, tape_forward):
         assert bits(grad) == bits(p.grad)
 
 
+def assert_call_into_kept_arrays_bit_equals_fresh_call(model, x, y):
+    """A call given the list an earlier call filled, after the parameters
+    changed, writes into the same arrays and returns the bits of a call
+    that starts from an empty list."""
+    acts = []
+    model.loss_and_grads(x, y, acts)
+    arrays = [a for entry in acts for a in entry]
+    rng = np.random.default_rng(0)
+    for p in model.parameters():
+        p.value += rng.normal(scale=0.1, size=p.value.shape)
+    loss, grads = model.loss_and_grads(x, y, acts)
+    fresh_loss, fresh_grads = model.loss_and_grads(x, y)
+    assert all(a is b for a, b in zip([a for entry in acts for a in entry], arrays, strict=True))
+    assert bits(loss) == bits(fresh_loss)
+    assert (grads is None) == (fresh_grads is None)
+    for grad, fresh in zip(grads or [], fresh_grads or [], strict=True):
+        assert bits(grad) == bits(fresh)
+
+
 def assert_training_bit_equals_adam_over_tape(model_class, spec, tape_forward):
     series = sine_series(n=90)
     model = model_class(spec, 10.0, 3.0)
@@ -247,6 +267,12 @@ def lstm_kernel_cases(draw):
 @given(case=lstm_kernel_cases())
 def test_lstm_kernel_bit_equals_tape(case):
     assert_kernel_bit_equals_tape(*case, tape_lstm_forward)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=100)
+@given(case=lstm_kernel_cases())
+def test_lstm_call_into_kept_arrays_bit_equals_fresh_call(case):
+    assert_call_into_kept_arrays_bit_equals_fresh_call(*case)
 
 
 def test_lstm_training_bit_equals_adam_over_tape():
@@ -415,6 +441,20 @@ def test_tcn_kernel_bit_equals_tape(case):
     assert_kernel_bit_equals_tape(*case, tape_tcn_forward)
 
 
+@settings(deadline=None, derandomize=True, database=None, max_examples=100)
+@given(case=tcn_kernel_cases())
+def test_tcn_call_into_kept_arrays_bit_equals_fresh_call(case):
+    assert_call_into_kept_arrays_bit_equals_fresh_call(*case)
+
+
+def test_tcn_call_into_kept_arrays_zeroes_the_pad_again():
+    # Windows shorter than the receptive field carry gradient into the pads,
+    # where the backward pass sums it; the next forward must zero them again.
+    model = TcnModel(TcnSpec(kernel=3, dilations=(1, 2, 4), channels=3, seed=2), 0.0, 1.0)
+    rng = np.random.default_rng(3)
+    assert_call_into_kept_arrays_bit_equals_fresh_call(model, rng.normal(size=(6, 5, 1)), rng.normal(size=(6, 1)))
+
+
 def test_tcn_training_bit_equals_adam_over_tape():
     spec = TcnSpec(kernel=3, dilations=(1, 2), channels=4, epochs=40, learning_rate=0.02, seed=4)
     assert_training_bit_equals_adam_over_tape(TcnModel, spec, tape_tcn_forward)
@@ -479,15 +519,60 @@ def test_lstm_keeps_five_arrays_per_step_and_predict_keeps_none():
     assert abs(peaks[28] - peaks[7]) < act  # predict keeps no step's activations
 
 
+def test_lstm_call_into_kept_arrays_keeps_no_new_step_activations():
+    # With the list an earlier call filled, a call allocates only one step's
+    # temporaries and the gradients, ~19 A at any lookback; a fresh call
+    # takes 159 A at lookback 28.
+    for lookback in (7, 28):
+        model = daily_lstm(lookback)
+        x, y = daily_windows(model)
+        act = len(x) * model.spec.hidden * 8
+        acts = []
+        assert peak_bytes(lambda: model.loss_and_grads(x, y, acts)) < 24 * act
+
+
 def test_tcn_keeps_no_copied_block_input():
     # B = n * steps * channels * 8 bytes is one block's output. The padded
-    # input of a block already holds its input. Keeping both would take
-    # 13.26 B for the default spec, whose last three blocks take B-sized
-    # inputs without a projection; the bound is that less those three.
+    # input of a block already holds its input, and the backward pass sums
+    # the padded input's gradient into that same array: the call takes
+    # 8.51 B for the default spec. A separate gradient array would take
+    # 10.26 B, and a kept copy of each block input 3 B more.
     model = daily_tcn()
     x, y = daily_windows(model)
     block = x.shape[0] * x.shape[1] * model.spec.channels * 8
-    assert peak_bytes(lambda: model.loss_and_grads(x, y)) < (13.5 - 3) * block
+    assert peak_bytes(lambda: model.loss_and_grads(x, y)) < 9 * block
+
+
+def test_tcn_call_into_kept_arrays_keeps_no_new_block_activations():
+    # With the list an earlier call filled, the padded inputs and masks are
+    # not allocated again: 4.04 B.
+    model = daily_tcn()
+    x, y = daily_windows(model)
+    block = x.shape[0] * x.shape[1] * model.spec.channels * 8
+    acts = []
+    assert peak_bytes(lambda: model.loss_and_grads(x, y, acts)) < 4.5 * block
+
+
+@pytest.mark.parametrize("model_class, spec", [
+    (LstmModel, LstmSpec(**{**SMALL_LSTM, "epochs": 4}, use_weekday=False)),
+    (TcnModel, TcnSpec(**{**SMALL_TCN, "epochs": 4})),
+])
+def test_training_writes_every_epoch_into_the_first_epochs_arrays(model_class, spec, monkeypatch):
+    seen = []
+    original = model_class.loss_and_grads
+
+    def probed(self, x, y, acts=None):
+        result = original(self, x, y, acts)
+        seen.append((acts, [a for entry in acts for a in entry]))
+        return result
+
+    monkeypatch.setattr(model_class, "loss_and_grads", probed)
+    _fit(model_class, spec, sine_series())
+    first_list, first_arrays = seen[0]
+    assert len(seen) == 4 and first_arrays
+    for acts, arrays in seen[1:]:
+        assert acts is first_list
+        assert all(a is b for a, b in zip(arrays, first_arrays, strict=True))
 
 
 def test_tcn_loss_trends_down():
@@ -619,9 +704,9 @@ def test_fit_trains_on_one_blas_thread_and_restores_the_count(blas_at_two_thread
     seen = []
     original = LstmModel.loss_and_grads
 
-    def probed(self, x, y):
+    def probed(self, x, y, acts=None):
         seen.append(blas_at_two_threads())
-        return original(self, x, y)
+        return original(self, x, y, acts)
 
     monkeypatch.setattr(LstmModel, "loss_and_grads", probed)
     lstm_fit(sine_series(), LstmSpec(**{**SMALL_LSTM, "epochs": 3}, use_weekday=False))
@@ -630,7 +715,7 @@ def test_fit_trains_on_one_blas_thread_and_restores_the_count(blas_at_two_thread
 
 
 def test_fit_that_raises_restores_the_blas_count(blas_at_two_threads, monkeypatch):
-    monkeypatch.setattr(LstmModel, "loss_and_grads", lambda self, x, y: (float("nan"), None))
+    monkeypatch.setattr(LstmModel, "loss_and_grads", lambda self, x, y, acts=None: (float("nan"), None))
     with pytest.raises(ModelError, match="epoch 0"):
         lstm_fit(sine_series(), LstmSpec(**SMALL_LSTM, use_weekday=False))
     assert blas_at_two_threads() == 2
@@ -644,7 +729,7 @@ def test_overlapping_fits_on_two_threads_share_the_pin(blas_at_two_threads, monk
     seen = {"first": [], "second": []}
     original = LstmModel.loss_and_grads
 
-    def probed(self, x, y):
+    def probed(self, x, y, acts=None):
         name = threading.current_thread().name
         if name == "second" and seen["second"]:
             assert first_done.wait(60)
@@ -654,7 +739,7 @@ def test_overlapping_fits_on_two_threads_share_the_pin(blas_at_two_threads, monk
             assert second_inside.wait(60)
         else:
             second_inside.set()
-        return original(self, x, y)
+        return original(self, x, y, acts)
 
     def first():
         lstm_fit(sine_series(seed=0), LstmSpec(**{**SMALL_LSTM, "epochs": 1}, use_weekday=False))
