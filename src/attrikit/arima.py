@@ -18,7 +18,8 @@ import numpy as np
 from ._kernels import linear_filter
 from .errors import ModelError
 from .optim import nelder_mead
-from .series import CountSeries, Forecast, check_fit_input, forecast_input, period_start, split_runs
+from .series import (CountSeries, Forecast, check_fit_input, check_integer_fields, forecast_input, period_start,
+                     split_runs)
 from .stats import two_sided_z
 
 # Nelder-Mead iterations a fit may take before it raises ConvergenceError.
@@ -34,6 +35,7 @@ class ArimaSpec:
     intercept: bool = True
 
     def __post_init__(self):
+        check_integer_fields(self)
         if not 0 <= self.p <= 5 or not 0 <= self.q <= 5:
             raise ValueError("p and q must lie in 0..5")
         if not 0 <= self.d <= 2:

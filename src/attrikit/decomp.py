@@ -18,7 +18,8 @@ import numpy as np
 
 from ._kernels import cholesky_solve
 from .errors import ModelError
-from .series import DAILY, CountSeries, Forecast, check_fit_input, forecast_input, period_index, period_start
+from .series import (DAILY, CountSeries, Forecast, check_fit_input, check_integer_fields, forecast_input, period_index,
+                     period_start)
 from .stats import two_sided_z
 
 WEEKLY_PERIOD = 7.0
@@ -35,6 +36,7 @@ class DecompSpec:
     trend_penalty: float = 10.0
 
     def __post_init__(self):
+        check_integer_fields(self)
         if not 0.0 < self.changepoint_range <= 1.0:
             raise ValueError("changepoint_range must lie in (0, 1]")
         if self.weekly_order < 0 or self.yearly_order < 0:

@@ -31,6 +31,7 @@ from .series import (
     Forecast,
     SupervisedMatrix,
     check_fit_input,
+    check_integer_fields,
     forecast_input,
     make_supervised,
     period_days,
@@ -50,6 +51,7 @@ class GbtSpec:
     calendar: frozenset[str] = frozenset({"weekday", "month", "linear_index"})
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.n_trees < 1 or self.max_depth < 1:
             raise ValueError("n_trees and max_depth must be >= 1")
         unknown = set(self.calendar) - set(CALENDAR_FLAGS)

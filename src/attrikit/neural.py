@@ -29,8 +29,8 @@ from . import autodiff as ad
 from ._kernels import one_blas_thread
 from .autodiff import Adam, Tensor
 from .errors import ModelError
-from .series import (CountSeries, Forecast, calendar_columns, check_fit_input, forecast_input, period_days,
-                     recursive_forecast, run_lengths)
+from .series import (CountSeries, Forecast, calendar_columns, check_fit_input, check_integer_fields, forecast_input,
+                     period_days, recursive_forecast, run_lengths)
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,7 @@ class LstmSpec:
     use_month: bool = False
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.lookback < 1 or self.hidden < 1:
             raise ValueError("lookback and hidden must be >= 1")
         if self.epochs < 1:
@@ -62,6 +63,7 @@ class TcnSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.kernel < 2:
             raise ValueError("kernel width must be >= 2")
         if not self.dilations or any(d < 1 for d in self.dilations):
@@ -272,6 +274,15 @@ def lstm_forecast(model, series: CountSeries, horizon: int, level: float = 0.95)
 # --------------------------------------------------------------------------
 # TCN
 
+# Windows per chunk of the TCN's block loop. At the daily preset a chunk's
+# widest padded block input, 64 x 47 steps x 16 channels, is ~385 KB and
+# stays in L2 while a block makes its passes over it.
+_CHUNK = 64
+
+
+def _chunks(n: int):
+    return (slice(start, start + _CHUNK) for start in range(0, n, _CHUNK))
+
 
 class TcnModel:
     """Stack of residual blocks (causal conv -> ReLU -> residual add, with a
@@ -283,14 +294,24 @@ class TcnModel:
     per tap over a dilated slice of the left-padded input, summed from tap
     0 upward before the bias is added.
 
-    Only ``loss_and_grads`` keeps activations: per block the padded input
-    and the ReLU mask. The padded input already holds the block's input,
-    so nothing is recomputed; a 1x1 projection reads the data itself (only
-    the first block can have one). Once a block's tap gradients have read
-    its padded input, the backward pass sums the gradient of that input
-    into the same array. Given a list an earlier call on the same inputs
-    filled, the forward pass writes into that call's arrays. ``predict``
-    and ``features`` keep nothing.
+    A convolution reads each window on its own, so the forward pass runs
+    all the blocks on ``_CHUNK`` windows at a time, whose arrays stay in
+    cache, and keeps only the last step's features, all the head reads.
+    The backward pass sums the tap, bias, projection and head gradients
+    over the whole batch, in the tape's order, and runs its input-gradient
+    pass chunk by chunk. No product changes its operands, so the bits do
+    not depend on the chunk size.
+
+    Only ``loss_and_grads`` keeps arrays: per block the padded input and
+    the ReLU mask, and the backward pass's d_cur and d_conv. The padded
+    input already holds the block's input, so nothing is recomputed; a 1x1
+    projection reads the data itself (only the first block can have one).
+    Once a block's tap gradients have read its padded input, the backward
+    pass sums the gradient of that input into the same array. Given a list
+    an earlier call on the same inputs filled, a call writes into that
+    call's arrays and allocates only chunk-sized temporaries and one tap
+    gradient's copy of a padded input. ``predict`` keeps nothing, and
+    ``features`` runs the blocks on the whole batch at once.
     """
 
     def __init__(self, spec: TcnSpec, mean: float, std: float):
@@ -325,17 +346,16 @@ class TcnModel:
         params.extend([self.w_out, self.b_out])
         return params
 
-    def _forward(self, x: np.ndarray, acts: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Predictions (n, 1) and the pre-head features (n, steps, channels).
-        Given an empty ``acts``, appends (padded input, conv > 0) per block;
-        given a filled one, writes them into its arrays."""
-        n, steps, _ = x.shape
+    def _blocks(self, x: np.ndarray, kept: list | None = None) -> np.ndarray:
+        """The blocks' output (m, steps, channels) for windows x (m, steps, 1).
+        Given ``kept``, a (padded input, mask) pair of m-row arrays per
+        block, writes each block's padded input and conv > 0 into them."""
+        steps = x.shape[1]
         cur = x
-        kept = acts or None
         for b, block in enumerate(self.blocks):
             dilation = block["dilation"]
             pad = (self.spec.kernel - 1) * dilation
-            padded = kept[b][0] if kept else np.empty((n, pad + steps, cur.shape[2]))
+            padded = kept[b][0] if kept else np.empty((len(x), pad + steps, cur.shape[2]))
             padded[:, :pad] = 0.0  # causal: zeros before the first step
             padded[:, pad:] = cur
             conv = padded[:, :steps] @ block["taps"][0].value
@@ -343,17 +363,41 @@ class TcnModel:
                 conv += padded[:, i * dilation:i * dilation + steps] @ tap.value
             conv += block["bias"].value
             residual = cur if block["proj"] is None else cur @ block["proj"].value
-            if acts is not None:
-                active = np.greater(conv, 0.0, out=kept[b][1] if kept else None)
-                if kept is None:
-                    acts.append((padded, active))
-            cur = np.maximum(conv, 0.0) + residual
-        out = cur[:, steps - 1:steps] @ self.w_out.value + self.b_out.value
-        return out.reshape(n, 1), cur
+            if kept:
+                np.greater(conv, 0.0, out=kept[b][1])
+            cur = np.maximum(conv, 0.0, out=conv)
+            cur += residual
+        return cur
+
+    def _kept_arrays(self, n: int, steps: int) -> list[tuple[np.ndarray, ...]]:
+        """What ``loss_and_grads`` keeps for n windows: a (padded input,
+        conv > 0) pair per block, then the backward pass's d_cur and d_conv."""
+        shape = (n, steps, self.spec.channels)
+        arrays = []
+        for block in self.blocks:
+            pad = (self.spec.kernel - 1) * block["dilation"]
+            in_ch = block["taps"][0].value.shape[0]
+            arrays.append((np.empty((n, pad + steps, in_ch)), np.empty(shape, bool)))
+        arrays.append((np.empty(shape), np.empty(shape)))
+        return arrays
+
+    def _forward(self, x: np.ndarray, kept: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Predictions (n, 1) and the last step's features (n, 1, channels).
+        Given ``kept``, a (padded input, mask) pair of n-row arrays per
+        block, writes into them."""
+        n, steps, _ = x.shape
+        # Rows a step apart, as in the tape's slice of the features (dense when
+        # there is one step): BLAS sums a dense (n, channels) operand in another order.
+        last = np.empty((n, min(steps, 2), self.spec.channels))[:, -1:]
+        for rows in _chunks(n):
+            rows_kept = kept and [(padded[rows], active[rows]) for padded, active in kept]
+            last[rows] = self._blocks(x[rows], rows_kept)[:, steps - 1:]
+        out = last @ self.w_out.value + self.b_out.value
+        return out.reshape(n, 1), last
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """Pre-head activations, (n, steps, channels); strictly causal."""
-        return self._forward(x)[1]
+        return self._blocks(x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """x: (n, steps, 1) -> predictions (n, 1)."""
@@ -365,25 +409,28 @@ class TcnModel:
         (None when the loss is not finite). ``acts`` is a list the caller
         keeps between calls on the same ``x``: the first call fills it, later
         ones write their activations into its arrays."""
+        n, steps, _ = x.shape
         acts = [] if acts is None else acts
-        out, feats = self._forward(x, acts)
+        if not acts:
+            acts.extend(self._kept_arrays(n, steps))
+        *kept, (d_cur, d_conv) = acts
+        out, last = self._forward(x, kept)
         diff = out - y
         loss = float((diff * diff).mean())
         if not np.isfinite(loss):
             return loss, None
-        n, steps, channels = feats.shape
+        channels = self.spec.channels
         half = np.full_like(diff, 1.0 / diff.size) * diff
         d_out = (half + half).reshape(n, 1, 1)
-        head = [feats[:, steps - 1:steps].reshape(-1, channels).T @ d_out.reshape(-1, 1),
-                d_out.sum(axis=0).sum(axis=0)]
-        d_cur = np.zeros_like(feats)
+        head = [last.reshape(n, channels).T @ d_out.reshape(-1, 1), d_out.sum(axis=0).sum(axis=0)]
+        d_cur[...] = 0.0
         d_cur[:, steps - 1:steps] = d_out @ self.w_out.value.T
         grads: list[np.ndarray] = []
         taps = range(self.spec.kernel)
         for b in reversed(range(len(self.blocks))):
-            block, (padded, active) = self.blocks[b], acts[b]
+            block, (padded, active) = self.blocks[b], kept[b]
             dilation, in_ch = block["dilation"], padded.shape[2]
-            d_conv = d_cur * active
+            np.multiply(d_cur, active, out=d_conv)
             block_grads = [padded[:, i * dilation:i * dilation + steps].reshape(-1, in_ch).T
                            @ d_conv.reshape(-1, channels) for i in taps]
             block_grads.append(d_conv.sum(axis=0).sum(axis=0))  # batch axis, then steps, as the tape did
@@ -391,10 +438,12 @@ class TcnModel:
                 block_grads.append(x.reshape(-1, in_ch).T @ d_cur.reshape(-1, channels))
             grads[:0] = block_grads
             if b:  # the first block's input is the data, which needs no gradient
-                padded[...] = 0.0  # its last reader was the tap gradients; now it sums d_padded
-                for i in taps:  # tap 0 first: a different order changes the last bits
-                    padded[:, i * dilation:i * dilation + steps] += d_conv @ block["taps"][i].value.T
-                d_cur = d_cur + padded[:, padded.shape[1] - steps:]
+                for rows in _chunks(n):
+                    d_padded = padded[rows]  # its last reader was the tap gradients; now it sums d_padded
+                    d_padded[...] = 0.0
+                    for i in taps:  # tap 0 first: a different order changes the last bits
+                        d_padded[:, i * dilation:i * dilation + steps] += d_conv[rows] @ block["taps"][i].value.T
+                    d_cur[rows] += d_padded[:, -steps:]
         return loss, grads + head
 
 

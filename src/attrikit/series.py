@@ -14,8 +14,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from collections.abc import Callable, Collection
-from dataclasses import dataclass
+import numbers
+from collections.abc import Callable, Collection, Sequence
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
 
 import numpy as np
@@ -201,6 +202,24 @@ def forecast_input(series: CountSeries, granularity: str | None, depth: int, hor
     if not series.mask[origin - depth:origin].all():
         raise ModelError(f"masked periods in the final {depth}-period input window before the forecast origin")
     return series.head(origin)
+
+
+def check_integer_fields(spec) -> None:
+    """The spec contract, checked first by every model spec: each field
+    annotated ``int`` holds an integer and each ``tuple[int, ...]`` field a
+    sequence of them (a tuple, list or range); a bool is not one. The spec
+    modules' ``from __future__ import annotations`` keeps each annotation
+    as the string compared here. Raises ValueError, which ``factories``
+    reports as a SchemaError."""
+    def integer(value) -> bool:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if field.type == "int" and not integer(value):
+            raise ValueError(f"{field.name} must be an integer, got {value!r}")
+        if field.type == "tuple[int, ...]" and not (isinstance(value, Sequence) and all(map(integer, value))):
+            raise ValueError(f"{field.name} must be a list of integers, got {value!r}")
 
 
 def check_fit_input(series: CountSeries, min_observed: int = 1, min_run: int = 1,

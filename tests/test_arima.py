@@ -12,7 +12,8 @@ from scipy.signal import lfilter
 from attrikit import arima
 from attrikit._kernels import linear_filter
 from attrikit.arima import ArimaFit, ArimaSpec, _diff_segments, _observed_segments, fit, forecast
-from attrikit.errors import ConvergenceError, ModelError
+from attrikit.errors import ConvergenceError, ModelError, SchemaError
+from attrikit.factories import forecast_model
 from attrikit.series import DAILY, MAX_HORIZON, MONTHLY, CountSeries, check_fit_input
 
 from conftest import within_taper_band
@@ -225,6 +226,15 @@ def test_spec_validation():
         ArimaSpec(6, 0, 0)
     with pytest.raises(ValueError):
         ArimaSpec(1, 3, 1)
+
+
+@pytest.mark.parametrize("params", [{"p": 1.5}, {"d": True}, {"q": "1"}])
+def test_non_integer_orders_are_schema_errors(monthly_tanks, params):
+    # p=1.5 used to raise a bare TypeError from inside the fit.
+    with pytest.raises(ValueError, match="must be an integer"):
+        ArimaSpec(**params)
+    with pytest.raises(SchemaError, match="^bad arima parameters"):
+        forecast_model("arima", monthly_tanks, 3, params=params)
 
 
 def test_fit_is_deterministic():

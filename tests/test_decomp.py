@@ -13,7 +13,8 @@ from attrikit import _kernels, arima
 from attrikit._kernels import cholesky_solve
 from attrikit.arima import ArimaSpec
 from attrikit.decomp import DecompFit, DecompSpec, components, fit, forecast, predict
-from attrikit.errors import ModelError
+from attrikit.errors import ModelError, SchemaError
+from attrikit.factories import forecast_model
 from attrikit.series import DAILY, MONTHLY, CountSeries
 
 START = date(2022, 3, 1)
@@ -212,6 +213,14 @@ def test_sparse_months_count_the_yearly_columns():
 def test_too_short_series():
     with pytest.raises(ModelError):
         fit(daily([5.0]), DecompSpec())
+
+
+@pytest.mark.parametrize("params", [{"n_changepoints": 3.0}, {"weekly_order": True}, {"yearly_order": 2.5}])
+def test_non_integer_sizes_are_schema_errors(monthly_tanks, params):
+    with pytest.raises(ValueError, match="must be an integer"):
+        DecompSpec(**params)
+    with pytest.raises(SchemaError, match="^bad decomp parameters"):
+        forecast_model("decomp", monthly_tanks, 3, params=params)
 
 
 def test_empty_dates_rejected():

@@ -306,6 +306,16 @@ def test_unbuildable_features_are_schema_errors(params):
         forecast_model("gbt", series, 3, params=params)
 
 
+@pytest.mark.parametrize("params", [{"max_depth": 2.5}, {"n_trees": True}, {"min_samples_leaf": 2.0},
+                                    {"lags": (1, 2.5)}, {"ma_windows": [3, False]}, {"lags": 3}])
+def test_non_integer_sizes_are_schema_errors(monthly_tanks, params):
+    # max_depth=2.5 used to fit silently as depth 3.
+    with pytest.raises(ValueError, match="must be (an integer|a list of integers)"):
+        GbtSpec(**params)
+    with pytest.raises(SchemaError, match="^bad gbt parameters"):
+        forecast_model("gbt", monthly_tanks, 3, params=params)
+
+
 def test_prediction_invariant_under_column_permutation():
     # Continuous features make exact gain ties measure-zero, so permuting
     # columns together with their names must leave predictions unchanged.

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attrikit import _kernels
+from attrikit import _kernels, neural
 from attrikit import autodiff as ad
-from attrikit.errors import ModelError
+from attrikit.errors import ModelError, SchemaError
+from attrikit.factories import forecast_model
 from attrikit.neural import (
     LstmModel,
     LstmSpec,
@@ -364,6 +365,15 @@ def test_lstm_too_short_and_weekday_guard():
         lstm_fit(monthly, LstmSpec(lookback=8, use_weekday=True))
 
 
+@pytest.mark.parametrize("params", [{"lookback": 2.5}, {"hidden": 4.0}, {"epochs": True}, {"seed": "1"}])
+def test_lstm_non_integer_sizes_are_schema_errors(monthly_tanks, params):
+    # lookback=2.5 used to raise an IndexError from the window build.
+    with pytest.raises(ValueError, match="must be an integer"):
+        LstmSpec(**params)
+    with pytest.raises(SchemaError, match="^bad lstm parameters"):
+        forecast_model("lstm", monthly_tanks, 3, params=params)
+
+
 # -- TCN ---------------------------------------------------------------------
 
 
@@ -384,6 +394,17 @@ def test_tcn_causality_perturbation():
         out = model.features(bumped)
         assert np.array_equal(out[0, :t], base[0, :t])
         assert not np.allclose(out[0, t], base[0, t])
+
+
+@pytest.mark.parametrize("params", [{"kernel": 2.5}, {"channels": 3.0}, {"epochs": 2.5}, {"dilations": (1.5, 2)},
+                                    {"dilations": [1, True]}, {"dilations": 3}])
+def test_tcn_non_integer_sizes_are_schema_errors(monthly_tanks, params):
+    # kernel, channels and epochs used to raise a bare TypeError, dilations
+    # of 1.5 an IndexError.
+    with pytest.raises(ValueError, match="must be (an integer|a list of integers)"):
+        TcnSpec(**params)
+    with pytest.raises(SchemaError, match="^bad tcn parameters"):
+        forecast_model("tcn", monthly_tanks, 3, params=params)
 
 
 # The TCN forward as generic tape ops: the reference the hand-written
@@ -415,11 +436,11 @@ def tape_tcn_forward(model, x):
 
 
 @st.composite
-def tcn_kernel_cases(draw):
+def tcn_kernel_cases(draw, shorter=False):
     """Window batches of 1-40 rows (1 is the forecast shape) of the receptive
-    field's length or up to 3 steps longer; kernel 2-4, 1-3 dilations of
-    1-4, channels 1-5 (at 1 no block has a projection), with seeded or
-    all-zero weights."""
+    field's length or up to 3 steps longer (with ``shorter``, from 1 step
+    up); kernel 2-4, 1-3 dilations of 1-4, channels 1-5 (at 1 no block has
+    a projection), with seeded or all-zero weights."""
     spec = TcnSpec(kernel=draw(st.integers(2, 4)),
                    dilations=tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))),
                    channels=draw(st.integers(1, 5)), seed=draw(st.integers(0, 2**16)))
@@ -428,7 +449,7 @@ def tcn_kernel_cases(draw):
         for p in model.parameters():
             p.value[...] = 0.0
     n = draw(st.integers(1, 40))
-    steps = receptive_field(spec) + draw(st.integers(0, 3))
+    steps = draw(st.integers(1 if shorter else receptive_field(spec), receptive_field(spec) + 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     return model, rng.normal(size=(n, steps, 1)), rng.normal(size=(n, 1))
 
@@ -453,6 +474,46 @@ def test_tcn_call_into_kept_arrays_zeroes_the_pad_again():
     model = TcnModel(TcnSpec(kernel=3, dilations=(1, 2, 4), channels=3, seed=2), 0.0, 1.0)
     rng = np.random.default_rng(3)
     assert_call_into_kept_arrays_bit_equals_fresh_call(model, rng.normal(size=(6, 5, 1)), rng.normal(size=(6, 1)))
+
+
+def assert_chunks_bit_equal_tape_and_fresh_call(model, x, y, chunk):
+    """With ``chunk`` windows per chunk, predict and a fresh loss_and_grads
+    equal the tape. A call into the list a first call filled equals a fresh
+    call after the parameters changed, and equals the tape."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(neural, "_CHUNK", chunk)
+        assert_kernel_bit_equals_tape(model, x, y, tape_tcn_forward)
+        assert_call_into_kept_arrays_bit_equals_fresh_call(model, x, y)
+        acts = []
+        model.loss_and_grads(x, y, acts)  # its backward sums gradients into the padded inputs
+        loss, grads = model.loss_and_grads(x, y, acts)
+    assert bits(loss) == bits(tape_loss(tape_tcn_forward, model, x, y))
+    for grad, p in zip(grads, model.parameters(), strict=True):
+        assert bits(grad) == bits(p.grad)
+
+
+@st.composite
+def tcn_chunk_cases(draw):
+    """A kernel case, windows shorter than the receptive field included,
+    and a chunk size of 1 to n + 1 windows: one chunk or many, the last
+    one full or short."""
+    model, x, y = draw(tcn_kernel_cases(shorter=True))
+    return model, x, y, draw(st.integers(1, len(x) + 1))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=150)
+@given(case=tcn_chunk_cases())
+def test_tcn_chunks_bit_equal_tape_and_fresh_call(case):
+    assert_chunks_bit_equal_tape_and_fresh_call(*case)
+
+
+def test_tcn_chunks_of_windows_shorter_than_the_receptive_field():
+    # Gradient reaches the pads of every chunk, the short last one too.
+    model = TcnModel(TcnSpec(kernel=3, dilations=(1, 2, 4), channels=3, seed=2), 0.0, 1.0)
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(7, 5, 1)), rng.normal(size=(7, 1))
+    for chunk in (1, 3, 7):
+        assert_chunks_bit_equal_tape_and_fresh_call(model, x, y, chunk)
 
 
 def test_tcn_training_bit_equals_adam_over_tape():
@@ -535,22 +596,37 @@ def test_tcn_keeps_no_copied_block_input():
     # B = n * steps * channels * 8 bytes is one block's output. The padded
     # input of a block already holds its input, and the backward pass sums
     # the padded input's gradient into that same array: the call takes
-    # 8.51 B for the default spec. A separate gradient array would take
-    # 10.26 B, and a kept copy of each block input 3 B more.
+    # 7.55 B for the default spec. It keeps 6.47 B: the padded inputs and
+    # masks, and the backward pass's d_cur and d_conv. A separate gradient
+    # array would take a B more, and a kept copy of each block input 3 B more.
     model = daily_tcn()
     x, y = daily_windows(model)
     block = x.shape[0] * x.shape[1] * model.spec.channels * 8
-    assert peak_bytes(lambda: model.loss_and_grads(x, y)) < 9 * block
+    assert peak_bytes(lambda: model.loss_and_grads(x, y)) < 7.75 * block
 
 
 def test_tcn_call_into_kept_arrays_keeps_no_new_block_activations():
-    # With the list an earlier call filled, the padded inputs and masks are
-    # not allocated again: 4.04 B.
+    # With the list an earlier call filled, neither the padded inputs and
+    # masks nor d_cur and d_conv are allocated again: 1.08 B, of which one
+    # tap gradient's copy of a padded input is 1 B.
     model = daily_tcn()
     x, y = daily_windows(model)
     block = x.shape[0] * x.shape[1] * model.spec.channels * 8
     acts = []
-    assert peak_bytes(lambda: model.loss_and_grads(x, y, acts)) < 4.5 * block
+    assert peak_bytes(lambda: model.loss_and_grads(x, y, acts)) < 1.25 * block
+
+
+def test_tcn_predict_memory_does_not_grow_with_the_windows_beyond_its_outputs():
+    # predict runs the blocks on a chunk of windows at a time and keeps only
+    # the last step's features, 2 * channels * 8 bytes a window as laid out,
+    # and the predictions: 1.48 MB at 300 windows, 1.71 MB at 1,200. With
+    # every window's block arrays at once it took 27.5 MB at 1,200.
+    model = daily_tcn()
+    peaks = {}
+    for n in (300, 1200):
+        x, _ = daily_windows(model, n)
+        peaks[n] = peak_bytes(lambda: model.predict(x))
+    assert peaks[1200] - peaks[300] < 900 * (2 * model.spec.channels + 3) * 8
 
 
 @pytest.mark.parametrize("model_class, spec", [
