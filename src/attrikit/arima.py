@@ -186,8 +186,9 @@ def forecast(fit_result: ArimaFit, series: CountSeries, horizon: int,
     z = np.diff(final, n=spec.d) if spec.d else final.copy()
 
     zt = list(z - fit_result.mu)
-    # Innovations over the final segment, conditioned exactly as in fitting.
-    e_hist = [0.0] * p
+    # Innovations over the final segment, conditioned exactly as in fitting,
+    # after max(p, q) pre-sample ones at zero: a short final run is read q back.
+    e_hist = [0.0] * max(p, q)
     if len(z) > p:
         e_hist += list(_innovations(z, fit_result.phi, fit_result.theta, fit_result.mu))
 

@@ -3,11 +3,13 @@
 Each model runs its own hand-written forward and backward kernels: the
 LSTM a sequence loop with backpropagation through time, the TCN batched
 causal convolutions. Neither records a gradient graph; ``autodiff``
-supplies only the parameter tensors and Adam. Both offer ``predict(x)``
-and ``loss_and_grads(x, y, acts=None)``, which training, forecasting and
-``grad_check`` call. Training passes one ``acts`` list to every epoch of
-a fit, so each epoch writes its kept activations into the arrays the
-first epoch allocated instead of allocating and faulting in new ones.
+supplies only the parameter tensors and Adam. Both are ``_WindowModel``s,
+which hold the state, ``predict(x)`` and the one ``loss_and_grads(x, y,
+kept=None)`` that training, forecasting and ``grad_check`` call. ``kept``
+is what the model's ``kept_arrays(n, steps)`` allocates for n windows: the
+activations the backward pass reads. Training allocates it once per fit
+and passes it to every epoch, so each epoch writes into the same arrays
+instead of allocating and faulting in new ones.
 Both models standardize inputs, train full-batch with Adam from a seeded
 initialization, and forecast recursively by feeding each prediction back
 as pseudo-history. ``lstm_fit`` and ``tcn_fit`` return the fitted model,
@@ -33,6 +35,16 @@ from .series import (CountSeries, Forecast, calendar_columns, check_fit_input, c
                      period_days, recursive_forecast, run_lengths)
 
 
+def _check_training(spec) -> None:
+    """The training fields both neural specs have."""
+    if spec.epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    if not 0.0 < spec.learning_rate < np.inf:
+        raise ValueError("learning_rate must be finite and > 0")
+    if spec.seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
 @dataclass(frozen=True)
 class LstmSpec:
     lookback: int = 28
@@ -47,10 +59,7 @@ class LstmSpec:
         check_integer_fields(self)
         if self.lookback < 1 or self.hidden < 1:
             raise ValueError("lookback and hidden must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be finite and > 0")
+        _check_training(self)
 
 
 @dataclass(frozen=True)
@@ -70,10 +79,7 @@ class TcnSpec:
             raise ValueError("dilations must be a non-empty list of positive ints")
         if self.channels < 1:
             raise ValueError("channels must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be finite and > 0")
+        _check_training(self)
         object.__setattr__(self, "dilations", tuple(self.dilations))
 
 
@@ -82,7 +88,7 @@ def receptive_field(spec: TcnSpec) -> int:
 
 
 # --------------------------------------------------------------------------
-# Inputs
+# Inputs and the shared window model
 
 
 def _inputs(model, series: CountSeries, n: int) -> np.ndarray:
@@ -105,11 +111,61 @@ def _train_windows(model, series: CountSeries) -> tuple[np.ndarray, np.ndarray]:
     return inputs[targets[:, None] + np.arange(-lookback, 0)], inputs[targets, :1]
 
 
+class _WindowModel:
+    """What the LSTM and the TCN share: the standardization, the training
+    record, the window geometry, the parameter list, ``predict`` and the
+    one ``loss_and_grads`` with its mean-squared-error head.
+
+    A model sets ``_parameters``, in the order of its gradients, and
+    writes three methods. ``kept_arrays(n, steps)`` allocates what the
+    backward pass reads for n windows. ``_forward(x, kept=None)`` returns
+    the predictions (n, 1) and the state the head's gradient reads, and
+    writes into ``kept`` when given it, with ``out=`` on the ufunc that
+    makes each array, so the bits do not depend on whether the arrays are
+    new. ``_gradients(x, d_out, state, kept)`` returns the gradients.
+    """
+
+    _parameters: list[Tensor]
+
+    def __init__(self, spec, mean: float, std: float, lookback: int, calendar: tuple[str, ...]):
+        self.spec = spec
+        self.mean = mean
+        self.std = std
+        self.rmse_train = float("nan")
+        self.epoch_losses: list[float] = []
+        self.granularity: str | None = None  # the training series', set by the fit
+        self.lookback = lookback
+        self.calendar = calendar
+
+    def parameters(self) -> list[Tensor]:
+        return self._parameters
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """x: (n, steps, features) -> predictions (n, 1); keeps nothing."""
+        return self._forward(x)[0]
+
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
+                       kept: list | None = None) -> tuple[float, list[np.ndarray] | None]:
+        """Mean squared error and its gradient for each of ``parameters()``
+        (None when the loss is not finite). ``kept`` is ``kept_arrays`` of
+        x's shape, which a caller keeps between calls on the same x; without
+        it the call allocates its own."""
+        if kept is None:
+            kept = self.kept_arrays(*x.shape[:2])
+        out, state = self._forward(x, kept)
+        diff = out - y
+        loss = float((diff * diff).mean())
+        if not np.isfinite(loss):
+            return loss, None
+        half = np.full_like(diff, 1.0 / diff.size) * diff
+        return loss, self._gradients(x, half + half, state, kept)
+
+
 # --------------------------------------------------------------------------
 # LSTM
 
 
-class LstmModel:
+class LstmModel(_WindowModel):
     """Single LSTM layer (gates: input, forget, output, candidate) plus a
     linear head on the final hidden state.
 
@@ -118,50 +174,36 @@ class LstmModel:
     through time (Werbos 1990). Every product and sum runs in the order
     the generic tape used, so fits are bit-identical to it.
 
-    Only ``loss_and_grads`` keeps activations, five arrays per step: the
-    gates i, f, o, the candidate and the cell state c. Given a list that
-    an earlier call on the same inputs filled, it writes them into that
-    call's arrays with ``out=``: the same ufuncs on the same operands, so
-    the same bits. The reverse loop
-    recomputes tanh(c) of the step before once and uses it twice, for that
-    step's hidden state o * tanh(c) and as its own tanh(c); these are the
-    forward pass's ufuncs on the same inputs, so the bits are the same.
-    ``predict`` keeps nothing, so its memory does not grow with the lookback.
+    The kept arrays are five per step, each (n, hidden): the gates i, f, o,
+    the candidate and the cell state c. The reverse loop recomputes tanh(c)
+    of the step before once and uses it twice, for that step's hidden state
+    o * tanh(c) and as its own tanh(c); these are the forward pass's ufuncs
+    on the same inputs, so the bits are the same. ``predict`` keeps
+    nothing, so its memory does not grow with the lookback.
     """
 
     def __init__(self, spec: LstmSpec, mean: float, std: float):
-        self.spec = spec
-        self.mean = mean
-        self.std = std
-        self.rmse_train = float("nan")
-        self.epoch_losses: list[float] = []
-        self.granularity: str | None = None  # the training series', set by the fit
-        self.lookback = spec.lookback
-        self.calendar = ("weekday",) * spec.use_weekday + ("month",) * spec.use_month
-        n_in = 1 + calendar_columns(np.empty(0, "M8[D]"), self.calendar).shape[1]
+        calendar = ("weekday",) * spec.use_weekday + ("month",) * spec.use_month
+        super().__init__(spec, mean, std, spec.lookback, calendar)
+        n_in = 1 + calendar_columns(np.empty(0, "M8[D]"), calendar).shape[1]
         h = spec.hidden
         rng = np.random.default_rng(spec.seed)
-        scale = 1.0 / np.sqrt(h)
-        self.wx = ad.parameter((n_in, 4 * h), rng, scale)
-        self.wh = ad.parameter((h, 4 * h), rng, scale)
-        self.b = ad.parameter((4 * h,), rng, scale)
+        self._parameters = [ad.parameter(shape, rng, 1.0 / np.sqrt(h))
+                            for shape in ((n_in, 4 * h), (h, 4 * h), (4 * h,), (h, 1), (1,))]
+        self.wx, self.wh, self.b, self.w_out, self.b_out = self._parameters
         self.b.value[h:2 * h] = 1.0  # forget gate starts open
-        self.w_out = ad.parameter((h, 1), rng, scale)
-        self.b_out = ad.parameter((1,), rng, scale)
 
-    def parameters(self) -> list[Tensor]:
-        return [self.wx, self.wh, self.b, self.w_out, self.b_out]
+    def kept_arrays(self, n: int, steps: int) -> list[tuple[np.ndarray, ...]]:
+        """(i, f, o, cand, c) for each of the steps."""
+        return [tuple(np.empty((n, self.spec.hidden)) for _ in range(5)) for _ in range(steps)]
 
-    def _forward(self, x: np.ndarray, acts: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Predictions (n, 1) and the last hidden state. Given an empty
-        ``acts``, appends (i, f, o, cand, c) per step; given a filled one,
-        writes them into its arrays."""
+    def _forward(self, x: np.ndarray, kept: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Predictions (n, 1) and the last hidden state."""
         n, steps, _ = x.shape
         hs = self.spec.hidden
         wx, wh, b = self.wx.value, self.wh.value, self.b.value
         h = np.zeros((n, hs))
         c = np.zeros((n, hs))
-        kept = acts or None
         for t in range(steps):
             into = kept[t] if kept else (None,) * 5
             gates = x[:, t, :] @ wx + h @ wh + b
@@ -169,37 +211,18 @@ class LstmModel:
             cand = np.tanh(gates[:, 3 * hs:], out=into[3])
             c = np.add(f * c, i * cand, out=into[4])
             h = o * np.tanh(c)
-            if acts is not None and kept is None:
-                acts.append((i, f, o, cand, c))
         return h @ self.w_out.value + self.b_out.value, h
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """x: (n, lookback, features) -> predictions (n, 1)."""
-        return self._forward(x)[0]
-
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
-                       acts: list | None = None) -> tuple[float, list[np.ndarray] | None]:
-        """Mean squared error and its gradient for each of ``parameters()``
-        (None when the loss is not finite). ``acts`` is a list the caller
-        keeps between calls on the same ``x``: the first call fills it, later
-        ones write their activations into its arrays."""
-        acts = [] if acts is None else acts
-        out, h_last = self._forward(x, acts)
-        diff = out - y
-        loss = float((diff * diff).mean())
-        if not np.isfinite(loss):
-            return loss, None
+    def _gradients(self, x: np.ndarray, d_out: np.ndarray, h_last: np.ndarray, kept: list) -> list[np.ndarray]:
         wh = self.wh.value
-        half = np.full_like(diff, 1.0 / diff.size) * diff
-        d_out = half + half
         d_h = d_out @ self.w_out.value.T
         d_c_next = 0.0  # reaches c_t through the next step's forget product
         d_wx, d_wh, d_b = np.zeros_like(self.wx.value), np.zeros_like(wh), np.zeros_like(self.b.value)
-        tanh_c = np.tanh(acts[-1][4])
-        for t in reversed(range(len(acts))):
-            i, f, o, cand, _ = acts[t]
+        tanh_c = np.tanh(kept[-1][4])
+        for t in reversed(range(len(kept))):
+            i, f, o, cand, _ = kept[t]
             if t:  # tanh(c_{t-1}) rebuilds h_{t-1} now and is tanh_c at step t-1
-                _, _, o_prev, _, c_prev = acts[t - 1]
+                _, _, o_prev, _, c_prev = kept[t - 1]
                 tanh_prev = np.tanh(c_prev)
                 h_prev = o_prev * tanh_prev
             else:
@@ -213,27 +236,27 @@ class LstmModel:
             d_c_next = d_c * f
             d_h = d_gates @ wh.T
             tanh_c = tanh_prev
-        return loss, [d_wx, d_wh, d_b, h_last.T @ d_out, d_out.sum(axis=0)]
+        return [d_wx, d_wh, d_b, h_last.T @ d_out, d_out.sum(axis=0)]
 
 
 def _train(model, x: np.ndarray, y: np.ndarray, epochs: int, lr: float) -> None:
     """Full-batch Adam on one BLAS thread, whatever the caller's count:
     a second thread would change the bits of the LSTM's weight gradients.
-    Every epoch writes its activations into the first epoch's arrays, which
-    are freed before the final ``predict``."""
+    Every epoch writes its activations into one ``kept_arrays``, which is
+    freed before the final ``predict``."""
     params = model.parameters()
     optimizer = Adam(params, lr=lr)
-    acts: list = []
+    kept = model.kept_arrays(*x.shape[:2])
     with one_blas_thread():
         for epoch in range(epochs):
-            loss, grads = model.loss_and_grads(x, y, acts)
+            loss, grads = model.loss_and_grads(x, y, kept)
             if not np.isfinite(loss):
                 raise ModelError(f"training diverged at epoch {epoch}: non-finite loss")
             model.epoch_losses.append(loss)
             for p, grad in zip(params, grads):
                 p.grad = grad
             optimizer.step()
-        del acts
+        del kept
         preds = model.predict(x)
     model.rmse_train = float(np.sqrt(np.mean((preds - y) ** 2))) * model.std
 
@@ -284,7 +307,7 @@ def _chunks(n: int):
     return (slice(start, start + _CHUNK) for start in range(0, n, _CHUNK))
 
 
-class TcnModel:
+class TcnModel(_WindowModel):
     """Stack of residual blocks (causal conv -> ReLU -> residual add, with a
     1x1 projection when channel counts differ) and a head on the last step.
 
@@ -302,49 +325,45 @@ class TcnModel:
     pass chunk by chunk. No product changes its operands, so the bits do
     not depend on the chunk size.
 
-    Only ``loss_and_grads`` keeps arrays: per block the padded input and
-    the ReLU mask, and the backward pass's d_cur and d_conv. The padded
-    input already holds the block's input, so nothing is recomputed; a 1x1
-    projection reads the data itself (only the first block can have one).
-    Once a block's tap gradients have read its padded input, the backward
-    pass sums the gradient of that input into the same array. Given a list
-    an earlier call on the same inputs filled, a call writes into that
-    call's arrays and allocates only chunk-sized temporaries and one tap
-    gradient's copy of a padded input. ``predict`` keeps nothing, and
-    ``features`` runs the blocks on the whole batch at once.
+    The kept arrays are, per block, the padded input and the ReLU mask, and
+    the backward pass's d_cur and d_conv. The padded input already holds
+    the block's input, so nothing is recomputed; a 1x1 projection reads the
+    data itself (only the first block can have one). Once a block's tap
+    gradients have read its padded input, the backward pass sums the
+    gradient of that input into the same array, so beyond the kept arrays
+    a call allocates only chunk-sized temporaries and one tap gradient's
+    copy of a padded input. ``predict`` keeps nothing, and ``features``
+    runs the blocks on the whole batch at once.
     """
 
     def __init__(self, spec: TcnSpec, mean: float, std: float):
-        self.spec = spec
-        self.mean = mean
-        self.std = std
-        self.rmse_train = float("nan")
-        self.epoch_losses: list[float] = []
-        self.granularity: str | None = None  # the training series', set by the fit
-        self.lookback = receptive_field(spec)
-        self.calendar = ()
+        super().__init__(spec, mean, std, receptive_field(spec), ())
         rng = np.random.default_rng(spec.seed)
         scale = 1.0 / np.sqrt(spec.channels)
         self.blocks: list[dict] = []
+        self._parameters = []
         in_ch = 1
         for dilation in spec.dilations:
             taps = [ad.parameter((in_ch, spec.channels), rng, scale) for _ in range(spec.kernel)]
             bias = ad.parameter((spec.channels,), rng, scale)
             proj = ad.parameter((in_ch, spec.channels), rng, scale) if in_ch != spec.channels else None
             self.blocks.append({"taps": taps, "bias": bias, "proj": proj, "dilation": dilation})
+            self._parameters += [*taps, bias] + [proj] * (proj is not None)
             in_ch = spec.channels
         self.w_out = ad.parameter((spec.channels, 1), rng, scale)
         self.b_out = ad.parameter((1,), rng, scale)
+        self._parameters += [self.w_out, self.b_out]
 
-    def parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
+    def kept_arrays(self, n: int, steps: int) -> list[tuple[np.ndarray, ...]]:
+        """A (padded input, conv > 0) pair per block, then d_cur and d_conv."""
+        shape = (n, steps, self.spec.channels)
+        arrays = []
         for block in self.blocks:
-            params.extend(block["taps"])
-            params.append(block["bias"])
-            if block["proj"] is not None:
-                params.append(block["proj"])
-        params.extend([self.w_out, self.b_out])
-        return params
+            pad = (self.spec.kernel - 1) * block["dilation"]
+            in_ch = block["taps"][0].value.shape[0]
+            arrays.append((np.empty((n, pad + steps, in_ch)), np.empty(shape, bool)))
+        arrays.append((np.empty(shape), np.empty(shape)))
+        return arrays
 
     def _blocks(self, x: np.ndarray, kept: list | None = None) -> np.ndarray:
         """The blocks' output (m, steps, channels) for windows x (m, steps, 1).
@@ -369,28 +388,14 @@ class TcnModel:
             cur += residual
         return cur
 
-    def _kept_arrays(self, n: int, steps: int) -> list[tuple[np.ndarray, ...]]:
-        """What ``loss_and_grads`` keeps for n windows: a (padded input,
-        conv > 0) pair per block, then the backward pass's d_cur and d_conv."""
-        shape = (n, steps, self.spec.channels)
-        arrays = []
-        for block in self.blocks:
-            pad = (self.spec.kernel - 1) * block["dilation"]
-            in_ch = block["taps"][0].value.shape[0]
-            arrays.append((np.empty((n, pad + steps, in_ch)), np.empty(shape, bool)))
-        arrays.append((np.empty(shape), np.empty(shape)))
-        return arrays
-
     def _forward(self, x: np.ndarray, kept: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Predictions (n, 1) and the last step's features (n, 1, channels).
-        Given ``kept``, a (padded input, mask) pair of n-row arrays per
-        block, writes into them."""
+        """Predictions (n, 1) and the last step's features (n, 1, channels)."""
         n, steps, _ = x.shape
         # Rows a step apart, as in the tape's slice of the features (dense when
         # there is one step): BLAS sums a dense (n, channels) operand in another order.
         last = np.empty((n, min(steps, 2), self.spec.channels))[:, -1:]
         for rows in _chunks(n):
-            rows_kept = kept and [(padded[rows], active[rows]) for padded, active in kept]
+            rows_kept = kept and [(padded[rows], active[rows]) for padded, active in kept[:-1]]
             last[rows] = self._blocks(x[rows], rows_kept)[:, steps - 1:]
         out = last @ self.w_out.value + self.b_out.value
         return out.reshape(n, 1), last
@@ -399,29 +404,11 @@ class TcnModel:
         """Pre-head activations, (n, steps, channels); strictly causal."""
         return self._blocks(x)
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """x: (n, steps, 1) -> predictions (n, 1)."""
-        return self._forward(x)[0]
-
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
-                       acts: list | None = None) -> tuple[float, list[np.ndarray] | None]:
-        """Mean squared error and its gradient for each of ``parameters()``
-        (None when the loss is not finite). ``acts`` is a list the caller
-        keeps between calls on the same ``x``: the first call fills it, later
-        ones write their activations into its arrays."""
+    def _gradients(self, x: np.ndarray, d_out: np.ndarray, last: np.ndarray, kept: list) -> list[np.ndarray]:
         n, steps, _ = x.shape
-        acts = [] if acts is None else acts
-        if not acts:
-            acts.extend(self._kept_arrays(n, steps))
-        *kept, (d_cur, d_conv) = acts
-        out, last = self._forward(x, kept)
-        diff = out - y
-        loss = float((diff * diff).mean())
-        if not np.isfinite(loss):
-            return loss, None
         channels = self.spec.channels
-        half = np.full_like(diff, 1.0 / diff.size) * diff
-        d_out = (half + half).reshape(n, 1, 1)
+        d_cur, d_conv = kept[-1]
+        d_out = d_out.reshape(n, 1, 1)
         head = [last.reshape(n, channels).T @ d_out.reshape(-1, 1), d_out.sum(axis=0).sum(axis=0)]
         d_cur[...] = 0.0
         d_cur[:, steps - 1:steps] = d_out @ self.w_out.value.T
@@ -444,7 +431,7 @@ class TcnModel:
                     for i in taps:  # tap 0 first: a different order changes the last bits
                         d_padded[:, i * dilation:i * dilation + steps] += d_conv[rows] @ block["taps"][i].value.T
                     d_cur[rows] += d_padded[:, -steps:]
-        return loss, grads + head
+        return grads + head
 
 
 def tcn_fit(series: CountSeries, spec: TcnSpec) -> TcnModel:

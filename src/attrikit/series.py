@@ -149,9 +149,10 @@ class Forecast:
     """Point path plus interval bounds, anchored at the origin period.
 
     This is the forecast contract every model meets: point and bounds are
-    clamped at zero (counts cannot go negative) and must then satisfy
-    ``lower <= point <= upper``; a model whose arrays break that order
-    fails here instead of writing an inverted interval.
+    clamped at zero (counts cannot go negative) and must then be finite and
+    satisfy ``lower <= point <= upper``; a model whose arrays break either
+    rule fails here, with a ``ModelError`` for a non-finite step, instead of
+    writing it.
     """
 
     granularity: str
@@ -167,6 +168,9 @@ class Forecast:
             object.__setattr__(self, name, np.maximum(np.asarray(getattr(self, name), dtype=float), 0.0))
         if not (len(self.point) == len(self.lower) == len(self.upper)):
             raise ValueError("forecast arrays must share one length")
+        finite = np.isfinite(self.point) & np.isfinite(self.lower) & np.isfinite(self.upper)
+        if not finite.all():
+            raise ModelError(f"forecast is not finite at step {np.argmin(finite) + 1}")
         if np.any(self.lower > self.point) or np.any(self.point > self.upper):
             raise ValueError("forecast interval violates lower <= point <= upper")
 

@@ -14,7 +14,8 @@ from attrikit._kernels import linear_filter
 from attrikit.arima import ArimaFit, ArimaSpec, _diff_segments, _observed_segments, fit, forecast
 from attrikit.errors import ConvergenceError, ModelError, SchemaError
 from attrikit.factories import forecast_model
-from attrikit.series import DAILY, MAX_HORIZON, MONTHLY, CountSeries, check_fit_input
+from attrikit.series import (DAILY, MAX_HORIZON, MONTHLY, CountSeries, ExclusionWindow, apply_exclusions,
+                             check_fit_input)
 
 from conftest import within_taper_band
 
@@ -153,6 +154,19 @@ def test_interior_gap_restarts_recursion():
     # Residual count: each of the two segments conditions on its first value.
     assert result.n_used == (90 - 1) + (100 - 1)
     assert np.isfinite(result.loglik)
+
+
+def test_short_final_run_reads_zero_innovations_before_it(monthly_tanks):
+    # ARIMA(0,1,5) on a final run of five months has four differences, and
+    # its forecast reads innovations five back: from before the run, where
+    # they are zero, as in the fit. The tank case is the same layout.
+    mask = np.ones(45, dtype=bool)
+    mask[30:40] = False
+    series = CountSeries(MONTHLY, date(2021, 1, 1), np.full(45, 7.0), mask)
+    fc = forecast_model("arima", series, 3, params={"p": 0, "d": 1, "q": 5, "use_log": False})
+    assert fc.point.tolist() == [7.0, 7.0, 7.0]
+    tanks = apply_exclusions(monthly_tanks, [ExclusionWindow(date(2024, 10, 1), date(2025, 2, 28))])
+    assert len(forecast_model("arima", tanks, 3, params={"p": 0, "d": 1, "q": 5})) == 3
 
 
 def test_too_short_series_rejected():

@@ -6,11 +6,11 @@ never reads the values at masked periods. The CLI maps any setting, given
 as a flag or in a config file, onto the documented exit codes.
 """
 
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from attrikit.cli import main
@@ -244,12 +244,17 @@ _int_lists = st.one_of(
     st.sampled_from(["1-3", "3-1", "a", "2,x", "1,,2"]),
 )
 _dates = st.dates(date(2021, 6, 1), date(2026, 1, 31)).map(str)
+# Exclusion windows that end in the last six months of ``small_records``
+# (it ends 2025-06-30), so that the final observed run is short or gone.
+_late_windows = st.builds(lambda end, days: f"{end - timedelta(days=days)}:{end}",
+                          st.dates(date(2025, 1, 1), date(2025, 6, 30)), st.integers(0, 400))
 # Config key -> its values; each is passed as a flag or in a --config file.
 SETTING_VALUES = {
     "horizon": st.integers(-1, MAX_HORIZON + 2).map(str),
     "level": _floats,
     "seed": st.one_of(st.integers(-2, 2**32).map(str), st.sampled_from(["x", "1.5", ""])),
     "range": st.one_of(st.tuples(_dates, _dates).map(":".join), st.sampled_from(["", "2024-01-01", "a:b"])),
+    "exclude": st.one_of(_late_windows, st.sampled_from(["2025-06-30:2025-01-01", "a:b"])),
     "models": st.one_of(st.lists(st.sampled_from([*MODEL_NAMES, "nope"]), max_size=3).map(",".join),
                         st.just(",")),
     "initial_train": st.integers(-1, 45).map(str),
@@ -299,6 +304,9 @@ def small_records(tmp_path_factory):
 
 @settings(PROPERTY, max_examples=100)
 @given(run=cli_runs(), model=st.sampled_from(MODEL_NAMES))
+# ARIMA with q > p on a final run of four months, shorter than q + d: the
+# forecast reads innovations from before the run.
+@example(run=("forecast", ["--order=0,1,5", "--exclude=2024-10-01:2025-02-28"], SMALL_SETTINGS), model="arima")
 def test_cli_exit_code_is_documented(small_records, run, model):
     command, flags, config = run
     config_file = small_records.parent / "run.conf"

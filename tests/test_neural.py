@@ -202,18 +202,18 @@ def assert_kernel_bit_equals_tape(model, x, y, tape_forward):
 
 
 def assert_call_into_kept_arrays_bit_equals_fresh_call(model, x, y):
-    """A call given the list an earlier call filled, after the parameters
-    changed, writes into the same arrays and returns the bits of a call
-    that starts from an empty list."""
-    acts = []
-    model.loss_and_grads(x, y, acts)
-    arrays = [a for entry in acts for a in entry]
+    """A call given the kept arrays an earlier call wrote, after the
+    parameters changed, writes into the same arrays and returns the bits of
+    a call that allocates its own."""
+    kept = model.kept_arrays(*x.shape[:2])
+    model.loss_and_grads(x, y, kept)
+    arrays = [a for entry in kept for a in entry]
     rng = np.random.default_rng(0)
     for p in model.parameters():
         p.value += rng.normal(scale=0.1, size=p.value.shape)
-    loss, grads = model.loss_and_grads(x, y, acts)
+    loss, grads = model.loss_and_grads(x, y, kept)
     fresh_loss, fresh_grads = model.loss_and_grads(x, y)
-    assert all(a is b for a, b in zip([a for entry in acts for a in entry], arrays, strict=True))
+    assert all(a is b for a, b in zip([a for entry in kept for a in entry], arrays, strict=True))
     assert bits(loss) == bits(fresh_loss)
     assert (grads is None) == (fresh_grads is None)
     for grad, fresh in zip(grads or [], fresh_grads or [], strict=True):
@@ -478,15 +478,15 @@ def test_tcn_call_into_kept_arrays_zeroes_the_pad_again():
 
 def assert_chunks_bit_equal_tape_and_fresh_call(model, x, y, chunk):
     """With ``chunk`` windows per chunk, predict and a fresh loss_and_grads
-    equal the tape. A call into the list a first call filled equals a fresh
+    equal the tape. A call into kept arrays a first call wrote equals a fresh
     call after the parameters changed, and equals the tape."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(neural, "_CHUNK", chunk)
         assert_kernel_bit_equals_tape(model, x, y, tape_tcn_forward)
         assert_call_into_kept_arrays_bit_equals_fresh_call(model, x, y)
-        acts = []
-        model.loss_and_grads(x, y, acts)  # its backward sums gradients into the padded inputs
-        loss, grads = model.loss_and_grads(x, y, acts)
+        kept = model.kept_arrays(*x.shape[:2])
+        model.loss_and_grads(x, y, kept)  # its backward sums gradients into the padded inputs
+        loss, grads = model.loss_and_grads(x, y, kept)
     assert bits(loss) == bits(tape_loss(tape_tcn_forward, model, x, y))
     for grad, p in zip(grads, model.parameters(), strict=True):
         assert bits(grad) == bits(p.grad)
@@ -581,15 +581,15 @@ def test_lstm_keeps_five_arrays_per_step_and_predict_keeps_none():
 
 
 def test_lstm_call_into_kept_arrays_keeps_no_new_step_activations():
-    # With the list an earlier call filled, a call allocates only one step's
-    # temporaries and the gradients, ~19 A at any lookback; a fresh call
-    # takes 159 A at lookback 28.
+    # Given kept arrays, a call allocates only one step's temporaries and
+    # the gradients, ~19 A at any lookback; a fresh call takes 159 A at
+    # lookback 28.
     for lookback in (7, 28):
         model = daily_lstm(lookback)
         x, y = daily_windows(model)
         act = len(x) * model.spec.hidden * 8
-        acts = []
-        assert peak_bytes(lambda: model.loss_and_grads(x, y, acts)) < 24 * act
+        kept = model.kept_arrays(*x.shape[:2])
+        assert peak_bytes(lambda: model.loss_and_grads(x, y, kept)) < 24 * act
 
 
 def test_tcn_keeps_no_copied_block_input():
@@ -606,14 +606,14 @@ def test_tcn_keeps_no_copied_block_input():
 
 
 def test_tcn_call_into_kept_arrays_keeps_no_new_block_activations():
-    # With the list an earlier call filled, neither the padded inputs and
-    # masks nor d_cur and d_conv are allocated again: 1.08 B, of which one
-    # tap gradient's copy of a padded input is 1 B.
+    # Given kept arrays, neither the padded inputs and masks nor d_cur and
+    # d_conv are allocated again: 1.08 B, of which one tap gradient's copy
+    # of a padded input is 1 B.
     model = daily_tcn()
     x, y = daily_windows(model)
     block = x.shape[0] * x.shape[1] * model.spec.channels * 8
-    acts = []
-    assert peak_bytes(lambda: model.loss_and_grads(x, y, acts)) < 1.25 * block
+    kept = model.kept_arrays(*x.shape[:2])
+    assert peak_bytes(lambda: model.loss_and_grads(x, y, kept)) < 1.25 * block
 
 
 def test_tcn_predict_memory_does_not_grow_with_the_windows_beyond_its_outputs():
@@ -637,17 +637,17 @@ def test_training_writes_every_epoch_into_the_first_epochs_arrays(model_class, s
     seen = []
     original = model_class.loss_and_grads
 
-    def probed(self, x, y, acts=None):
-        result = original(self, x, y, acts)
-        seen.append((acts, [a for entry in acts for a in entry]))
+    def probed(self, x, y, kept=None):
+        result = original(self, x, y, kept)
+        seen.append((kept, [a for entry in kept for a in entry]))
         return result
 
     monkeypatch.setattr(model_class, "loss_and_grads", probed)
     _fit(model_class, spec, sine_series())
-    first_list, first_arrays = seen[0]
+    first_kept, first_arrays = seen[0]
     assert len(seen) == 4 and first_arrays
-    for acts, arrays in seen[1:]:
-        assert acts is first_list
+    for kept, arrays in seen[1:]:
+        assert kept is first_kept
         assert all(a is b for a, b in zip(arrays, first_arrays, strict=True))
 
 
@@ -755,6 +755,24 @@ def test_tcn_divergence_error_names_epoch():
         _train(model, x, y, epochs=3, lr=0.01)
 
 
+def test_non_finite_forecast_is_a_model_error():
+    # One epoch at learning rate 1e9 on zeros with one spike: the recursive
+    # forecast grows past the float range, and training overflows on the way.
+    values = np.zeros(90)
+    values[45] = 1e6
+    params = {"kernel": 2, "dilations": (1,), "channels": 4, "epochs": 1, "learning_rate": 1e9}
+    with pytest.warns(RuntimeWarning), pytest.raises(ModelError, match="^forecast is not finite at step 17$"):
+        forecast_model("tcn", daily(values), 30, params=params)
+
+
+@pytest.mark.parametrize("name", ["lstm", "tcn"])
+def test_negative_seed_is_a_schema_error(monthly_tanks, name):
+    # numpy's seeded generator takes no negative seed, so the spec rejects one.
+    for kwargs in ({"seed": -1}, {"params": {"seed": -1}}):
+        with pytest.raises(SchemaError, match=f"^bad {name} parameters: seed must be >= 0$"):
+            forecast_model(name, monthly_tanks, 3, **kwargs)
+
+
 # -- one BLAS thread per fit -------------------------------------------------
 
 
@@ -780,9 +798,9 @@ def test_fit_trains_on_one_blas_thread_and_restores_the_count(blas_at_two_thread
     seen = []
     original = LstmModel.loss_and_grads
 
-    def probed(self, x, y, acts=None):
+    def probed(self, x, y, kept=None):
         seen.append(blas_at_two_threads())
-        return original(self, x, y, acts)
+        return original(self, x, y, kept)
 
     monkeypatch.setattr(LstmModel, "loss_and_grads", probed)
     lstm_fit(sine_series(), LstmSpec(**{**SMALL_LSTM, "epochs": 3}, use_weekday=False))
@@ -791,7 +809,7 @@ def test_fit_trains_on_one_blas_thread_and_restores_the_count(blas_at_two_thread
 
 
 def test_fit_that_raises_restores_the_blas_count(blas_at_two_threads, monkeypatch):
-    monkeypatch.setattr(LstmModel, "loss_and_grads", lambda self, x, y, acts=None: (float("nan"), None))
+    monkeypatch.setattr(LstmModel, "loss_and_grads", lambda self, x, y, kept=None: (float("nan"), None))
     with pytest.raises(ModelError, match="epoch 0"):
         lstm_fit(sine_series(), LstmSpec(**SMALL_LSTM, use_weekday=False))
     assert blas_at_two_threads() == 2
@@ -805,7 +823,7 @@ def test_overlapping_fits_on_two_threads_share_the_pin(blas_at_two_threads, monk
     seen = {"first": [], "second": []}
     original = LstmModel.loss_and_grads
 
-    def probed(self, x, y, acts=None):
+    def probed(self, x, y, kept=None):
         name = threading.current_thread().name
         if name == "second" and seen["second"]:
             assert first_done.wait(60)
@@ -815,7 +833,7 @@ def test_overlapping_fits_on_two_threads_share_the_pin(blas_at_two_threads, monk
             assert second_inside.wait(60)
         else:
             second_inside.set()
-        return original(self, x, y, acts)
+        return original(self, x, y, kept)
 
     def first():
         lstm_fit(sine_series(seed=0), LstmSpec(**{**SMALL_LSTM, "epochs": 1}, use_weekday=False))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from attrikit.errors import ModelError
 from attrikit.ingest import Category, LossRecord, Status
 from attrikit.series import (
     DAILY,
@@ -279,6 +280,17 @@ def test_forecast_csv_layout():
     lines = forecast_to_csv(f).strip().split("\n")
     assert lines[0] == "period_start,point,lower,upper,level"
     assert lines[1] == "2025-08-01,1,0.5,1.5,0.95"
+
+
+@pytest.mark.parametrize("part", ["point", "lower", "upper"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_forecast_must_be_finite(part, bad):
+    # Clamping at zero keeps NaN and inf; the check names the first bad step
+    # before the order check can see a NaN.
+    arrays = {"point": [1.0, 2.0, 3.0], "lower": [0.5, 1.0, 2.0], "upper": [1.5, 3.0, 4.0]}
+    arrays[part][1] = bad
+    with pytest.raises(ModelError, match="^forecast is not finite at step 2$"):
+        Forecast(DAILY, date(2025, 8, 1), level=0.95, **arrays)
 
 
 def test_period_helpers():
