@@ -69,9 +69,9 @@ def _pacf_to_ar(pacf: np.ndarray) -> np.ndarray:
 
 def _unpack(x: np.ndarray, spec: ArimaSpec) -> tuple[np.ndarray, np.ndarray, float]:
     p, q = spec.p, spec.q
-    phi = _pacf_to_ar(np.tanh(x[:p])) if p else np.empty(0)
+    phi = _pacf_to_ar(np.tanh(x[:p]))
     # Invertible MA coefficients come from the same stationarity map.
-    theta = -_pacf_to_ar(np.tanh(x[p:p + q])) if q else np.empty(0)
+    theta = -_pacf_to_ar(np.tanh(x[p:p + q]))
     mu = float(x[p + q]) if spec.intercept else 0.0
     return phi, theta, mu
 
@@ -87,11 +87,8 @@ def _observed_segments(series: CountSeries, use_log: bool) -> list[np.ndarray]:
 
 
 def _diff_segments(segments: list[np.ndarray], d: int) -> list[np.ndarray]:
-    out = []
-    for seg in segments:
-        if len(seg) > d:
-            out.append(np.diff(seg, n=d) if d else seg)
-    return out
+    """d-th differences of the segments longer than d (n=0 returns each as it is)."""
+    return [np.diff(seg, n=d) for seg in segments if len(seg) > d]
 
 
 def _innovations(z: np.ndarray, phi: np.ndarray, theta: np.ndarray, mu: float) -> np.ndarray:
@@ -128,26 +125,18 @@ def fit(series: CountSeries, spec: ArimaSpec) -> ArimaFit:
     """
     check_fit_input(series, spec.p + spec.q + spec.d + 10, spec.p + spec.d + 1)
     zsegs = _diff_segments(_observed_segments(series, spec.use_log), spec.d)
-    mu0 = float(np.concatenate(zsegs).mean()) if spec.intercept else 0.0
-
-    n_params = spec.p + spec.q + (1 if spec.intercept else 0)
-    x0 = np.zeros(n_params)
-    if spec.intercept:
-        x0[-1] = mu0
+    mu0 = [float(np.concatenate(zsegs).mean())] if spec.intercept else []
+    x0 = np.array([0.0] * (spec.p + spec.q) + mu0)
 
     def objective(x: np.ndarray) -> float:
         return _css(zsegs, *_unpack(x, spec))[0]
 
-    if n_params:
-        result = nelder_mead(objective, x0, max_iter=MAX_ITER)
-        x_best = result.x
-    else:
-        x_best = x0
-    phi, theta, mu = _unpack(x_best, spec)
+    # With no parameters nelder_mead returns x0 as it is.
+    phi, theta, mu = _unpack(nelder_mead(objective, x0, max_iter=MAX_ITER).x, spec)
     css, n_used = _css(zsegs, phi, theta, mu)
     sigma2 = max(css / n_used, 1e-12)
     loglik = -0.5 * n_used * (np.log(2.0 * np.pi * sigma2) + 1.0)
-    aic = 2.0 * (n_params + 1) - 2.0 * loglik  # sigma2 is the extra parameter
+    aic = 2.0 * (x0.size + 1) - 2.0 * loglik  # sigma2 is the extra parameter
     return ArimaFit(spec=spec, phi=phi, theta=theta, mu=mu, sigma2=sigma2, loglik=float(loglik),
                     aic=float(aic), n_used=n_used, granularity=series.granularity)
 
@@ -183,7 +172,7 @@ def forecast(fit_result: ArimaFit, series: CountSeries, horizon: int,
     p, q = spec.p, spec.q
     series = forecast_input(series, fit_result.granularity, max(spec.d + 1, p + spec.d), horizon, level)
     final = _observed_segments(series, spec.use_log)[-1]
-    z = np.diff(final, n=spec.d) if spec.d else final.copy()
+    z = np.diff(final, n=spec.d)
 
     zt = list(z - fit_result.mu)
     # Innovations over the final segment, conditioned exactly as in fitting,

@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import ModelError
 from .series import (
-    CALENDAR_FLAGS,
     CountSeries,
     Forecast,
     SupervisedMatrix,
+    check_features,
     check_fit_input,
     check_integer_fields,
     forecast_input,
@@ -54,13 +54,7 @@ class GbtSpec:
         check_integer_fields(self)
         if self.n_trees < 1 or self.max_depth < 1:
             raise ValueError("n_trees and max_depth must be >= 1")
-        unknown = set(self.calendar) - set(CALENDAR_FLAGS)
-        if unknown:
-            raise ValueError(f"unknown calendar flags: {sorted(unknown)}")
-        if not (self.lags or self.ma_windows or self.calendar):
-            raise ValueError("no features requested: lags, ma_windows and calendar all empty")
-        if any(k < 1 for k in self.lags) or any(w < 1 for w in self.ma_windows):
-            raise ValueError("lags and moving-average windows must be >= 1")
+        check_features(self.lags, self.ma_windows, self.calendar)
         if len(set(self.lags)) < len(self.lags) or len(set(self.ma_windows)) < len(self.ma_windows):
             raise ValueError("lags and moving-average windows must not repeat")
         if not 0.0 < self.learning_rate <= 1.0:

@@ -2,6 +2,9 @@
 
 Also hosts the seeded synthetic dataset generator used for tests and demos,
 since real visually-confirmed loss datasets are not redistributable.
+
+The side tables (geo index, category corrections, synthetic profile) are
+small CSVs that one row reader, ``_table_rows``, checks for all three.
 """
 
 from __future__ import annotations
@@ -52,13 +55,6 @@ class Status(Enum):
     DAMAGED = "damaged"
     ABANDONED = "abandoned"
     CAPTURED = "captured"
-
-
-_STATUS_ALIASES = {
-    "destroyed and captured": Status.DESTROYED,
-    "damaged and captured": Status.CAPTURED,
-    "lost": Status.DESTROYED,
-}
 
 
 class LossRecord(NamedTuple):
@@ -121,9 +117,11 @@ def _normalize_token(text: str) -> str:
     return " ".join(text.replace("_", " ").replace("-", " ").split()).casefold()
 
 
-# Common phrasing seen in loss exports, mapped onto the category enum. Keys are
-# normalized as parse_category normalizes its input, so hyphens match spaces.
-_CATEGORY_ALIASES = {_normalize_token(text): category for text, category in {
+# Each enum's own names, then common phrasing seen in loss exports, mapped onto
+# the enum. Keys are normalized as the parsers normalize their input, so case,
+# "_", "-" and runs of spaces do not matter.
+_CATEGORY_TOKENS = {_normalize_token(text): category for text, category in {
+    **{category.value: category for category in Category},
     "tanks": Category.TANK,
     "mbt": Category.TANK,
     "infantry fighting vehicle": Category.IFV,
@@ -147,6 +145,12 @@ _CATEGORY_ALIASES = {_normalize_token(text): category for text, category in {
     "engineering vehicle": Category.ENGINEERING,
     "engineering vehicles": Category.ENGINEERING,
 }.items()}
+_STATUS_TOKENS = {_normalize_token(text): status for text, status in {
+    **{status.value: status for status in Status},
+    "destroyed and captured": Status.DESTROYED,
+    "damaged and captured": Status.CAPTURED,
+    "lost": Status.DESTROYED,
+}.items()}
 
 
 def parse_category(text: str | None) -> Category:
@@ -155,24 +159,12 @@ def parse_category(text: str | None) -> Category:
     Unmappable inputs become OTHER rather than failing, so one odd label
     never drops a record.
     """
-    if text is None:
-        return Category.OTHER
-    token = _normalize_token(text)
-    for cat in Category:
-        if token == cat.value.replace("_", " "):
-            return cat
-    return _CATEGORY_ALIASES.get(token, Category.OTHER)
+    return _CATEGORY_TOKENS.get(_normalize_token(text or ""), Category.OTHER)
 
 
 def parse_status(text: str | None) -> Status | None:
     """Map free-text status; blank means destroyed, unknown returns None."""
-    if text is None or not text.strip():
-        return Status.DESTROYED
-    token = _normalize_token(text)
-    for st in Status:
-        if token == st.value:
-            return st
-    return _STATUS_ALIASES.get(token)
+    return _STATUS_TOKENS.get(_normalize_token(text)) if text and text.strip() else Status.DESTROYED
 
 
 def parse_loss_date(text: str) -> date:
@@ -433,9 +425,16 @@ class Regime:
 
 @dataclass(frozen=True)
 class Profile:
+    """Regimes that do not overlap, each inside DEFAULT_COVERAGE: ingest
+    drops every record outside it."""
+
     regimes: tuple[Regime, ...]
 
     def __post_init__(self):
+        lo, hi = DEFAULT_COVERAGE
+        for r in self.regimes:
+            if r.start < lo or r.end > hi:
+                raise SchemaError(f"regime {r.start}..{r.end} is not inside the coverage window {lo}..{hi}")
         ordered = sorted(self.regimes, key=lambda r: r.start)
         for a, b in zip(ordered, ordered[1:]):
             if b.start <= a.end:
@@ -522,53 +521,48 @@ def records_to_csv(records: list[LossRecord]) -> str:
     return out.getvalue()
 
 
+def _table_rows(csv_text: str, table: str, columns: str, header: bool = False):
+    """(line number, row) of each row of a side table with the comma-separated
+    ``columns``. Blank lines and rows of blank cells are numbered but
+    skipped, as is, with ``header``, a row that opens with the first
+    column's name. A row of another width is a SchemaError naming the line."""
+    names = columns.split(",")
+    for line_no, row in enumerate(_csv_rows(csv_text), start=1):
+        if not row or all(not c.strip() for c in row) or header and row[0].strip().lower() == names[0]:
+            continue
+        if len(row) != len(names):
+            raise SchemaError(f"{table} line {line_no}: expected '{columns}'")
+        yield line_no, row
+
+
 def load_geo_index(csv_text: str, unmatched_policy: str = "leave_blank") -> GeoIndex:
     """Two-column CSV: location, "raion/oblast"."""
     entries: dict[str, tuple[str, str]] = {}
-    for line_no, row in enumerate(_csv_rows(csv_text), start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 2 or "/" not in row[1]:
+    for line_no, (location, levels) in _table_rows(csv_text, "geo index", "location,raion/oblast"):
+        if "/" not in levels:
             raise SchemaError(f"geo index line {line_no}: expected 'location,raion/oblast'")
-        raion, _, oblast = row[1].partition("/")
-        raion, oblast = raion.strip(), oblast.strip()
+        raion, oblast = [level.strip() for level in levels.split("/", 1)]
         if not raion or not oblast:
             raise SchemaError(f"geo index line {line_no}: blank raion or oblast")
-        entries[_normalize_location(row[0])] = (raion, oblast)
+        entries[_normalize_location(location)] = (raion, oblast)
     return GeoIndex(entries=entries, unmatched_policy=unmatched_policy)
 
 
 def load_corrections(csv_text: str) -> dict[str, Category]:
     """Two-column CSV: model_text, category."""
-    table: dict[str, Category] = {}
-    for line_no, row in enumerate(_csv_rows(csv_text), start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 2:
-            raise SchemaError(f"correction table line {line_no}: expected 'model_text,category'")
-        table[row[0].strip()] = parse_category(row[1])
-    return table
+    return {model.strip(): parse_category(category)
+            for _, (model, category) in _table_rows(csv_text, "correction table", "model_text,category")}
 
 
 def load_profile(csv_text: str) -> Profile:
     """Regime profile CSV: start,end,category,mean_per_day (rows grouped by span)."""
     spans: dict[tuple[date, date], dict[Category, float]] = {}
-    for line_no, row in enumerate(_csv_rows(csv_text), start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if row[0].strip().lower() == "start":
-            continue
-        if len(row) != 4:
-            raise SchemaError(f"profile line {line_no}: expected 'start,end,category,mean_per_day'")
+    for line_no, row in _table_rows(csv_text, "profile", "start,end,category,mean_per_day", header=True):
         try:
-            start = parse_loss_date(row[0])
-            end = parse_loss_date(row[1])
-            mean = float(row[3])
+            start, end, mean = parse_loss_date(row[0]), parse_loss_date(row[1]), float(row[3])
         except ValueError as err:
             raise SchemaError(f"profile line {line_no}: {err}") from err
-        cat = parse_category(row[2])
-        spans.setdefault((start, end), {})[cat] = mean
+        spans.setdefault((start, end), {})[parse_category(row[2])] = mean
     if not spans:
         raise SchemaError("profile file contains no regimes")
-    regimes = tuple(Regime(start, end, means) for (start, end), means in sorted(spans.items()))
-    return Profile(regimes=regimes)
+    return Profile(regimes=tuple(Regime(start, end, means) for (start, end), means in sorted(spans.items())))

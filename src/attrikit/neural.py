@@ -92,13 +92,10 @@ def receptive_field(spec: TcnSpec) -> int:
 
 
 def _inputs(model, series: CountSeries, n: int) -> np.ndarray:
-    """One row per period 0..n-1: the standardized count (NaN where masked
-    and past the series), then the calendar one-hots of the period's date."""
+    """One row per period 0..n-1: the standardized ``series.history(n)``,
+    then the calendar one-hots of the period's date."""
     days = period_days(series.start, series.granularity, np.arange(n))
-    inputs = np.column_stack([np.full(n, np.nan), calendar_columns(days, model.calendar)])
-    idx, vals = series.observed()
-    inputs[idx, 0] = (vals - model.mean) / model.std
-    return inputs
+    return np.column_stack([(series.history(n) - model.mean) / model.std, calendar_columns(days, model.calendar)])
 
 
 def _train_windows(model, series: CountSeries) -> tuple[np.ndarray, np.ndarray]:

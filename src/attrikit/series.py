@@ -5,7 +5,8 @@ A CountSeries is a contiguous run of daily or monthly counts with an
 observed mask. Days with no matching records are real zero observations;
 administratively excluded spans are masked out instead of zeroed, and every
 model trains only on masked-in data. Model code reads training values
-exclusively through ``CountSeries.observed``, which keeps that promise
+exclusively through ``CountSeries.observed`` and ``CountSeries.history``
+(NaN at every period that is not observed), which keeps that promise
 auditable.
 """
 
@@ -98,6 +99,15 @@ class CountSeries:
         """
         idx = np.flatnonzero(self.mask)
         return idx, self.values[idx].copy()
+
+    def history(self, n: int | None = None) -> np.ndarray:
+        """Observed values over periods 0..n-1 (n at least the length, its
+        default), NaN where a period is masked or past the end: the input
+        history every model reads."""
+        idx, vals = self.observed()
+        history = np.full(len(self) if n is None else n, np.nan)
+        history[idx] = vals
+        return history
 
     def last_observed_index(self) -> int:
         idx = np.flatnonzero(self.mask)
@@ -251,18 +261,15 @@ def recursive_forecast(series: CountSeries, horizon: int, level: float, rmse: fl
                        step: Callable[[np.ndarray, int], float]) -> Forecast:
     """Forecast the ``horizon`` periods after ``series`` one step at a time.
 
-    ``step(history, t)`` predicts period ``t`` from ``history``: the
-    observed counts, NaN at masked periods, then from ``len(series)`` on
-    every earlier prediction clamped at zero (the pseudo-history fed back).
+    ``step(history, t)`` predicts period ``t`` from ``history``: ``series.history``,
+    then every earlier prediction clamped at zero (the pseudo-history fed back).
     ``series`` is what ``forecast_input`` returns, so every input window
     is real data or fed-back predictions. Bounds are point +/- z * rmse *
     sqrt(step), a heuristic and labeled as such; the origin is the period
     after the series.
     """
     n = len(series)
-    idx, vals = series.observed()
-    history = np.full(n + horizon, np.nan)
-    history[idx] = vals
+    history = series.history(n + horizon)
     for t in range(n, n + horizon):
         history[t] = max(step(history, t), 0.0)
     points = history[n:]
@@ -332,6 +339,19 @@ def apply_exclusions(series: CountSeries, windows: list[ExclusionWindow]) -> Cou
 # Supervised matrix
 
 
+def check_features(lags: Collection[int], ma_windows: Collection[int], calendar: Collection[str]) -> None:
+    """The feature rule ``make_supervised`` and ``GbtSpec`` share: known
+    calendar flags, at least one feature, and lags and windows >= 1."""
+    unknown = set(calendar) - set(CALENDAR_FLAGS)
+    if unknown:
+        raise ValueError(f"unknown calendar flags: {sorted(unknown)}")
+    if not (lags or ma_windows or calendar):
+        raise ValueError("no features requested: lags, ma_windows and calendar all empty")
+    for name, values in (("lag", lags), ("moving-average window", ma_windows)):
+        if any(v < 1 for v in values):
+            raise ValueError(f"{name} must be >= 1, got {min(values)}")
+
+
 def make_supervised(
     series: CountSeries,
     lags: list[int],
@@ -346,27 +366,16 @@ def make_supervised(
     so no feature sees the target or its future.
     """
     calendar = set(calendar or ())
-    unknown = calendar - set(CALENDAR_FLAGS)
-    if unknown:
-        raise ValueError(f"unknown calendar flags: {sorted(unknown)}")
-    if not lags and not ma_windows and not calendar:
-        raise ValueError("no features requested: lags, ma_windows, and calendar all empty")
-    for k in lags:
-        if k < 1:
-            raise ValueError(f"lag must be >= 1, got {k}")
-    for w in ma_windows:
-        if w < 1:
-            raise ValueError(f"moving-average window must be >= 1, got {w}")
-
-    idx, vals = series.observed()
-    if idx.size == 0:
+    check_features(lags, ma_windows, calendar)
+    history = series.history()
+    missing = np.isnan(history)
+    n_obs = len(history) - int(missing.sum())
+    if n_obs == 0:
         raise ValueError("series has no observed periods")
-    history = np.full(len(series), np.nan)
-    history[idx] = vals
 
     depth = max(list(lags) + list(ma_windows), default=0)
-    if depth >= idx.size:
-        raise ValueError(f"max lag/window {depth} exceeds observed length {idx.size}")
+    if depth >= n_obs:
+        raise ValueError(f"max lag/window {depth} exceeds observed length {n_obs}")
 
     names = [f"lag_{k}" for k in sorted(lags)] + [f"ma_{w}" for w in sorted(ma_windows)]
     if "weekday" in calendar:
@@ -378,7 +387,6 @@ def make_supervised(
     if "linear_index" in calendar:
         names.append("linear_index")
     n = len(series)
-    missing = np.isnan(history)
     dropped = missing[depth:].copy()
     columns = []
     for k in sorted(lags):

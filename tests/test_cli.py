@@ -76,6 +76,17 @@ def test_synth_bad_profile_exit_2(tmp_path):
     assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "r.csv")]) == 2
 
 
+def test_synth_profile_outside_coverage_exit_2(tmp_path, capsys):
+    # Ingest drops every record outside the coverage window, so synth must not write them.
+    profile = tmp_path / "p.csv"
+    profile.write_text("2025-07-01,2025-09-30,tank,3.0\n")
+    out = tmp_path / "r.csv"
+    assert main(["synth", "--profile", str(profile), "--out", str(out)]) == 2
+    window = "regime 2025-07-01..2025-09-30 is not inside the coverage window 2022-02-24..2025-07-31"
+    assert window in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_flow(records_csv, tmp_path):
     out = tmp_path / "ingested"
     assert main(["ingest", "--data", str(records_csv), "--out", str(out)]) == 0

@@ -6,6 +6,8 @@ never reads the values at masked periods. The CLI maps any setting, given
 as a flag or in a config file, onto the documented exit codes.
 """
 
+import dataclasses
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -14,11 +16,11 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from attrikit.cli import main
-from attrikit.errors import ConvergenceError, ModelError
+from attrikit.errors import ConvergenceError, ModelError, SchemaError
 from attrikit.evaluate import BacktestSpec, MetricReport, rolling_backtest
 from attrikit.factories import MODEL_NAMES, MODELS, _spec, build_factory, forecast_model
 from attrikit.ingest import Category, parse_records
-from attrikit.series import DAILY, MAX_HORIZON, MONTHLY, CountSeries, aggregate
+from attrikit.series import CALENDAR_FLAGS, DAILY, MAX_HORIZON, MONTHLY, CountSeries, aggregate
 
 # Small models, so each example fits in well under a second.
 FAST_PARAMS = {
@@ -49,6 +51,13 @@ def count_series(draw):
     return CountSeries(MONTHLY, date(2022, 3, 1), values, mask)
 
 
+def check_forecast(fc, horizon):
+    assert len(fc) == horizon
+    for values in (fc.point, fc.lower, fc.upper):
+        assert np.all(np.isfinite(values)) and np.all(values >= 0)
+    assert np.all(fc.lower <= fc.point) and np.all(fc.point <= fc.upper)
+
+
 @pytest.mark.parametrize("name", MODEL_NAMES)
 @settings(PROPERTY, max_examples=8)
 @given(series=count_series(), horizon=st.integers(1, 24), level=st.floats(0.5, 0.99))
@@ -57,10 +66,7 @@ def test_forecast_is_nonnegative_and_ordered(name, series, horizon, level):
         fc = forecast_model(name, series, horizon, params=FAST_PARAMS[name], level=level)
     except ConvergenceError:
         reject()  # a reported fit failure (ARIMA on noiseless trends) makes no forecast to check
-    assert len(fc) == horizon
-    for values in (fc.point, fc.lower, fc.upper):
-        assert np.all(np.isfinite(values)) and np.all(values >= 0)
-    assert np.all(fc.lower <= fc.point) and np.all(fc.point <= fc.upper)
+    check_forecast(fc, horizon)
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -167,6 +173,94 @@ def test_final_observed_run_shorter_than_the_input_window_is_a_model_error(name,
     assert len(forecast(fitted, final_run(depth), 3, 0.95)) == 3
     with pytest.raises(ModelError, match=f"masked periods in the final {depth}-period input window"):
         forecast(fitted, final_run(depth - 1), 3, 0.95)
+
+
+# -- the whole spec surface ----------------------------------------------------
+
+# Fields that set a fit's cost stay at or below these sizes. Every other
+# integer field at its edge is below 0, 0, 1, or at or past the series length.
+COST_FIELDS = {"epochs": 3, "hidden": 4, "channels": 4, "n_trees": 3}
+EDGE_FLOATS = [0.0, 5e-324, 1e-12, 0.1, 0.5, 1.0, 1e12, 1e300, -1.0, float("nan"), float("inf")]
+
+
+@st.composite
+def surface_cases(draw):
+    """(model, params naming every spec field, series, horizon, level): a
+    daily or monthly series of zeros, a constant, Poisson(5) counts, one 1e6
+    spike or counts near 1e6, with up to two masked spans. Any set of the
+    spec's fields is drawn at its edges; the others keep FAST_PARAMS, with
+    the cost fields at their caps."""
+    name = draw(st.sampled_from(MODEL_NAMES))
+    granularity = draw(st.sampled_from([DAILY, MONTHLY]))
+    n = draw(st.integers(30, 90) if granularity == DAILY else st.integers(15, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = {
+        "zeros": lambda: np.zeros(n),
+        "constant": lambda: np.full(n, draw(st.sampled_from([1.0, 7.0, 1e6]))),
+        "poisson": lambda: rng.poisson(5.0, n).astype(float),
+        "spike": lambda: np.where(np.arange(n) == draw(st.integers(0, n - 1)), 1e6, 0.0),
+        "near_1e6": lambda: 1e6 + rng.poisson(5.0, n),
+    }[draw(st.sampled_from(["zeros", "constant", "poisson", "spike", "near_1e6"]))]()
+    mask = np.ones(n, dtype=bool)
+    for _ in range(draw(st.integers(0, 2))):
+        start = draw(st.integers(0, n - 1))
+        mask[start:start + draw(st.integers(1, n // 3))] = False
+    ints = st.sampled_from([-1, 0, 1, 2, 3, n - 1, n, n + 1, 2 * n])
+    typical = _spec(name, granularity, 0, {**FAST_PARAMS[name], **COST_FIELDS})
+    fields = dataclasses.fields(typical)
+    params = {field.name: getattr(typical, field.name) for field in fields}
+    for field in draw(st.sets(st.sampled_from(fields))):
+        if field.name in COST_FIELDS:
+            strategy = st.integers(0, COST_FIELDS[field.name])
+        elif field.type == "int":
+            strategy = ints
+        elif field.type == "float":
+            strategy = st.sampled_from(EDGE_FLOATS)
+        elif field.type == "bool":
+            strategy = st.booleans()
+        elif field.type == "tuple[int, ...]":
+            strategy = st.lists(ints, max_size=3).map(tuple)
+        else:
+            assert field.type == "frozenset[str]", field  # gbt's calendar; a new field type needs a strategy
+            strategy = st.frozensets(st.sampled_from([*CALENDAR_FLAGS, "fortnight"]))
+        params[field.name] = draw(strategy)
+    horizon = draw(st.sampled_from([1, 2, 7, 30, MAX_HORIZON]))
+    level = draw(st.one_of(st.sampled_from([1e-9, 0.95, 1 - 1e-12]), st.floats(0.01, 0.99)))
+    return name, params, CountSeries(granularity, date(2022, 3, 1), values, mask), horizon, level
+
+
+def _short_final_run():
+    mask = np.ones(45, dtype=bool)
+    mask[30:40] = False
+    return CountSeries(MONTHLY, date(2022, 3, 1), np.full(45, 7.0), mask)
+
+
+def _daily_spike():
+    values = np.zeros(90)
+    values[45] = 1e6
+    return CountSeries(DAILY, date(2022, 3, 1), values, np.ones(90, dtype=bool))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(case=surface_cases())
+# ARIMA with q > p on a final run shorter than q + d: an IndexError before
+# the forecast read zero pre-run innovations.
+@example(case=("arima", {"p": 0, "d": 1, "q": 5}, _short_final_run(), 3, 0.95))
+# A TCN trained at learning rate 1e9 on a spike: a non-finite forecast
+# passed the contract before it raised ModelError.
+@example(case=("tcn", {"kernel": 2, "dilations": (1,), "channels": 4, "epochs": 1, "learning_rate": 1e9},
+               _daily_spike(), 30, 0.95))
+def test_only_documented_errors_escape_forecast_model(case):
+    name, params, series, horizon, level = case
+    try:
+        # Huge learning rates and counts overflow on the way to a forecast
+        # that the contract then rejects; the warning is not the result.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fc = forecast_model(name, series, horizon, params=params, level=level)
+    except (SchemaError, ModelError):
+        return
+    check_forecast(fc, horizon)
 
 
 def test_category_filter_of_names_is_a_type_error(synth_records):

@@ -306,6 +306,18 @@ def test_unbuildable_features_are_schema_errors(params):
         forecast_model("gbt", series, 3, params=params)
 
 
+@pytest.mark.parametrize("lags, ma_windows, calendar", [
+    ((1,), (), {"foo"}), ((), (), frozenset()), ((0, 2), (7,), frozenset()), ((1,), (3, -1), {"month"}),
+])
+def test_spec_and_make_supervised_reject_features_with_one_message(lags, ma_windows, calendar):
+    series = CountSeries(DAILY, START, np.arange(60.0), np.ones(60, bool))
+    with pytest.raises(ValueError) as spec_error:
+        GbtSpec(lags=lags, ma_windows=ma_windows, calendar=calendar)
+    with pytest.raises(ValueError) as matrix_error:
+        make_supervised(series, list(lags), list(ma_windows), calendar)
+    assert str(spec_error.value) == str(matrix_error.value)
+
+
 @pytest.mark.parametrize("params", [{"max_depth": 2.5}, {"n_trees": True}, {"min_samples_leaf": 2.0},
                                     {"lags": (1, 2.5)}, {"ma_windows": [3, False]}, {"lags": 3}])
 def test_non_integer_sizes_are_schema_errors(monthly_tanks, params):

@@ -19,7 +19,7 @@ from attrikit import ingest
 from attrikit.cli import main
 from attrikit.errors import SchemaError
 from attrikit.ingest import (
-    _CATEGORY_ALIASES,
+    _CATEGORY_TOKENS,
     DEFAULT_COVERAGE,
     LOGICAL_COLUMNS,
     MANDATORY_COLUMNS,
@@ -289,9 +289,18 @@ def test_category_synonyms():
 
 
 def test_every_category_alias_maps_to_its_category():
-    for alias, category in _CATEGORY_ALIASES.items():
-        assert category is not Category.OTHER
+    for alias, category in _CATEGORY_TOKENS.items():
+        assert category is not Category.OTHER or alias == "other", alias
         assert parse_category(alias) is category, alias
+
+
+@pytest.mark.parametrize("member", [*Category, *Status], ids=lambda m: f"{type(m).__name__}.{m.name}")
+@pytest.mark.parametrize("spell", [str.upper, str.title, lambda name: f"  {name}  ",
+                                   lambda name: name.replace("_", "-"), lambda name: name.replace("_", "  ")])
+def test_every_enum_name_parses_to_itself(member, spell):
+    parse = parse_category if isinstance(member, Category) else parse_status
+    for name in (member.value, member.name):  # the value is the name in lower case
+        assert parse(spell(name)) is member
 
 
 @pytest.mark.parametrize("text, category", [
@@ -430,6 +439,10 @@ def test_profile_file_errors():
     (load_geo_index, "bucha,Buchanskyi\n", r"^geo index line 3: expected 'location,raion/oblast'$"),
     (load_corrections, "T-90M,tank,extra\n", r"^correction table line 3: expected 'model_text,category'$"),
     (load_profile, "2022-13-01,2022-12-31,tank,1.0\n", r"^profile line 3: "),
+    (load_profile, "2022-03-01,2022-03-31,tank\n", r"^profile line 3: expected 'start,end,category,mean_per_day'$"),
+    # A header row of any width is skipped, so the bad row is the one after it.
+    (load_profile, "Start,end\n2022-03-01,2022-03-31,tank,1.0,9\n",
+     r"^profile line 4: expected 'start,end,category,mean_per_day'$"),
 ])
 def test_table_loaders_skip_blank_lines_and_name_a_bad_one(load, text, message):
     # Line 1 is blank and line 2 holds only blank cells: both are skipped, yet counted.

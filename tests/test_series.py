@@ -114,6 +114,20 @@ def test_exclusion_window_validates():
         ExclusionWindow(date(2025, 7, 1), date(2025, 6, 1))
 
 
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(mask=st.lists(st.booleans(), min_size=1, max_size=40), extra=st.integers(0, 10))
+def test_history_is_observed_values_and_nan_elsewhere(mask, extra):
+    s = daily_series(np.arange(1.0, len(mask) + 1), mask=mask)
+    history = s.history(len(s) + extra)
+    assert len(history) == len(s) + extra
+    for t, value in enumerate(history):
+        if t < len(s) and mask[t]:
+            assert value == t + 1
+        else:
+            assert np.isnan(value)  # masked, or past the end
+    assert np.array_equal(s.history(), history[:len(s)], equal_nan=True)
+
+
 # -- supervised matrix -------------------------------------------------------
 
 
