@@ -28,6 +28,7 @@ from .ingest import (
     load_profile,
     normalize_geo,
     parse_category,
+    parse_loss_date,
     parse_records,
     records_to_csv,
 )
@@ -84,16 +85,12 @@ def _read_text(path: str) -> str:
 # bad value.
 
 
-def _parse_date(text: str) -> date:
-    return date.fromisoformat(text.strip())
-
-
 def _date_pair(text: str) -> tuple[date, date]:
     start_text, _, end_text = text.partition(":")
     try:
-        return _parse_date(start_text), _parse_date(end_text)
+        return parse_loss_date(start_text), parse_loss_date(end_text)
     except ValueError:
-        raise ValueError("expected START:END ISO dates") from None
+        raise ValueError("expected START:END dates") from None
 
 
 def _window(text: str) -> ExclusionWindow:

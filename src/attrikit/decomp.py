@@ -18,8 +18,8 @@ import numpy as np
 
 from ._kernels import cholesky_solve
 from .errors import ModelError
-from .series import (DAILY, CountSeries, Forecast, check_fit_input, check_integer_fields, forecast_input, period_index,
-                     period_start)
+from .series import (DAILY, CountSeries, Forecast, check_fit_input, check_integer_fields, forecast_input, period_days,
+                     period_index)
 from .stats import two_sided_z
 
 WEEKLY_PERIOD = 7.0
@@ -156,7 +156,7 @@ def fit(series: CountSeries, spec: DecompSpec) -> DecompFit:
 def _times_for(fit_result: DecompFit, dates: list[date]) -> np.ndarray:
     if not dates:
         raise ValueError("empty date list")
-    return np.array([period_index(fit_result.start, fit_result.granularity, d) for d in dates], dtype=float)
+    return period_index(fit_result.start, fit_result.granularity, dates).astype(float)
 
 
 def _trend(fit_result: DecompFit, t: np.ndarray) -> np.ndarray:
@@ -205,5 +205,5 @@ def forecast(fit_result: DecompFit, series: CountSeries, horizon: int, level: fl
     """Forecast the ``horizon`` periods after the last observed one of a
     series with the granularity of the fit."""
     series = forecast_input(series, fit_result.granularity, 0, horizon, level)
-    dates = [period_start(series.start, series.granularity, len(series) + i) for i in range(horizon)]
-    return predict(fit_result, dates, level)
+    n = len(series)
+    return predict(fit_result, period_days(series.start, series.granularity, np.arange(n, n + horizon)).tolist(), level)

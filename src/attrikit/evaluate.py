@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ModelError
-from .series import CountSeries, period_start
+from .series import CountSeries, period_days
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,8 @@ def rolling_backtest(factory: ForecastFactory, series: CountSeries, spec: Backte
     origins = _nonempty_origins(len(series), spec)
 
     folds: list[FoldMetrics] = []
-    for origin in origins:
-        day = period_start(series.start, series.granularity, origin)
+    days = period_days(series.start, series.granularity, np.asarray(origins)).tolist()
+    for origin, day in zip(origins, days):
         try:
             preds = np.asarray(factory.fit_forecast(series.head(origin), spec.horizon), dtype=float)
         except ModelError as err:

@@ -257,7 +257,6 @@ def parse_records(
     csv_text: str,
     schema: dict[str, str] | None = None,
     corrections: dict[str, Category] | None = None,
-    coverage: tuple[date, date] = DEFAULT_COVERAGE,
     categories: set[Category] | None = None,
 ) -> tuple[list[LossRecord], IngestReport]:
     """Parse a loss-record CSV into validated, deduplicated records.
@@ -266,8 +265,8 @@ def parse_records(
     location, raion, oblast, url) onto the file's header names; identity
     mapping by default. Missing optional columns are tolerated, a missing
     date or type column raises SchemaError. Rows with unparsable dates,
-    out-of-coverage dates, or unknown statuses are recorded in the report
-    and skipped without raising. ``corrections`` optionally re-labels
+    dates outside ``DEFAULT_COVERAGE`` or unknown statuses are recorded in
+    the report and skipped without raising. ``corrections`` optionally re-labels
     categories by model text. A row whose dedup key (date, category, model,
     location, url) equals an earlier row's is counted as a duplicate and
     dropped.
@@ -301,7 +300,7 @@ def parse_records(
     category_of = functools.cache(lambda text: label(parse_category(text)))
     correction_of = functools.cache(
         lambda text: norm_corrections.get(_normalize_token(text)) if text.strip() else None)
-    lo, hi = coverage
+    lo, hi = DEFAULT_COVERAGE
 
     records: list[LossRecord] = []
     unparsable: list[tuple[int, str]] = []

@@ -7,7 +7,8 @@ administratively excluded spans are masked out instead of zeroed, and every
 model trains only on masked-in data. Model code reads training values
 exclusively through ``CountSeries.observed`` and ``CountSeries.history``
 (NaN at every period that is not observed), which keeps that promise
-auditable.
+auditable. Both granularities share one calendar: ``period_days`` maps
+periods to their first days and ``period_index`` days to their periods.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import io
 import numbers
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass, fields
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,28 +39,29 @@ CALENDAR_FLAGS = ("weekday", "month", "linear_index")
 # Longest forecast any model will make; extrapolating further is not meaningful.
 MAX_HORIZON = 366
 
-
-def add_months(day: date, n: int) -> date:
-    """First day of the month ``n`` months after ``day``'s month."""
-    total = day.year * 12 + (day.month - 1) + n
-    return date(total // 12, total % 12 + 1, 1)
+# The last day a ``date`` holds, and the ordinal of day 0 of ``datetime64``.
+LAST_DAY = np.datetime64(date.max, "D")
+EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
-def month_index(day: date) -> int:
-    return day.year * 12 + (day.month - 1)
+def period_days(start: date, granularity: str, t) -> np.ndarray:
+    """First day of each period ``t`` (an int or an int array) as
+    ``datetime64[D]``; period 0 is the one holding ``start``."""
+    if granularity == DAILY:
+        return np.datetime64(start, "D") + t
+    return (np.datetime64(start, "M") + t).astype("M8[D]")
+
+
+def period_index(start: date, granularity: str, days) -> np.ndarray:
+    """Index of the period holding each of ``days`` (a date, dates or a
+    ``datetime64`` array); may be negative or past the end."""
+    unit = "D" if granularity == DAILY else "M"
+    return (np.asarray(days, f"M8[{unit}]") - np.datetime64(start, unit)).astype(np.int64)
 
 
 def period_start(start: date, granularity: str, i: int) -> date:
-    if granularity == DAILY:
-        return start + timedelta(days=i)
-    return add_months(start, i)
-
-
-def period_index(start: date, granularity: str, day: date) -> int:
-    """Index of the period containing ``day``; may be negative or past the end."""
-    if granularity == DAILY:
-        return (day - start).days
-    return month_index(day) - month_index(start)
+    """First day of period ``i``: ``period_days`` of one period."""
+    return period_days(start, granularity, i).item()
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +84,8 @@ class CountSeries:
             raise ValueError("values and mask must be 1-D and the same length")
         if not np.all(np.isfinite(values)):
             raise ValueError("series values must be finite")
+        if period_days(self.start, self.granularity, len(values) - 1) > LAST_DAY:
+            raise ValueError(f"the series runs past {date.max}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
 
@@ -89,7 +93,7 @@ class CountSeries:
         return len(self.values)
 
     def period_starts(self) -> list[date]:
-        return [period_start(self.start, self.granularity, i) for i in range(len(self))]
+        return period_days(self.start, self.granularity, np.arange(len(self))).tolist()
 
     def observed(self) -> tuple[np.ndarray, np.ndarray]:
         """Indices and values of masked-in periods.
@@ -188,7 +192,7 @@ class Forecast:
         return len(self.point)
 
     def period_starts(self) -> list[date]:
-        return [period_start(self.origin, self.granularity, i) for i in range(len(self))]
+        return period_days(self.origin, self.granularity, np.arange(len(self))).tolist()
 
 
 def forecast_input(series: CountSeries, granularity: str | None, depth: int, horizon: int,
@@ -198,9 +202,10 @@ def forecast_input(series: CountSeries, granularity: str | None, depth: int, hor
     ``series`` must have the ``granularity`` the model was fitted on, the
     horizon must lie in 1..MAX_HORIZON and the level in (0, 1). The origin
     is the period after the last observed one, and the ``depth`` periods
-    before it, the model's input window, must all be observed. Returns the
-    series cut at that origin, so a trailing masked gap moves the origin
-    back onto observed data.
+    before it, the model's input window, must all be observed, and the last
+    forecast period must start by ``date.max``. Returns the series cut at
+    that origin, so a trailing masked gap moves the origin back onto
+    observed data.
     """
     if series.granularity != granularity:
         raise ModelError(f"model was fitted on {granularity} data; the series is {series.granularity}")
@@ -215,6 +220,8 @@ def forecast_input(series: CountSeries, granularity: str | None, depth: int, hor
         raise ModelError(f"series shorter than the {depth}-period input window")
     if not series.mask[origin - depth:origin].all():
         raise ModelError(f"masked periods in the final {depth}-period input window before the forecast origin")
+    if period_days(series.start, series.granularity, origin + horizon - 1) > LAST_DAY:
+        raise ModelError(f"the forecast would run past {date.max}")
     return series.head(origin)
 
 
@@ -308,15 +315,13 @@ def aggregate(
     if lo > hi:
         raise ValueError(f"date range start {lo} after end {hi}")
 
-    start = lo if granularity == DAILY else date(lo.year, lo.month, 1)
-    n = period_index(start, granularity, hi) + 1
-    values = np.zeros(n, dtype=float)
-    for r in records:
-        if category_filter is not None and r.category not in category_filter:
-            continue
-        if not lo <= r.date <= hi:
-            continue
-        values[period_index(start, granularity, r.date)] += 1.0
+    start = period_start(lo, granularity, 0)
+    n = int(period_index(start, granularity, hi)) + 1
+    selected = records if category_filter is None else [r for r in records if r.category in category_filter]
+    ordinals = np.array([r.date.toordinal() for r in selected], dtype=np.int64)
+    ordinals = ordinals[(ordinals >= lo.toordinal()) & (ordinals <= hi.toordinal())]
+    days = (ordinals - EPOCH_ORDINAL).astype("M8[D]")
+    values = np.bincount(period_index(start, granularity, days), minlength=n).astype(float)
     return CountSeries(granularity, start, values, np.ones(n, dtype=bool))
 
 
@@ -328,10 +333,8 @@ def apply_exclusions(series: CountSeries, windows: list[ExclusionWindow]) -> Cou
     """
     mask = series.mask.copy()
     for w in windows:
-        first = max(0, period_index(series.start, series.granularity, w.start))
-        last = min(len(series) - 1, period_index(series.start, series.granularity, w.end))
-        if first <= last:
-            mask[first:last + 1] = False
+        first, stop = np.clip(period_index(series.start, series.granularity, [w.start, w.end]) + [0, 1], 0, len(mask))
+        mask[first:stop] = False
     return CountSeries(series.granularity, series.start, series.values.copy(), mask)
 
 
@@ -414,19 +417,12 @@ def split_runs(idx: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
     return np.split(values, np.flatnonzero(np.diff(idx) > 1) + 1)
 
 
-def period_days(start: date, granularity: str, t: np.ndarray) -> np.ndarray:
-    """First day of each period ``t`` as ``datetime64[D]`` (``period_start`` over an array)."""
-    if granularity == DAILY:
-        return np.datetime64(start, "D") + t
-    return (np.datetime64(start, "M") + t).astype("M8[D]")
-
-
 def target_calendar(days: np.ndarray, start: date, calendar: Collection[str]) -> np.ndarray:
     """The calendar feature columns of target periods starting on ``days``:
     their one-hots, then the days since ``start`` if ``"linear_index"`` is set."""
     columns = calendar_columns(days, calendar)
     if "linear_index" in calendar:
-        columns = np.column_stack([columns, (days - np.datetime64(start, "D")).astype(float)])
+        columns = np.column_stack([columns, period_index(start, DAILY, days).astype(float)])
     return columns
 
 

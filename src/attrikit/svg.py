@@ -14,7 +14,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .series import CountSeries, ExclusionWindow, Forecast, split_runs
+from .series import DAILY, MONTHLY, CountSeries, ExclusionWindow, Forecast, period_days, period_index, split_runs
 
 WIDTH, HEIGHT = 900, 480
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 62.0, 18.0, 44.0, 52.0
@@ -57,29 +57,17 @@ def _value_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def _date_ticks(first: date, last: date) -> list[date]:
+    """Ticks from ``first`` to ``last``: the month starts every 12 months
+    (Januaries), 3 or 1 as the span shrinks, and every span // 6 days once
+    it is 180 days or less."""
     span = (last - first).days
-    ticks = []
-    if span > 1000:
-        year = first.year if first == date(first.year, 1, 1) else first.year + 1
-        while date(year, 1, 1) <= last:
-            ticks.append(date(year, 1, 1))
-            year += 1
-    elif span > 180:
-        stride = 3 if span > 540 else 1
-        cursor = date(first.year, first.month, 1)
-        if cursor < first:
-            cursor = (cursor + timedelta(days=32)).replace(day=1)
-        while cursor <= last:
-            if (cursor.month - 1) % stride == 0:
-                ticks.append(cursor)
-            cursor = (cursor + timedelta(days=32)).replace(day=1)
-    else:
-        stride = max(span // 6, 1)
-        cursor = first
-        while cursor <= last:
-            ticks.append(cursor)
-            cursor += timedelta(days=stride)
-    return ticks or [first]
+    if span <= 180:
+        return period_days(first, DAILY, np.arange(0, span + 1, max(span // 6, 1))).tolist()
+    stride = 12 if span > 1000 else 3 if span > 540 else 1
+    january = date(first.year, 1, 1)
+    months = np.arange(period_index(january, MONTHLY, first) + (first.day > 1),
+                       period_index(january, MONTHLY, last) + 1)
+    return period_days(january, MONTHLY, months[months % stride == 0]).tolist()
 
 
 class _Canvas:

@@ -317,6 +317,35 @@ def test_forecast_model_error_exit_3(tmp_path):
                  "--horizon", "2", "--out", str(tmp_path / "o")]) == 3
 
 
+def test_forecast_past_the_last_date_exit_3(records_csv, tmp_path, capsys):
+    assert main(["forecast", "--data", str(records_csv), "--model", "arima", "--granularity", "monthly",
+                 "--range", "9990-01-01:9999-12-31", "--horizon", "3", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "model error: the forecast would run past 9999-12-31\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_date_flags_follow_the_record_date_rule(records_csv, tmp_path, capsys):
+    """--range and --exclude read the three date formats a record cell may
+    use, and no other: not the ISO week or basic forms."""
+    def aggregate(date_range, exclude):
+        out = tmp_path / f"{date_range.replace('/', '_')}.csv"
+        code = main(["aggregate", "--data", str(records_csv), "--range", date_range, "--exclude", exclude,
+                     "--out", str(out)])
+        return out.read_bytes() if code == 0 else code
+
+    iso = aggregate("2022-03-01:2022-06-30", "2022-04-01:2022-04-10")
+    assert isinstance(iso, bytes)
+    assert aggregate("2022-3-1:2022-6-30", "2022-4-1:2022-4-10") == iso
+    assert aggregate("01.03.2022:30.06.2022", "01.04.2022:10.04.2022") == iso
+    assert aggregate("03/01/2022:06/30/2022", "04/01/2022:04/10/2022") == iso
+    capsys.readouterr()
+    for date_range, exclude in (("2022W091:20220630", "2022-04-01:2022-04-10"),
+                                ("20220301:2022-06-30", "2022-04-01:2022-04-10"),
+                                ("2022-03-01:2022-06-30", "2022-W13-5:2022-04-10")):
+        assert aggregate(date_range, exclude) == 2
+        assert "expected START:END dates" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("hidden", ["1000000000000", "10000000000000000000"])
 def test_model_too_big_to_allocate_exit_3(records_csv, tmp_path, capsys, hidden):
     # numpy refuses both shapes before touching memory: 233 TiB, and a

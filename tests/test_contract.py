@@ -82,6 +82,17 @@ def test_one_horizon_cap_for_every_model(name):
         forecast_model(name, series, 0, params=params)
 
 
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_forecast_past_the_last_date_is_a_model_error(name):
+    """A series ending 9999-11: one more month is 9999-12, the last a date holds."""
+    rng = np.random.default_rng(1)
+    series = CountSeries(MONTHLY, date(9995, 12, 1), rng.poisson(20.0, 48).astype(float), np.ones(48, dtype=bool))
+    params = FAST_PARAMS[name]
+    assert forecast_model(name, series, 1, params=params).period_starts() == [date(9999, 12, 1)]
+    with pytest.raises(ModelError, match="^the forecast would run past 9999-12-31$"):
+        forecast_model(name, series, 2, params=params)
+
+
 @pytest.mark.parametrize("name", ["lstm", "decomp", "gbt"])
 def test_daily_calendar_on_monthly_data_is_a_model_error(name):
     # Weekday features and weekly terms exist only on daily data. No model
@@ -347,7 +358,8 @@ SETTING_VALUES = {
     "horizon": st.integers(-1, MAX_HORIZON + 2).map(str),
     "level": _floats,
     "seed": st.one_of(st.integers(-2, 2**32).map(str), st.sampled_from(["x", "1.5", ""])),
-    "range": st.one_of(st.tuples(_dates, _dates).map(":".join), st.sampled_from(["", "2024-01-01", "a:b"])),
+    "range": st.one_of(st.tuples(_dates, _dates).map(":".join),
+                       st.sampled_from(["", "2024-01-01", "a:b", "9990-01-01:9999-12-31"])),
     "exclude": st.one_of(_late_windows, st.sampled_from(["2025-06-30:2025-01-01", "a:b"])),
     "models": st.one_of(st.lists(st.sampled_from([*MODEL_NAMES, "nope"]), max_size=3).map(",".join),
                         st.just(",")),
@@ -401,6 +413,8 @@ def small_records(tmp_path_factory):
 # ARIMA with q > p on a final run of four months, shorter than q + d: the
 # forecast reads innovations from before the run.
 @example(run=("forecast", ["--order=0,1,5", "--exclude=2024-10-01:2025-02-28"], SMALL_SETTINGS), model="arima")
+# A forecast whose last month would start after 9999-12-31.
+@example(run=("forecast", ["--range=9990-01-01:9999-12-31"], SMALL_SETTINGS), model="arima")
 def test_cli_exit_code_is_documented(small_records, run, model):
     command, flags, config = run
     config_file = small_records.parent / "run.conf"

@@ -565,7 +565,7 @@ def hashed_record(day, category, status, model_text=None, location_text=None, ra
     return HashedRecord(record_id, day, category, status, model_text, location_text, raion, oblast, source_url)
 
 
-def hashed_parse_records(csv_text, schema=None, corrections=None, coverage=DEFAULT_COVERAGE):
+def hashed_parse_records(csv_text, schema=None, corrections=None):
     schema = dict(schema) if schema else {}
     for logical in schema:
         if logical not in LOGICAL_COLUMNS:
@@ -604,7 +604,7 @@ def hashed_parse_records(csv_text, schema=None, corrections=None, coverage=DEFAU
         except ValueError as err:
             report.unparsable_rows.append((line_no, str(err)))
             continue
-        if not coverage[0] <= day <= coverage[1]:
+        if not DEFAULT_COVERAGE[0] <= day <= DEFAULT_COVERAGE[1]:
             report.unparsable_rows.append((line_no, f"date {day.isoformat()} outside coverage window"))
             continue
         status = status_of(raw_status)

@@ -1,5 +1,6 @@
 """Count-series construction, masking, and supervised features."""
 
+from collections import Counter
 from datetime import date, timedelta
 
 import numpy as np
@@ -21,6 +22,7 @@ from attrikit.series import (
     apply_exclusions,
     forecast_to_csv,
     make_supervised,
+    period_days,
     period_index,
     period_start,
     series_to_csv,
@@ -75,6 +77,29 @@ def test_aggregate_bad_ranges():
         aggregate([], DAILY, date_range=(None, None))
     with pytest.raises(ValueError):
         aggregate([], DAILY)  # no records to infer a range from
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(granularity=st.sampled_from([DAILY, MONTHLY]), lo=st.dates(date(1960, 1, 1), date(2030, 12, 31)),
+       span=st.integers(0, 400), offsets=st.lists(st.tuples(st.integers(-30, 430), st.booleans()), max_size=40),
+       windows=st.lists(st.tuples(st.integers(-60, 460), st.integers(0, 60)), max_size=3))
+def test_aggregate_and_exclusions_match_a_count_per_record(granularity, lo, span, offsets, windows):
+    """The array counts and masks equal a count of each record and a mask of
+    each excluded day, keyed by the day (daily) or its year and month."""
+    hi = lo + timedelta(days=span)
+    records = [rec(lo + timedelta(days=k), Category.TANK if tank else Category.IFV) for k, tank in offsets]
+    excluded = [ExclusionWindow(lo + timedelta(days=a), lo + timedelta(days=a + n)) for a, n in windows]
+    series = apply_exclusions(aggregate(records, granularity, {Category.TANK}, (lo, hi)), excluded)
+
+    def key(day):
+        return day if granularity == DAILY else (day.year, day.month)
+
+    starts = series.period_starts()
+    assert key(starts[0]) == key(lo) and key(starts[-1]) == key(hi) and len({*map(key, starts)}) == len(starts)
+    counts = Counter(key(r.date) for r in records if r.category is Category.TANK and lo <= r.date <= hi)
+    assert series.values.tolist() == [counts[key(day)] for day in starts]
+    masked = {key(w.start + timedelta(days=k)) for w in excluded for k in range((w.end - w.start).days + 1)}
+    assert series.mask.tolist() == [key(day) not in masked for day in starts]
 
 
 # -- exclusions --------------------------------------------------------------
@@ -307,11 +332,35 @@ def test_forecast_must_be_finite(part, bad):
         Forecast(DAILY, date(2025, 8, 1), level=0.95, **arrays)
 
 
-def test_period_helpers():
-    assert period_start(date(2022, 2, 1), MONTHLY, 11) == date(2023, 1, 1)
-    assert period_index(date(2022, 2, 1), MONTHLY, date(2023, 1, 15)) == 11
-    s = CountSeries(MONTHLY, date(2025, 6, 1), np.array([1.0]), np.array([True]))
-    assert period_start(s.start, MONTHLY, len(s)) - timedelta(days=1) == date(2025, 6, 30)
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(start=st.dates(), days=st.lists(st.dates(), min_size=1, max_size=5),
+       granularity=st.sampled_from([DAILY, MONTHLY]))
+def test_period_helpers(start, days, granularity):
+    """period_index and period_days agree with plain date arithmetic over
+    every date, and round-trip: the period holding a day starts on or
+    before it, and the next period starts after it."""
+    index = period_index(start, granularity, np.array(days, "M8[D]"))
+    firsts = []
+    for day, i in zip(days, index.tolist()):
+        if granularity == DAILY:
+            assert start + timedelta(days=i) == day
+            firsts.append(day)
+        else:
+            assert i == (day.year - start.year) * 12 + day.month - start.month
+            firsts.append(date(day.year, day.month, 1))
+        assert period_index(start, granularity, day) == i
+        assert period_start(start, granularity, i) == firsts[-1]
+        after = period_days(start, granularity, i + 1)
+        assert after > np.datetime64(day, "D") and period_index(start, granularity, after) == i + 1
+    assert period_days(start, granularity, index).tolist() == firsts
+
+
+@pytest.mark.parametrize("granularity, start, n", [(DAILY, date(9999, 12, 30), 3), (MONTHLY, date(9999, 11, 1), 3)])
+def test_series_past_the_last_date_is_rejected(granularity, start, n):
+    with pytest.raises(ValueError, match="runs past 9999-12-31"):
+        CountSeries(granularity, start, np.zeros(n), np.ones(n, dtype=bool))
+    last = CountSeries(granularity, start, np.zeros(n - 1), np.ones(n - 1, dtype=bool))
+    assert last.period_starts()[-1] == (date.max if granularity == DAILY else date(9999, 12, 1))
 
 
 def test_monthly_series_must_start_on_month_first():

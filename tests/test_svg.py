@@ -1,12 +1,14 @@
 """SVG emitters: structure, determinism, and the exclusion-rect contract."""
 
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attrikit.series import DAILY, CountSeries, ExclusionWindow, Forecast
-from attrikit.svg import emit_svg
+from attrikit.svg import _date_ticks, emit_svg
 
 START = date(2025, 5, 1)
 
@@ -101,3 +103,26 @@ def test_unknown_figure_kind_rejected():
 def test_no_volatile_content():
     out = emit_svg("comparison_bars", "t", rows=[("m", 1.0)], metric="mae")
     assert "id=" not in out and "timestamp" not in out.lower()
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=500)
+@given(first=st.dates(), span=st.integers(0, 3000))
+def test_date_ticks_lie_in_range_on_their_stride(first, span):
+    last = first + timedelta(days=min(span, (date.max - first).days))
+    span = (last - first).days
+    ticks = _date_ticks(first, last)
+    assert ticks and all(first <= t <= last for t in ticks)
+    if span <= 180:
+        step = max(span // 6, 1)
+        assert ticks[0] == first and (last - ticks[-1]).days < step
+        assert all((b - a).days == step for a, b in zip(ticks, ticks[1:]))
+        return
+    stride = 12 if span > 1000 else 3 if span > 540 else 1
+    months = [t.year * 12 + t.month - 1 for t in ticks]
+    assert all(t.day == 1 and m % stride == 0 for t, m in zip(ticks, months))
+    assert all(b - a == stride for a, b in zip(months, months[1:]))
+    # No month start on the stride is left out: the one a stride before the
+    # first tick falls before ``first``, the one a stride after the last after ``last``.
+    before, after = months[0] - stride, months[-1] + stride
+    assert (before // 12, before % 12 + 1, 1) < (first.year, first.month, first.day)
+    assert (after // 12, after % 12 + 1, 1) > (last.year, last.month, last.day)
