@@ -5,6 +5,7 @@ since real visually-confirmed loss datasets are not redistributable.
 
 The side tables (geo index, category corrections, synthetic profile) are
 small CSVs that one row reader, ``_table_rows``, checks for all three.
+Both read lines through ``_csv_rows``, which holds its input about once.
 """
 
 from __future__ import annotations
@@ -212,9 +213,12 @@ def record_id_of(
 
 
 def _csv_rows(text: str):
-    """Rows of CSV text. The reader itself splits \\n, \\r\\n and bare \\r line
-    ends, and a line it cannot read (a field over 128 KiB) is bad input."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    """Rows of CSV text, split at \\n, \\r\\n and bare \\r as StringIO(text,
+    newline="") splits them, but read in chunks from a UTF-8 copy, not StringIO's
+    4 bytes per character. A line the reader cannot read (a field over 128 KiB)
+    is bad input."""
+    lines = io.TextIOWrapper(io.BytesIO(text.encode("utf-8", "surrogatepass")), "utf-8", "surrogatepass", newline="")
+    reader = csv.reader(lines)
     try:
         yield from reader
     except csv.Error as err:
@@ -482,24 +486,27 @@ def generate_synthetic(seed: int, profile: Profile | None = None) -> list[LossRe
     Per-day per-category counts are Poisson with the regime mean. Draw
     order is fixed (regimes by start date, days in order, categories in
     enum order) from a single PCG64 stream, so the same seed always yields
-    the same records byte for byte. Each record gets a unique synthetic
-    source URL so that deduplication never collapses same-day losses.
+    the same records byte for byte: one call per regime, where a zero,
+    missing or NaN mean is a mean of 0, which draws no bits. Each record
+    gets a unique synthetic source URL so that deduplication never
+    collapses same-day losses.
     """
     import numpy as np  # imported on first use: nothing else here needs numpy
 
     profile = profile or default_profile()
     rng = np.random.default_rng(seed)
+    categories = list(Category)
     records: list[LossRecord] = []
     for regime in sorted(profile.regimes, key=lambda r: r.start):
-        day = regime.start
-        while day <= regime.end:
-            for cat in Category:
-                mean = regime.means.get(cat, 0.0)
-                count = int(rng.poisson(mean)) if mean > 0 else 0
-                for i in range(count):
-                    url = f"synth://{seed}/{day.isoformat()}/{cat.value}/{i}"
-                    records.append(LossRecord(day, cat, Status.DESTROYED, source_url=url))
-            day += timedelta(days=1)
+        means = np.array([regime.means.get(cat, 0.0) for cat in categories], dtype=float)
+        means[~(means > 0)] = 0.0
+        counts = rng.poisson(means, size=((regime.end - regime.start).days + 1, len(categories)))
+        for offset, row in enumerate(counts.tolist()):
+            day = regime.start + timedelta(days=offset)
+            iso_day = day.isoformat()
+            for cat, count in zip(categories, row):
+                prefix = f"synth://{seed}/{iso_day}/{cat.value}/"
+                records.extend(LossRecord(day, cat, Status.DESTROYED, source_url=f"{prefix}{i}") for i in range(count))
     return records
 
 
@@ -509,14 +516,13 @@ def generate_synthetic(seed: int, profile: Profile | None = None) -> list[LossRe
 
 def records_to_csv(records: list[LossRecord]) -> str:
     """Serialize records with the standard logical header (RFC 4180)."""
+    iso = {day: day.isoformat() for day in {r.date for r in records}}
+    value = {member: member.value for member in (*Category, *Status)}
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(LOGICAL_COLUMNS)
-    for r in records:
-        writer.writerow([
-            r.date.isoformat(), r.category.value, r.model_text or "", r.status.value,
-            r.location_text or "", r.raion or "", r.oblast or "", r.source_url or "",
-        ])
+    writer.writerows([iso[day], value[category], model or "", value[status], location or "", raion or "", oblast or "",
+                      url or ""] for day, category, status, model, location, raion, oblast, url in records)
     return out.getvalue()
 
 

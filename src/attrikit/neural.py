@@ -240,11 +240,12 @@ def _train(model, x: np.ndarray, y: np.ndarray, epochs: int, lr: float) -> None:
     """Full-batch Adam on one BLAS thread, whatever the caller's count:
     a second thread would change the bits of the LSTM's weight gradients.
     Every epoch writes its activations into one ``kept_arrays``, which is
-    freed before the final ``predict``."""
+    freed before the final ``predict``. An ``exp`` that overflows makes
+    the LSTM's sigmoid exactly 0, its limit, so it is not warned about."""
     params = model.parameters()
     optimizer = Adam(params, lr=lr)
     kept = model.kept_arrays(*x.shape[:2])
-    with one_blas_thread():
+    with one_blas_thread(), np.errstate(over="ignore"):
         for epoch in range(epochs):
             loss, grads = model.loss_and_grads(x, y, kept)
             if not np.isfinite(loss):
@@ -288,7 +289,8 @@ def lstm_forecast(model, series: CountSeries, horizon: int, level: float = 0.95)
         window[:, 0] = (history[t - lookback:t] - model.mean) / model.std
         return float(model.predict(window[None])[0, 0]) * model.std + model.mean
 
-    return recursive_forecast(series, horizon, level, model.rmse_train, step)
+    with np.errstate(over="ignore"):  # a saturated sigmoid, as in ``_train``
+        return recursive_forecast(series, horizon, level, model.rmse_train, step)
 
 
 # --------------------------------------------------------------------------

@@ -187,6 +187,8 @@ class Forecast:
             raise ModelError(f"forecast is not finite at step {np.argmin(finite) + 1}")
         if np.any(self.lower > self.point) or np.any(self.point > self.upper):
             raise ValueError("forecast interval violates lower <= point <= upper")
+        if period_days(self.origin, self.granularity, len(self.point) - 1) > LAST_DAY:
+            raise ValueError(f"the forecast runs past {date.max}")
 
     def __len__(self) -> int:
         return len(self.point)
@@ -317,8 +319,10 @@ def aggregate(
 
     start = period_start(lo, granularity, 0)
     n = int(period_index(start, granularity, hi)) + 1
-    selected = records if category_filter is None else [r for r in records if r.category in category_filter]
-    ordinals = np.array([r.date.toordinal() for r in selected], dtype=np.int64)
+    if category_filter is not None:  # a tuple compares in C; a set calls Enum.__hash__ per record
+        members = tuple(category_filter)
+        records = [r for r in records if r.category in members]
+    ordinals = np.array([r.date.toordinal() for r in records], dtype=np.int64)
     ordinals = ordinals[(ordinals >= lo.toordinal()) & (ordinals <= hi.toordinal())]
     days = (ordinals - EPOCH_ORDINAL).astype("M8[D]")
     values = np.bincount(period_index(start, granularity, days), minlength=n).astype(float)

@@ -490,6 +490,16 @@ def _fresh_python(*argv, environ=os.environ):
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
 
 
+def test_diverging_lstm_prints_no_overflow_warning(records_csv, tmp_path):
+    """At a learning rate of 1e9 the LSTM's gates saturate: exp overflows and
+    the sigmoid is exactly 0, its limit, which is nothing to warn about."""
+    run = _fresh_python("-m", "attrikit.cli", "forecast", "--data", str(records_csv), "--model", "lstm",
+                        "--granularity", "monthly", "--category", "tank", "--lookback", "6", "--lr", "1e9",
+                        "--epochs", "2", "--horizon", "24", "--out", str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    assert "RuntimeWarning" not in run.stderr
+
+
 def test_ingest_and_aggregate_import_no_scipy(records_csv, tmp_path):
     """scipy takes about a second to import; only the ARIMA and decomp fits load it."""
     run = _fresh_python("-c", NO_SCIPY_RUN, str(records_csv), str(tmp_path / "ingest"), str(tmp_path / "monthly.csv"))

@@ -6,9 +6,11 @@ import hashlib
 import io
 import json
 import tempfile
+import tracemalloc
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -565,6 +567,16 @@ def hashed_record(day, category, status, model_text=None, location_text=None, ra
     return HashedRecord(record_id, day, category, status, model_text, location_text, raion, oblast, source_url)
 
 
+def stringio_csv_rows(text):
+    """The row reader as it was before it read a UTF-8 copy: csv.reader over
+    StringIO(text, newline=""), which holds 4 bytes per character."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise SchemaError(f"line {reader.line_num}: {err}") from None
+
+
 def hashed_parse_records(csv_text, schema=None, corrections=None):
     schema = dict(schema) if schema else {}
     for logical in schema:
@@ -572,7 +584,7 @@ def hashed_parse_records(csv_text, schema=None, corrections=None):
             raise SchemaError(f"unknown logical column {logical!r} in schema")
     colmap = {logical: schema.get(logical, logical) for logical in LOGICAL_COLUMNS}
     norm_corrections = {ingest._normalize_token(text): cat for text, cat in (corrections or {}).items()}
-    reader = ingest._csv_rows(csv_text)
+    reader = stringio_csv_rows(csv_text)
     header = next(reader, [])
     for logical in MANDATORY_COLUMNS:
         if colmap[logical] not in header:
@@ -739,3 +751,149 @@ def test_select_records_rejects_what_parse_records_rejects(text):
     with pytest.raises(SchemaError):
         parse_records(text)
     assert_select_matches_parse(text, None, None, {Category.TANK})
+
+
+# -- The record path as it was before it held its input once. Each function
+# below is a frozen copy of the parent code, kept as the oracle the new code
+# must match exactly.
+
+
+def scalar_generate_synthetic(seed, profile=None):
+    """One scalar Poisson draw per (day, category) with a positive mean."""
+    profile = profile or default_profile()
+    rng = np.random.default_rng(seed)
+    records = []
+    for regime in sorted(profile.regimes, key=lambda r: r.start):
+        day = regime.start
+        while day <= regime.end:
+            for cat in Category:
+                mean = regime.means.get(cat, 0.0)
+                count = int(rng.poisson(mean)) if mean > 0 else 0
+                for i in range(count):
+                    url = f"synth://{seed}/{day.isoformat()}/{cat.value}/{i}"
+                    records.append(LossRecord(day, cat, Status.DESTROYED, source_url=url))
+            day += timedelta(days=1)
+    return records
+
+
+def per_row_records_to_csv(records):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(LOGICAL_COLUMNS)
+    for r in records:
+        writer.writerow([
+            r.date.isoformat(), r.category.value, r.model_text or "", r.status.value,
+            r.location_text or "", r.raion or "", r.oblast or "", r.source_url or "",
+        ])
+    return out.getvalue()
+
+
+def outcome(call):
+    """What ``call`` returns, or the type and message of the SchemaError it raises."""
+    try:
+        return call()
+    except SchemaError as err:
+        return SchemaError, str(err)
+
+
+# Line ends, quotes and separators, the characters str.splitlines would also
+# split on (\x0c, \x1c, \x1e, \x85, \u2028) but a CSV line source must not,
+# Cyrillic and a lone surrogate, mixed with pieces of valid rows.
+FRAMING_PIECES = st.sampled_from([
+    "\r", "\n", "\r\n", '"', ",", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", " ", "\u0442\u0430\u043d\u043a", "\ud800",
+    "2022-03-01", "tank", "destroyed", "x",
+])
+FRAMED_TEXT = st.lists(FRAMING_PIECES, max_size=40).map("".join)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=400)
+@given(text=st.one_of(FRAMED_TEXT, FRAMED_TEXT.map(lambda body: HEADER + body),
+                      FRAMED_TEXT.map(lambda body: HEADER.replace("\n", "\r") + body)))
+@example(text=HEADER + "2022-03-01,tank,,,\u0442\x85,,,\r2022-03-02,tank,,,\ud800,,,\r\n")
+@example(text=HEADER + '2022-03-01,tank,"a\rb",,,,,\n' + "x" * 8190 + "\r\n2022-03-01,tank\r")
+def test_parse_and_tables_match_the_stringio_reader(text):
+    """Rows, line numbers and errors are those of the StringIO reader, in
+    the record parse and in the side-table reader."""
+    new = outcome(lambda: parse_records(text)), outcome(lambda: list(ingest._table_rows(text, "t", "a,b")))
+    with mock.patch.object(ingest, "_csv_rows", stringio_csv_rows):
+        old = outcome(lambda: parse_records(text)), outcome(lambda: list(ingest._table_rows(text, "t", "a,b")))
+    assert new == old
+
+
+def test_line_ends_across_read_chunks_match_the_stringio_reader():
+    """A \\r\\n or \\r on either side of an 8 KiB read boundary, after 1-, 2-,
+    3- and 4-byte characters, splits as StringIO splits it."""
+    for filler in ("x", "\u0436", "\u20ac", "\U0001F600"):
+        for k in range(8180 // len(filler.encode()), 8200 // len(filler.encode()) + 1):
+            for end in ("\r\n", "\r", "\r\r\n", "\n\r"):
+                text = filler * k + end + "a,b" + end
+                assert list(ingest._csv_rows(text)) == list(stringio_csv_rows(text))
+
+
+@st.composite
+def profiles(draw):
+    """One to four regimes, some a single day, in any order, with zero,
+    missing, NaN, tiny, integer and large (>= 10, numpy's other sampler) means."""
+    mean = st.sampled_from([0.0, float("nan"), 5e-324, 1e-300, 1e-3, 0.3, 2, 3.5, 12.0, 40.0])
+    regimes, day = [], DEFAULT_COVERAGE[0]
+    for _ in range(draw(st.integers(1, 4))):
+        start = day + timedelta(days=draw(st.integers(0, 30)))
+        end = start + timedelta(days=draw(st.sampled_from([0, 0, 1, 6, 40])))
+        cats = draw(st.sets(st.sampled_from(Category)))
+        regimes.append(Regime(start, end, {cat: draw(mean) for cat in cats}))
+        day = end + timedelta(days=1)
+    return Profile(regimes=tuple(draw(st.permutations(regimes))))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), profile=profiles())
+def test_generate_synthetic_matches_the_scalar_draws(seed, profile):
+    assert generate_synthetic(seed, profile) == scalar_generate_synthetic(seed, profile)
+
+
+def test_generate_synthetic_default_profile_matches_the_scalar_draws():
+    assert generate_synthetic(11) == scalar_generate_synthetic(11)
+
+
+TEXT_CELLS = st.sampled_from([None, "", " ", "T-72B3", "a,b", '"q"', 'say "x", then', "line\nbreak", "cr\rlf\r\n",
+                              "\u0442\u0430\u043d\u043a"])
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(records=st.lists(st.builds(LossRecord, st.dates(date(1, 1, 1), date(9999, 12, 31)),
+                                  st.sampled_from(Category), st.sampled_from(Status),
+                                  TEXT_CELLS, TEXT_CELLS, TEXT_CELLS, TEXT_CELLS, TEXT_CELLS), max_size=30))
+def test_records_to_csv_matches_the_per_row_writer(records):
+    assert records_to_csv(records) == per_row_records_to_csv(records)
+
+
+# sha256 of records_to_csv(generate_synthetic(seed)), as the scalar draws and
+# the per-row writer made them: synth output must keep every byte.
+SYNTH_CSV_SHA256 = {
+    0: "b56ecfbf5b5b90b2dbc3bd7f2aec4269718d2ceba6582083727ebdd4f0fa73b7",
+    7: "c5c23c5c97e4cd55ca9b944fb888330fb7d88feeb3ffbb734cf30571104d9d03",
+    42: "9fd10f9d7be858b03e84022edb2f833f9e96936af19446f12ce67a6af986bf9a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SYNTH_CSV_SHA256))
+def test_synth_csv_bytes_are_pinned(seed):
+    text = records_to_csv(generate_synthetic(seed))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SYNTH_CSV_SHA256[seed]
+
+
+def test_parse_holds_its_input_about_once():
+    """What a parse holds beyond its result, per input character, on the
+    seed-42 synth CSV: StringIO's 4-byte-per-character copy made it 7.3
+    bytes; the UTF-8 copy the reader reads in chunks makes it about 4.3."""
+    text = records_to_csv(generate_synthetic(42))
+    parse_records(text)  # once untraced, so that lazy set-up is not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = parse_records(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result[0]) == 24_155
+    assert (peak - held) / len(text) < 5.0, (peak - base, held - base)

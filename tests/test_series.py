@@ -81,22 +81,26 @@ def test_aggregate_bad_ranges():
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=200)
 @given(granularity=st.sampled_from([DAILY, MONTHLY]), lo=st.dates(date(1960, 1, 1), date(2030, 12, 31)),
-       span=st.integers(0, 400), offsets=st.lists(st.tuples(st.integers(-30, 430), st.booleans()), max_size=40),
-       windows=st.lists(st.tuples(st.integers(-60, 460), st.integers(0, 60)), max_size=3))
-def test_aggregate_and_exclusions_match_a_count_per_record(granularity, lo, span, offsets, windows):
-    """The array counts and masks equal a count of each record and a mask of
-    each excluded day, keyed by the day (daily) or its year and month."""
+       span=st.integers(0, 400),
+       offsets=st.lists(st.tuples(st.integers(-30, 430), st.sampled_from([Category.TANK, Category.IFV, Category.APC])),
+                        max_size=40),
+       windows=st.lists(st.tuples(st.integers(-60, 460), st.integers(0, 60)), max_size=3),
+       kept=st.sampled_from([{Category.TANK}, {Category.TANK, Category.IFV}, set(Category)]))
+def test_aggregate_and_exclusions_match_a_count_per_record(granularity, lo, span, offsets, windows, kept):
+    """The array counts and masks equal a count of each record of the kept
+    categories and a mask of each excluded day, keyed by the day (daily) or
+    its year and month."""
     hi = lo + timedelta(days=span)
-    records = [rec(lo + timedelta(days=k), Category.TANK if tank else Category.IFV) for k, tank in offsets]
+    records = [rec(lo + timedelta(days=k), category) for k, category in offsets]
     excluded = [ExclusionWindow(lo + timedelta(days=a), lo + timedelta(days=a + n)) for a, n in windows]
-    series = apply_exclusions(aggregate(records, granularity, {Category.TANK}, (lo, hi)), excluded)
+    series = apply_exclusions(aggregate(records, granularity, kept, (lo, hi)), excluded)
 
     def key(day):
         return day if granularity == DAILY else (day.year, day.month)
 
     starts = series.period_starts()
     assert key(starts[0]) == key(lo) and key(starts[-1]) == key(hi) and len({*map(key, starts)}) == len(starts)
-    counts = Counter(key(r.date) for r in records if r.category is Category.TANK and lo <= r.date <= hi)
+    counts = Counter(key(r.date) for r in records if r.category in kept and lo <= r.date <= hi)
     assert series.values.tolist() == [counts[key(day)] for day in starts]
     masked = {key(w.start + timedelta(days=k)) for w in excluded for k in range((w.end - w.start).days + 1)}
     assert series.mask.tolist() == [key(day) not in masked for day in starts]
@@ -361,6 +365,18 @@ def test_series_past_the_last_date_is_rejected(granularity, start, n):
         CountSeries(granularity, start, np.zeros(n), np.ones(n, dtype=bool))
     last = CountSeries(granularity, start, np.zeros(n - 1), np.ones(n - 1, dtype=bool))
     assert last.period_starts()[-1] == (date.max if granularity == DAILY else date(9999, 12, 1))
+
+
+@pytest.mark.parametrize("granularity, origin", [(DAILY, date(9999, 12, 31)), (MONTHLY, date(9999, 12, 1))])
+def test_forecast_past_the_last_date_is_rejected(granularity, origin):
+    """A forecast built directly, not through a model, meets the series' rule:
+    its last period must start by 9999-12-31, or the CSV writer would get a
+    period start that is no date."""
+    with pytest.raises(ValueError, match="^the forecast runs past 9999-12-31$"):
+        Forecast(granularity, origin, [1.0, 2.0], [0.5, 1.0], [1.5, 3.0], 0.95)
+    last = Forecast(granularity, origin, [1.0], [0.5], [1.5], 0.95)
+    assert last.period_starts() == [origin]
+    assert forecast_to_csv(last).splitlines()[1].startswith(origin.isoformat())
 
 
 def test_monthly_series_must_start_on_month_first():
