@@ -72,11 +72,14 @@ _cli = sys.modules[__name__]
 
 
 def _read_text(path: str) -> str:
-    """UTF-8 text, less a leading byte-order mark; undecodable bytes are bad input (exit 2)."""
+    """UTF-8 text, less a leading byte-order mark, with its line ends as written;
+    undecodable bytes are bad input (exit 2), named by their offset in the file."""
+    data = Path(path).read_bytes()
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as err:
-        raise SchemaError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as err:  # err.start does not count the mark's 3 bytes
+        offset = err.start + 3 * data.startswith(b"\xef\xbb\xbf")
+        raise SchemaError(f"{path} is not UTF-8 text: {err.reason} at byte {offset}") from None
 
 
 # --------------------------------------------------------------------------
@@ -319,7 +322,7 @@ def _model_params(args: argparse.Namespace) -> dict:
 
 def _load_series(args: argparse.Namespace) -> tuple[CountSeries, list[ExclusionWindow]]:
     granularity = _option(args, "granularity", DAILY)
-    text = _read_text(_option(args, "data"))
+    text = _read_text(_required(args, "data"))
     categories, date_range = _option(args, "category"), _option(args, "range")
     # Without --range a series runs from the first to the last date of all
     # valid records, of every category, not only of those selected.
@@ -342,14 +345,14 @@ def _write(path: Path, text: str) -> None:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    text = _read_text(_required(args, "data"))
     schema = _option(args, "schema")
     corrections = None
     corrections_path = _option(args, "corrections")
     if corrections_path:
         corrections = load_corrections(_read_text(corrections_path))
 
-    records, report = parse_records(_read_text(_option(args, "data")), schema=schema,
-                                    corrections=corrections)
+    records, report = parse_records(text, schema=schema, corrections=corrections)
 
     geo_path = _option(args, "geo_index")
     if geo_path:
@@ -493,20 +496,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # Parser
 
 
-_COMMON = ("data", "out", "granularity", "category", "range", "exclude", "seed")
+# Every command takes _COMMON; the commands that build a series also take
+# _SERIES, and ingest and synth, which build none, reject its flags.
+_COMMON = ("out", "seed")
+_SERIES = ("data", "granularity", "category", "range", "exclude")
 _MODEL_PARAMS = ("level", "svg") + tuple(key for key, option in OPTIONS.items() if option.field)
 
 # command -> (handler, help, its own options, whether it takes model parameters)
 COMMANDS = {
     "ingest": (cmd_ingest, "parse, dedupe, and geo-normalize a records CSV",
-               ("geo_index", "geo_policy", "corrections", "schema"), False),
+               ("data", "geo_index", "geo_policy", "corrections", "schema"), False),
     "synth": (cmd_synth, "write a deterministic synthetic records CSV", ("profile",), False),
-    "aggregate": (cmd_aggregate, "aggregate records into a masked count series CSV", (), False),
-    "forecast": (cmd_forecast, "fit one model and write forecast CSV (+SVG)", ("model", "horizon"), True),
+    "aggregate": (cmd_aggregate, "aggregate records into a masked count series CSV", _SERIES, False),
+    "forecast": (cmd_forecast, "fit one model and write forecast CSV (+SVG)", ("model", "horizon") + _SERIES, True),
     "backtest": (cmd_backtest, "rolling-origin backtest for one model",
-                 ("model", "initial_train", "step", "horizon"), True),
+                 ("model", "initial_train", "step", "horizon") + _SERIES, True),
     "compare": (cmd_compare, "backtest several models on identical folds",
-                ("models", "initial_train", "step", "horizon"), True),
+                ("models", "initial_train", "step", "horizon") + _SERIES, True),
 }
 
 
@@ -569,8 +575,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.config_values = load_config(args.config) if args.config else {}
         _required(args, "out")
-        if args.command != "synth":
-            _required(args, "data")
         with _blas_threads():
             return args.func(args)
     except SchemaError as err:

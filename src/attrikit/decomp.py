@@ -122,7 +122,7 @@ def fit(series: CountSeries, spec: DecompSpec) -> DecompFit:
     # Trend and hinge columns use time scaled to [0,1]: it conditions the
     # Gram matrix, and the per-period slope/deltas are recovered by a
     # linear rescale afterwards. Fourier angles stay in raw periods.
-    hinge = np.maximum(t_obs[:, None] - cps[None, :], 0.0) / t_max if len(cps) else np.empty((len(t_obs), 0))
+    hinge = np.maximum(t_obs[:, None] - cps[None, :], 0.0) / t_max
     weekly = _fourier_block(t_obs, WEEKLY_PERIOD, spec.weekly_order)
     yearly = _fourier_block(t_obs, _yearly_period(series.granularity), yearly_order)
     x = np.column_stack([t_obs / t_max, np.ones(len(t_obs)), hinge, weekly, yearly])
@@ -161,7 +161,7 @@ def _times_for(fit_result: DecompFit, dates: list[date]) -> np.ndarray:
 
 def _trend(fit_result: DecompFit, t: np.ndarray) -> np.ndarray:
     cps = fit_result.s * fit_result.t_max
-    hinge = np.maximum(t[:, None] - cps[None, :], 0.0) if len(cps) else np.empty((len(t), 0))
+    hinge = np.maximum(t[:, None] - cps[None, :], 0.0)
     return fit_result.k * t + fit_result.m + hinge @ fit_result.delta
 
 

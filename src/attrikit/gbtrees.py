@@ -16,7 +16,8 @@ node's ordered rows, not on the residual, so a fit keeps them per node of
 the current and the previous tree and reuses them when a later tree reaches
 the same rows (the root recurs in every tree). Residuals are updated by
 routing the whole matrix through each new tree by the ``x <= threshold``
-rule ``predict`` uses."""
+rule ``predict`` uses. A split's gain only picks the split; a fitted model
+keeps its trees and each stage's training RMSE, not the gains."""
 
 from __future__ import annotations
 
@@ -92,8 +93,6 @@ class GbtModel:
     spec: GbtSpec
     feature_names: tuple[str, ...]
     trees: list[Node] = field(default_factory=list)
-    gains: dict[str, float] = field(default_factory=dict)
-    total_gain: float = 0.0
     rmse_train: float = 0.0
     stage_rmse: list[float] = field(default_factory=list)
     granularity: str | None = None  # the training series', set by fit_series
@@ -171,21 +170,18 @@ def _best_split(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.
 
 
 def _build_tree(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.ndarray,
-                depth: int, spec: GbtSpec, model: GbtModel, memo: tuple[dict, dict]) -> Node:
+                depth: int, spec: GbtSpec, memo: tuple[dict, dict]) -> Node:
     if depth >= spec.max_depth or idx.size < 2 * spec.min_samples_leaf:
         return Node(value=float(residual[idx].mean()))
     found = _best_split(x, ranks, residual, idx, spec.min_samples_leaf, memo)
     if found is None:
         return Node(value=float(residual[idx].mean()))
-    gain, feature, threshold, left_idx, right_idx = found
-    name = model.feature_names[feature]
-    model.gains[name] = model.gains.get(name, 0.0) + gain
-    model.total_gain += gain
+    _, feature, threshold, left_idx, right_idx = found
     return Node(
         feature=feature,
         threshold=threshold,
-        left=_build_tree(x, ranks, residual, left_idx, depth + 1, spec, model, memo),
-        right=_build_tree(x, ranks, residual, right_idx, depth + 1, spec, model, memo),
+        left=_build_tree(x, ranks, residual, left_idx, depth + 1, spec, memo),
+        right=_build_tree(x, ranks, residual, right_idx, depth + 1, spec, memo),
     )
 
 
@@ -212,12 +208,7 @@ def fit(matrix: SupervisedMatrix, spec: GbtSpec) -> GbtModel:
     if bad_rows.size:
         raise ModelError(f"non-finite feature or target at row {int(bad_rows[0])}")
 
-    model = GbtModel(
-        base_score=float(y.mean()),
-        spec=spec,
-        feature_names=matrix.feature_names,
-        gains={name: 0.0 for name in matrix.feature_names},
-    )
+    model = GbtModel(base_score=float(y.mean()), spec=spec, feature_names=matrix.feature_names)
     residual = y - model.base_score
     ranks = _rank_columns(x)
     all_idx = np.arange(x.shape[0])
@@ -227,7 +218,7 @@ def fit(matrix: SupervisedMatrix, spec: GbtSpec) -> GbtModel:
     previous: dict = {}
     for _ in range(spec.n_trees):
         current: dict = {}
-        tree = _build_tree(x, ranks, residual, all_idx, 0, spec, model, (current, previous))
+        tree = _build_tree(x, ranks, residual, all_idx, 0, spec, (current, previous))
         previous = current
         _route(tree, x, all_idx, preds)
         residual = residual - spec.learning_rate * preds
@@ -246,11 +237,6 @@ def predict(model: GbtModel, features: np.ndarray) -> float:
     return model.base_score + model.spec.learning_rate * sum(
         tree.predict_one(features) for tree in model.trees
     )
-
-
-def feature_importance(model: GbtModel) -> dict[str, float]:
-    """Total split gain per feature, sorted descending (never-split = 0)."""
-    return dict(sorted(model.gains.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 def fit_series(series: CountSeries, spec: GbtSpec) -> GbtModel:

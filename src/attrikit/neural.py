@@ -91,11 +91,10 @@ def receptive_field(spec: TcnSpec) -> int:
 # Inputs and the shared window model
 
 
-def _inputs(model, series: CountSeries, n: int) -> np.ndarray:
-    """One row per period 0..n-1: the standardized ``series.history(n)``,
-    then the calendar one-hots of the period's date."""
-    days = period_days(series.start, series.granularity, np.arange(n))
-    return np.column_stack([(series.history(n) - model.mean) / model.std, calendar_columns(days, model.calendar)])
+def _inputs(model, history: np.ndarray, days: np.ndarray) -> np.ndarray:
+    """One row per period, for training and forecast windows alike: the
+    standardized ``history``, then the calendar one-hots of ``days``."""
+    return np.column_stack([(history - model.mean) / model.std, calendar_columns(days, model.calendar)])
 
 
 def _train_windows(model, series: CountSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +103,8 @@ def _train_windows(model, series: CountSeries) -> tuple[np.ndarray, np.ndarray]:
     The fits' ``check_fit_input`` makes sure there is at least one."""
     lookback = model.lookback
     targets = np.flatnonzero(run_lengths(series.mask) > lookback)
-    inputs = _inputs(model, series, len(series))
+    days = period_days(series.start, series.granularity, np.arange(len(series)))
+    inputs = _inputs(model, series.history(), days)
     return inputs[targets[:, None] + np.arange(-lookback, 0)], inputs[targets, :1]
 
 
@@ -282,11 +282,10 @@ def lstm_forecast(model, series: CountSeries, horizon: int, level: float = 0.95)
     ``forecast_input`` checks is the lookback (the TCN's receptive field)."""
     lookback = model.lookback
     series = forecast_input(series, model.granularity, lookback, horizon, level)
-    inputs = _inputs(model, series, len(series) + horizon)
+    days = period_days(series.start, series.granularity, np.arange(len(series) + horizon))
 
     def step(history: np.ndarray, t: int) -> float:
-        window = inputs[t - lookback:t].copy()
-        window[:, 0] = (history[t - lookback:t] - model.mean) / model.std
+        window = _inputs(model, history[t - lookback:t], days[t - lookback:t])
         return float(model.predict(window[None])[0, 0]) * model.std + model.mean
 
     with np.errstate(over="ignore"):  # a saturated sigmoid, as in ``_train``

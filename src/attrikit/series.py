@@ -367,16 +367,17 @@ def make_supervised(
 ) -> SupervisedMatrix:
     """One row per period whose target and full feature history are observed.
 
-    Rows whose target, any lag, or any moving-average span touches a
-    masked period are dropped outright; masked data is never imputed.
-    Moving averages are trailing means over the w periods ending at t-1,
-    so no feature sees the target or its future.
+    The rows are read from ``series.history()``, NaN at every masked
+    period: the target, the lags, then the trailing means, then the
+    calendar columns. A row that reads a NaN, because its target, a lag or
+    a moving-average span touches a masked period, is dropped outright;
+    masked data is never imputed. Moving averages are trailing means over
+    the w periods ending at t-1, so no feature sees the target or its future.
     """
     calendar = set(calendar or ())
     check_features(lags, ma_windows, calendar)
     history = series.history()
-    missing = np.isnan(history)
-    n_obs = len(history) - int(missing.sum())
+    n_obs = int(np.count_nonzero(~np.isnan(history)))
     if n_obs == 0:
         raise ValueError("series has no observed periods")
 
@@ -394,19 +395,13 @@ def make_supervised(
     if "linear_index" in calendar:
         names.append("linear_index")
     n = len(series)
-    dropped = missing[depth:].copy()
-    columns = []
-    for k in sorted(lags):
-        columns.append(history[depth - k:n - k])
-        dropped |= missing[depth - k:n - k]
-    for w in sorted(ma_windows):
-        columns.append(sliding_window_view(history, w)[depth - w:n - w].mean(axis=1))
-        dropped |= sliding_window_view(missing, w)[depth - w:n - w].any(axis=1)
+    columns = [history[depth:]] + [history[depth - k:n - k] for k in sorted(lags)]
+    columns += [sliding_window_view(history, w)[depth - w:n - w].mean(axis=1) for w in sorted(ma_windows)]
     days = period_days(series.start, series.granularity, np.arange(depth, n))
     columns.append(target_calendar(days, series.start, calendar))
-    keep = ~dropped
-    x = np.column_stack(columns)[keep]
-    return SupervisedMatrix(tuple(names), x, history[depth:][keep], tuple(days[keep].tolist()))
+    rows = np.column_stack(columns)
+    keep = ~np.isnan(rows).any(axis=1)
+    return SupervisedMatrix(tuple(names), rows[keep, 1:], rows[keep, 0], tuple(days[keep].tolist()))
 
 
 def run_lengths(mask: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 import attrikit
 from attrikit import cli, factories
 from attrikit.cli import OPTIONS, _int_list, main
-from attrikit.ingest import Category, Profile, Regime, load_profile
+from attrikit.ingest import Category, Profile, Regime, load_profile, parse_records, records_to_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -124,6 +124,43 @@ def test_ingest_invalid_utf8_exit_2(tmp_path, capsys):
     data.write_bytes((RECORDS_HEADER + "2022-03-01,tank,,destroyed,Kherson,,,\n").encode() + b"\xe9\n")
     assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
     assert "not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bom, offset", [(b"", 25), (b"\xef\xbb\xbf", 28)])
+def test_ingest_invalid_utf8_names_its_offset_in_the_file(tmp_path, capsys, bom, offset):
+    # A byte-order mark is 3 bytes of the file, so the offset counts them.
+    data = tmp_path / "bad.csv"
+    data.write_bytes(bom + b"date,type\n2023-05-01,tank\xff")
+    assert data.read_bytes()[offset] == 0xFF
+    assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+    assert f"at byte {offset}" in capsys.readouterr().err
+
+
+def test_ingest_keeps_a_quoted_line_end_as_written(tmp_path):
+    # A CRLF file whose model cell holds a CRLF: the CLI reads the file's text
+    # with its line ends untranslated, so it writes the library's record.
+    text = RECORDS_HEADER.replace("\n", "\r\n") + '2023-05-01,tank,"T-72\r\nB3",destroyed,,,,\r\n'
+    data, out = tmp_path / "crlf.csv", tmp_path / "o"
+    data.write_bytes(text.encode())
+    assert main(["ingest", "--data", str(data), "--out", str(out)]) == 0
+    records, _ = parse_records(text)
+    assert [r.model_text for r in records] == ["T-72\r\nB3"]
+    assert (out / "records.csv").read_bytes() == records_to_csv(records).encode()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    *((command, flag, value) for command in ("ingest", "synth") for flag, value in (
+        ("--granularity", "monthly"), ("--category", "tank"), ("--range", "2022-03-01:2022-03-02"),
+        ("--exclude", "2022-03-01:2022-03-02"))),
+    ("synth", "--data", "records.csv"),
+])
+def test_commands_reject_flags_they_do_not_read(records_csv, tmp_path, command, flag, value):
+    # ingest and synth build no series, so a series flag would be silently ignored.
+    data = ["--data", str(records_csv)] if command == "ingest" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *data, flag, value, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_ingest_unreadable_input_exit_1(tmp_path):

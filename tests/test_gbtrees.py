@@ -17,7 +17,6 @@ from attrikit.gbtrees import (
     GbtModel,
     GbtSpec,
     Node,
-    feature_importance,
     fit,
     fit_series,
     forecast_recursive,
@@ -96,7 +95,6 @@ def test_constant_targets_give_base_score_only():
     for tree in model.trees:
         assert tree.is_leaf() and tree.value == 0.0
     assert predict(model, x[0]) == 4.25
-    assert all(g == 0.0 for g in feature_importance(model).values())
 
 
 def test_training_rmse_non_increasing_over_stages():
@@ -143,32 +141,6 @@ def test_deterministic_fit():
     a = model_key(fit(matrix_from(x, y), spec))
     b = model_key(fit(matrix_from(x, y), spec))
     assert a == b
-
-
-def test_importance_finds_generating_lag():
-    # Target is a pure function of lag_1 plus small noise in other features'
-    # presence; lag_1 must dominate the gains.
-    rng = np.random.default_rng(4)
-    n = 300
-    x = np.column_stack([
-        rng.normal(size=n),                      # lag_1 proxy
-        rng.normal(size=n), rng.normal(size=n),  # noise
-    ])
-    y = 3.0 * x[:, 0]
-    names = ("lag_1", "noise_a", "noise_b")
-    matrix = SupervisedMatrix(names, x, y, tuple(date(2022, 3, 1 + i % 28) for i in range(n)))
-    model = fit(matrix, GbtSpec(n_trees=30, max_depth=3))
-    importance = feature_importance(model)
-    top_name = next(iter(importance))
-    assert top_name == "lag_1"
-
-
-def test_gain_sum_matches_accumulator():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(100, 4))
-    y = x[:, 2] + rng.normal(0, 0.5, 100)
-    model = fit(matrix_from(x, y), GbtSpec(n_trees=50))
-    assert sum(model.gains.values()) == pytest.approx(model.total_gain, abs=1e-9)
 
 
 def test_recursive_forecast_constant_series():
@@ -388,36 +360,31 @@ def _oracle_best_split(x, residual, idx, min_leaf):
     return best
 
 
-def _oracle_build_tree(x, residual, idx, depth, spec, model):
+def _oracle_build_tree(x, residual, idx, depth, spec, gains):
+    """The tree of ``residual`` on rows ``idx``; appends each split's gain
+    to ``gains`` in build order: a node, then its left subtree, then its right."""
     if depth >= spec.max_depth or idx.size < 2 * spec.min_samples_leaf:
         return Node(value=float(residual[idx].mean()))
     found = _oracle_best_split(x, residual, idx, spec.min_samples_leaf)
     if found is None:
         return Node(value=float(residual[idx].mean()))
     gain, feature, threshold, left_idx, right_idx = found
-    name = model.feature_names[feature]
-    model.gains[name] = model.gains.get(name, 0.0) + gain
-    model.total_gain += gain
+    gains.append(gain)
     return Node(
         feature=feature,
         threshold=threshold,
-        left=_oracle_build_tree(x, residual, left_idx, depth + 1, spec, model),
-        right=_oracle_build_tree(x, residual, right_idx, depth + 1, spec, model),
+        left=_oracle_build_tree(x, residual, left_idx, depth + 1, spec, gains),
+        right=_oracle_build_tree(x, residual, right_idx, depth + 1, spec, gains),
     )
 
 
-def oracle_fit(matrix, spec):
+def oracle_fit(matrix, spec, gains):
     x, y = matrix.x, matrix.y
-    model = GbtModel(
-        base_score=float(y.mean()),
-        spec=spec,
-        feature_names=matrix.feature_names,
-        gains={name: 0.0 for name in matrix.feature_names},
-    )
+    model = GbtModel(base_score=float(y.mean()), spec=spec, feature_names=matrix.feature_names)
     residual = y - model.base_score
     all_idx = np.arange(x.shape[0])
     for _ in range(spec.n_trees):
-        tree = _oracle_build_tree(x, residual, all_idx, 0, spec, model)
+        tree = _oracle_build_tree(x, residual, all_idx, 0, spec, gains)
         preds = np.array([tree.predict_one(row) for row in x])
         residual = residual - spec.learning_rate * preds
         model.trees.append(tree)
@@ -492,12 +459,25 @@ _STEP = np.repeat([0.0, 1.0], 12)
                           [-1.0, -0.0, -0.1, -0.4, 1.7, -0.7, 1.2, 0.6, -2.1, -0.3],
                           n_trees=5, max_depth=2, learning_rate=0.1, min_samples_leaf=2))
 def test_fit_matches_per_column_oracle(problem):
+    # Every split's gain, in build order, as well as the trees: _build_tree
+    # reaches _best_split through the module, so a spy there sees each one.
     matrix, spec = problem
-    model = fit(matrix, spec)
-    oracle = oracle_fit(matrix, spec)
+    gains, oracle_gains = [], []
+    best_split = gb._best_split
+
+    def spy(*args):
+        found = best_split(*args)
+        if found is not None:
+            gains.append(found[0])
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gb, "_best_split", spy)
+        model = fit(matrix, spec)
+    oracle = oracle_fit(matrix, spec, oracle_gains)
     assert model_key(model) == model_key(oracle)
     assert model.stage_rmse == oracle.stage_rmse
-    assert model.total_gain == oracle.total_gain
+    assert gains == oracle_gains
 
 
 def _daily_tanks(records, category=Category.TANK):

@@ -511,6 +511,33 @@ def test_cli_ingest_survives_hostile_bytes(data):
         assert len(records) == report["rows_parsed"]
 
 
+# Cells that hold each line end, a quote, a comma and non-ASCII letters.
+QUOTED_CELLS = st.lists(st.sampled_from(["\r\n", "\r", "\n", '"', ",", " ", "T", "-", "7", "ж", "é", "€"]),
+                        max_size=8).map("".join)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=100)
+@given(rows=st.lists(st.tuples(st.sampled_from(["2023-05-01", "01.03.2024"]), st.sampled_from(["tank", "БМП", "apc"]),
+                               QUOTED_CELLS, QUOTED_CELLS), max_size=6),
+       line_end=st.sampled_from(["\n", "\r\n", "\r"]), bom=st.booleans())
+@example(rows=[("2023-05-01", "tank", "T-72\r\nB3", "")], line_end="\r\n", bom=False)
+def test_cli_ingest_reads_the_records_parse_records_reads(rows, line_end, bom):
+    """The CLI hands the parser the file's text, less a byte-order mark and
+    with its line ends as written, so it writes the library's records."""
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator=line_end)
+    writer.writerow(["date", "type", "model", "location"])
+    writer.writerows(rows)
+    text = out.getvalue()
+    records, report = parse_records(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out_dir = Path(tmp) / "records.csv", Path(tmp) / "out"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+        assert main(["ingest", "--data", str(path), "--out", str(out_dir)]) == 0
+        assert (out_dir / "records.csv").read_bytes() == records_to_csv(records).encode("utf-8")
+        assert json.loads((out_dir / "ingest_report.json").read_bytes())["rows_parsed"] == report.rows_parsed
+
+
 def test_record_ids_are_pinned():
     """Ids are part of the output contract: these values were computed by the
     per-row SHA-256 parse, and no change to how ids are made may move them."""

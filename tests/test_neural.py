@@ -344,6 +344,58 @@ def test_forecast_window_comes_from_the_fitted_spec():
             MODELS[name][2](model, series, other_spec, 5, 0.95)
 
 
+@st.composite
+def forecast_requests(draw):
+    """A small fitted LSTM or TCN and a daily or monthly series with
+    non-integer counts, an interior masked gap and a masked tail, which moves
+    the forecast origin back, and a horizon."""
+    granularity = draw(st.sampled_from([DAILY, MONTHLY]))
+    if draw(st.booleans()):
+        spec = LstmSpec(lookback=draw(st.integers(1, 6)), hidden=3, epochs=2, seed=draw(st.integers(0, 9)),
+                        use_weekday=granularity == DAILY and draw(st.booleans()), use_month=draw(st.booleans()))
+        fit, forecast, depth = lstm_fit, lstm_forecast, spec.lookback
+    else:
+        spec = TcnSpec(kernel=draw(st.integers(2, 3)), channels=2, epochs=2, seed=draw(st.integers(0, 9)),
+                       dilations=tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))))
+        fit, forecast, depth = tcn_fit, tcn_forecast, receptive_field(spec)
+    n = draw(st.integers(depth + 40, depth + 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = np.ones(n, dtype=bool)
+    gap = draw(st.integers(0, n - depth - 10))
+    mask[gap:gap + draw(st.integers(0, 5))] = False
+    mask[n - draw(st.integers(0, 3)):] = False
+    day = date(2021, 1, 1) + timedelta(days=draw(st.integers(0, 2000)))
+    start = day if granularity == DAILY else day.replace(day=1)
+    series = CountSeries(granularity, start, rng.poisson(10.0, n) + rng.random(n), mask)
+    return fit(series, spec), forecast, series, draw(st.integers(1, 15))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(request=forecast_requests())
+def test_forecast_windows_are_training_windows(request):
+    # Each step must read the very inputs the model was fitted on: its window
+    # is the _train_windows window of its period once the forecast is history.
+    model, forecast, series, horizon = request
+    windows = []
+    predict = model.predict
+
+    def spy(x):
+        windows.append(x[0].copy())
+        return predict(x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "predict", spy)
+        fc = forecast(model, series, horizon=horizon)
+    history = series.head(series.last_observed_index() + 1)
+    extended = CountSeries(history.granularity, history.start, np.concatenate([history.values, fc.point]),
+                           np.concatenate([history.mask, np.ones(horizon, dtype=bool)]))
+    x, _ = _train_windows(model, extended)
+    targets = [t for t in range(model.lookback, len(extended)) if extended.mask[t - model.lookback:t + 1].all()]
+    expected = x[[targets.index(t) for t in range(len(history), len(extended))]]
+    assert len(windows) == horizon
+    assert np.array(windows).view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
 def test_lstm_windows_skip_masked_periods():
     values = np.arange(100.0)
     mask = np.ones(100, dtype=bool)
