@@ -57,14 +57,12 @@ class ArimaFit:
 
 def _pacf_to_ar(pacf: np.ndarray) -> np.ndarray:
     """Durbin-Levinson map from partial autocorrelations in (-1,1) to a
-    stationary AR coefficient vector."""
-    phi = np.empty(0)
-    for k, pk in enumerate(pacf):
-        prev = phi
-        phi = np.empty(k + 1)
-        phi[:k] = prev - pk * prev[::-1]
-        phi[k] = pk
-    return phi
+    stationary AR coefficient vector. At most five coefficients, so the
+    recursion runs on Python floats, with the array form's operations."""
+    phi: list[float] = []
+    for pk in pacf.tolist():
+        phi = [a - pk * b for a, b in zip(phi, reversed(phi))] + [pk]
+    return np.array(phi)
 
 
 def _unpack(x: np.ndarray, spec: ArimaSpec) -> tuple[np.ndarray, np.ndarray, float]:

@@ -83,8 +83,10 @@ def _changepoints(t_obs: np.ndarray, spec: DecompSpec) -> np.ndarray:
     n_cp = min(spec.n_changepoints, max(len(eligible) - 2, 0))
     if n_cp == 0:
         return np.empty(0)
+    # n_cp <= len(eligible) - 2 puts the positions over one apart, so the
+    # picks are distinct and increasing without np.unique, which loads numpy.ma
     positions = np.linspace(0, len(eligible) - 1, n_cp + 1)[1:]
-    return np.unique(eligible[positions.astype(int)]).astype(float)
+    return eligible[positions.astype(int)]
 
 
 def _yearly_order(series: CountSeries, spec: DecompSpec) -> int:

@@ -11,7 +11,9 @@ Each column's dense value ranks are computed once per fit. A node sorts
 all features' rows by rank in one stable sort, so tied rows keep the
 node's order, and scores only the cuts between distinct values, of all
 features in one array pass: the same splits and floating-point sums as a
-scan of one column at a time. The sort and the cuts depend only on the
+scan of one column at a time. The sorted rows are kept in feature pairs,
+so that the residuals' prefix sums add two features per complex add, each
+lane in its own column's order. The sort and the cuts depend only on the
 node's ordered rows, not on the residual, so a fit keeps them per node of
 the current and the previous tree and reuses them when a later tree reaches
 the same rows (the root recurs in every tree). Residuals are updated by
@@ -114,9 +116,12 @@ def _split_structure(ranks: np.ndarray, idx: np.ndarray, min_leaf: int):
     """The residual-free part of a node's split search: each feature's rows
     sorted stably by rank (so prefix sums add in a per-column scan's order)
     and the cuts between distinct values in (feature, cut) order, whose first
-    maximum gain is the tie-break. Returns (sorted rows, features, cuts, the
-    cuts' flat left-sum positions), or None when there is no cut."""
-    n = idx.size
+    maximum gain is the tie-break. The sorted rows are laid out in feature
+    pairs, (pair, row, lane) with feature j in pair j // 2, lane j % 2; an odd
+    feature count pads the last pair's second lane with the last feature's
+    rows, which no cut reads. Returns (sorted rows, features, cuts, the cuts'
+    flat left-sum positions in that layout), or None when there is no cut."""
+    n_features, n = ranks.shape[0], idx.size
     lo, hi = min_leaf, n - min_leaf + 1   # cut c puts sorted rows [0, c) left; n >= 2 * min_leaf
     node_ranks = ranks[:, idx]
     order = np.argsort(node_ranks, axis=1, kind="stable")
@@ -127,7 +132,21 @@ def _split_structure(ranks: np.ndarray, idx: np.ndarray, min_leaf: int):
         return None
     features, cuts = np.divmod(boundary, hi - lo)
     cuts += lo
-    return idx[order], features, cuts, features * n + cuts - 1
+    rows = idx[order]
+    pairs = np.empty(((n_features + 1) // 2, n, 2), dtype=rows.dtype)
+    pairs[:, :, 0] = rows[0::2]
+    pairs[:n_features // 2, :, 1] = rows[1::2]
+    pairs[n_features // 2:, :, 1] = rows[-1]
+    return pairs, features, cuts, (features // 2 * n + cuts - 1) * 2 + features % 2
+
+
+def _lane_cumsum(pairs: np.ndarray) -> None:
+    """Prefix sums along axis 1 of a C-contiguous (pairs, rows, 2) float64
+    array, in place. They run over its complex128 view: a complex add is two
+    independent IEEE adds, so each lane gets its own sequential prefix sum,
+    and one accumulate carries two dependency chains at once."""
+    lanes = pairs.view(np.complex128)
+    np.cumsum(lanes, axis=1, out=lanes)
 
 
 def _best_split(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.ndarray,
@@ -143,12 +162,12 @@ def _best_split(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.
     current[key] = structure
     if structure is None:
         return None
-    sorted_rows, features, cuts, left_at = structure
+    pairs, features, cuts, left_at = structure
     n = idx.size
     total = residual[idx].sum()
     base_term = total * total / n
-    prefix = residual[sorted_rows]
-    np.cumsum(prefix, axis=1, out=prefix)
+    prefix = residual[pairs]
+    _lane_cumsum(prefix)
 
     # gain = left**2 / c + right**2 / (n - c) - base_term: the same operations
     # in the same order as that expression, done in place where they can be
@@ -164,7 +183,7 @@ def _best_split(x: np.ndarray, ranks: np.ndarray, residual: np.ndarray, idx: np.
     if not gains[k] > 0.0:
         return None
     feature, cut = int(features[k]), int(cuts[k])
-    rows = sorted_rows[feature]
+    rows = pairs[feature // 2, :, feature % 2]
     threshold = (x[rows[cut - 1], feature] + x[rows[cut], feature]) / 2.0
     return float(gains[k]), feature, float(threshold), rows[:cut], rows[cut:]
 

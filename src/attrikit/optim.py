@@ -2,12 +2,17 @@
 
 Hand-rolled so the initial simplex, step ordering, and stopping rule are
 fully pinned down; fits that start from the same point always walk the
-same path regardless of library versions.
+same path regardless of library versions. The simplex has at most a
+handful of vertices, so they are lists of Python floats: each step does
+the IEEE operations of the array form, in the same order, without numpy's
+per-call overhead on tiny vectors. Only the objective sees arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
@@ -28,6 +33,13 @@ class MinimizeResult:
     converged: bool
 
 
+def _centroid(vertices: list[list[float]]) -> list[float]:
+    """``np.mean(vertices, axis=0)``: each coordinate summed in vertex order
+    from numpy's 0.0 start (so all -0.0 sums to 0.0), then divided."""
+    n = len(vertices)
+    return [reduce(add, column, 0.0) / n for column in zip(*vertices)]
+
+
 def nelder_mead(objective: Callable[[np.ndarray], float], x0: np.ndarray,
                 max_iter: int = 2000) -> MinimizeResult:
     """Minimize ``objective`` starting from ``x0``.
@@ -42,29 +54,41 @@ def nelder_mead(objective: Callable[[np.ndarray], float], x0: np.ndarray,
     if n == 0:
         return MinimizeResult(x=x0, fun=float(objective(x0)), n_iter=0, converged=True)
 
-    simplex = np.tile(x0, (n + 1, 1))
+    def value(vertex: list[float]) -> float:
+        return float(objective(np.array(vertex)))
+
+    start = x0.tolist()
+    simplex = [start]
     for i in range(n):
-        simplex[i + 1, i] += _INITIAL_STEP * max(1.0, abs(x0[i]))
-    fvals = np.array([objective(v) for v in simplex], dtype=float)
+        vertex = start.copy()
+        vertex[i] += _INITIAL_STEP * max(1.0, abs(start[i]))
+        simplex.append(vertex)
+    fvals = [value(v) for v in simplex]
 
     n_iter = 0
     while n_iter < max_iter:
-        order = np.argsort(fvals, kind="stable")
-        simplex, fvals = simplex[order], fvals[order]
+        # np.argsort(fvals, kind="stable"): ascending, NaN last, ties and NaNs kept in order
+        ranked = sorted(zip(fvals, simplex), key=lambda pair: (pair[0] != pair[0], pair[0]))
+        fvals, simplex = [f for f, _ in ranked], [v for _, v in ranked]
 
-        f_spread = abs(fvals[-1] - fvals[0])
-        x_spread = np.max(np.abs(simplex[1:] - simplex[0]))
-        if f_spread <= _F_TOL * (1.0 + abs(fvals[0])) and x_spread <= _X_TOL * (1.0 + np.max(np.abs(simplex[0]))):
-            return MinimizeResult(x=simplex[0], fun=float(fvals[0]), n_iter=n_iter, converged=True)
+        # A NaN in either spread fails its test, as the array form's NaN
+        # maximum does; a NaN in best makes some difference NaN, so the
+        # NaN-blind max() in x_bound cannot pass a test that should fail.
+        best = simplex[0]
+        if abs(fvals[-1] - fvals[0]) <= _F_TOL * (1.0 + abs(fvals[0])):
+            x_bound = _X_TOL * (1.0 + max(map(abs, best)))
+            if all(abs(a - b) <= x_bound for v in simplex[1:] for a, b in zip(v, best)):
+                return MinimizeResult(x=np.array(best), fun=fvals[0], n_iter=n_iter, converged=True)
 
         n_iter += 1
-        centroid = simplex[:-1].mean(axis=0)
-        xr = centroid + _RHO * (centroid - simplex[-1])
-        fr = objective(xr)
+        centroid = _centroid(simplex[:-1])
+        worst = simplex[-1]
+        xr = [c + _RHO * (c - w) for c, w in zip(centroid, worst)]
+        fr = value(xr)
 
         if fr < fvals[0]:
-            xe = centroid + _CHI * (xr - centroid)
-            fe = objective(xe)
+            xe = [c + _CHI * (r - c) for c, r in zip(centroid, xr)]
+            fe = value(xe)
             if fe < fr:
                 simplex[-1], fvals[-1] = xe, fe
             else:
@@ -73,23 +97,24 @@ def nelder_mead(objective: Callable[[np.ndarray], float], x0: np.ndarray,
             simplex[-1], fvals[-1] = xr, fr
         else:
             if fr < fvals[-1]:
-                xc = centroid + _GAMMA * (xr - centroid)
-                fc = objective(xc)
+                xc = [c + _GAMMA * (r - c) for c, r in zip(centroid, xr)]
+                fc = value(xc)
                 accept = fc <= fr
             else:
-                xc = centroid - _GAMMA * (centroid - simplex[-1])
-                fc = objective(xc)
+                xc = [c - _GAMMA * (c - w) for c, w in zip(centroid, worst)]
+                fc = value(xc)
                 accept = fc < fvals[-1]
             if accept:
                 simplex[-1], fvals[-1] = xc, fc
             else:
                 for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + _SIGMA * (simplex[i] - simplex[0])
-                    fvals[i] = objective(simplex[i])
+                    simplex[i] = [b + _SIGMA * (v - b) for b, v in zip(best, simplex[i])]
+                    fvals[i] = value(simplex[i])
 
-    best = int(np.argmin(fvals))
+    # the first NaN, else the first minimum: the value np.argmin picks
+    lowest = next((f for f in fvals if f != f), min(fvals))
     raise ConvergenceError(
         f"Nelder-Mead did not converge within {max_iter} iterations "
-        f"(best objective {fvals[best]:.6g})",
-        objective=float(fvals[best]),
+        f"(best objective {lowest:.6g})",
+        objective=lowest,
     )

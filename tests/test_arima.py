@@ -18,6 +18,7 @@ from attrikit.series import (DAILY, MAX_HORIZON, MONTHLY, CountSeries, Exclusion
                              check_fit_input)
 
 from conftest import within_taper_band
+from test_stats_optim import array_nelder_mead
 
 
 def make_series(values, mask=None, start=date(2022, 3, 1)):
@@ -279,3 +280,47 @@ def test_linear_filter_bit_equals_lfilter(theta, n, seed, negative_zeros):
     got, expected = linear_filter(a, x), lfilter([1.0], a, x)
     assert got.shape == expected.shape and got.dtype == expected.dtype
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def array_pacf_to_ar(pacf):
+    """Frozen oracle: the Durbin-Levinson recursion on arrays, as the library
+    ran it before it moved to Python floats."""
+    phi = np.empty(0)
+    for k, pk in enumerate(pacf):
+        prev = phi
+        phi = np.empty(k + 1)
+        phi[:k] = prev - pk * prev[::-1]
+        phi[k] = pk
+    return phi
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(x=st.lists(st.one_of(st.floats(-30.0, 30.0), st.sampled_from([-0.0, 5e-324, -5e-324])), max_size=5))
+def test_pacf_to_ar_matches_array_oracle(x):
+    # The partial autocorrelations _unpack makes: tanh of any real, +-0.0 and subnormals included.
+    pacf = np.tanh(np.array(x, dtype=float))
+    got, expected = arima._pacf_to_ar(pacf), array_pacf_to_ar(pacf)
+    assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+
+
+def _fit_bits(series, spec):
+    try:
+        res = fit(series, spec)
+    except ConvergenceError as err:
+        return str(err), np.float64(err.objective).tobytes()
+    return (res.phi.tobytes(), res.theta.tobytes(), np.float64(res.mu).tobytes(), np.float64(res.sigma2).tobytes(),
+            res.loglik, res.aic, res.n_used)
+
+
+@pytest.mark.parametrize("spec", [ArimaSpec(), ArimaSpec(2, 0, 2, use_log=False), ArimaSpec(0, 1, 0),
+                                  ArimaSpec(3, 1, 2, intercept=False), ArimaSpec(5, 2, 5)])
+@pytest.mark.parametrize("max_iter", [arima.MAX_ITER, 40])
+def test_fit_matches_array_optimizer(monthly_tanks_masked, daily_all, monkeypatch, spec, max_iter):
+    # Fits and budget errors have the bits the array simplex and recursion gave.
+    monkeypatch.setattr(arima, "MAX_ITER", max_iter)
+    for series in (monthly_tanks_masked, daily_all):
+        got = _fit_bits(series, spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(arima, "nelder_mead", array_nelder_mead)
+            patch.setattr(arima, "_pacf_to_ar", array_pacf_to_ar)
+            assert _fit_bits(series, spec) == got

@@ -574,7 +574,8 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 # command -> (flags besides --data and --out, a module it loads, modules it must not load).
-# No command loads _strptime: dates are matched by ingest's own patterns.
+# No command loads _strptime: dates are matched by ingest's own patterns. Nor does
+# compare's decomp fit load numpy.ma (~10 ms), which a plain np.unique imports.
 COMMAND_MODULES = {
     "ingest": ([], "attrikit.ingest", {"numpy", "attrikit.series", "_strptime"}),
     "aggregate": (["--granularity", "monthly"], "attrikit.series",
@@ -583,7 +584,8 @@ COMMAND_MODULES = {
     "forecast": (["--granularity", "monthly", "--model", "arima", "--horizon", "3", "--svg"], "attrikit.arima",
                  {"_strptime"} | {f"attrikit.{m}" for m in ("decomp", "gbtrees", "neural", "autodiff")}),
     "compare": (["--granularity", "monthly", "--models", "arima,decomp", "--initial-train", "30", "--horizon", "2"],
-                "attrikit.decomp", {"_strptime"} | {f"attrikit.{m}" for m in ("gbtrees", "neural", "autodiff")}),
+                "attrikit.decomp",
+                {"_strptime", "numpy.ma"} | {f"attrikit.{m}" for m in ("gbtrees", "neural", "autodiff")}),
 }
 
 

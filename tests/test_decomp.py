@@ -12,7 +12,7 @@ from scipy.linalg import cho_factor, cho_solve
 from attrikit import _kernels, arima
 from attrikit._kernels import cholesky_solve
 from attrikit.arima import ArimaSpec
-from attrikit.decomp import DecompFit, DecompSpec, components, fit, forecast, predict
+from attrikit.decomp import DecompFit, DecompSpec, _changepoints, components, fit, forecast, predict
 from attrikit.errors import ModelError, SchemaError
 from attrikit.factories import forecast_model
 from attrikit.series import DAILY, MONTHLY, CountSeries
@@ -368,3 +368,18 @@ def test_cholesky_solve_rejects_non_finite_input(fallback_kernels, fallback):
         cholesky_solve(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2))
     with pytest.raises(ValueError, match="infs or NaNs"):
         cholesky_solve(np.eye(2), np.array([1.0, np.inf]))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(gaps=st.lists(st.integers(1, 40), min_size=1, max_size=400), n_changepoints=st.integers(0, 500),
+       changepoint_range=st.floats(0.0, 1.0, exclude_min=True))
+def test_changepoints_are_distinct_quantiles_of_observed_time(gaps, n_changepoints, changepoint_range):
+    # The cap keeps the quantile positions over one apart: the picks need no
+    # dedup and equal the np.unique of them the fit once took.
+    t_obs = np.cumsum(gaps).astype(float)
+    spec = DecompSpec(n_changepoints=n_changepoints, changepoint_range=changepoint_range)
+    cps = _changepoints(t_obs, spec)
+    eligible = t_obs[:int(np.floor(changepoint_range * len(t_obs)))]
+    n_cp = min(n_changepoints, max(len(eligible) - 2, 0))
+    expected = np.unique(eligible[np.linspace(0, len(eligible) - 1, n_cp + 1)[1:].astype(int)]) if n_cp else []
+    assert cps.dtype == np.float64 and cps.tobytes() == np.asarray(expected, dtype=float).tobytes()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from datetime import date, timedelta
 
@@ -458,6 +459,13 @@ _STEP = np.repeat([0.0, 1.0], 12)
                                            [2, 2, 1, 2, 1, 0, 0, 1, 0, 3]]),
                           [-1.0, -0.0, -0.1, -0.4, 1.7, -0.7, 1.2, 0.6, -2.1, -0.3],
                           n_trees=5, max_depth=2, learning_rate=0.1, min_samples_leaf=2))
+# one feature: the only pair's second lane is padding
+@example(problem=_problem(np.arange(20.0)[:, None], np.repeat([1.0, 4.0], 10) + _EXAMPLE_RNG.normal(0.0, 0.5, 20),
+                          n_trees=3, max_depth=3, min_samples_leaf=2))
+# three features, the signal in the last: the splits read lane 0 of the padded pair
+@example(problem=_problem(np.column_stack([_EXAMPLE_RNG.integers(0, 3, 24), _EXAMPLE_RNG.normal(0.0, 1.0, 24),
+                                           np.arange(24.0)]),
+                          np.repeat([0.0, 6.0, 2.0], 8), n_trees=4, max_depth=3, min_samples_leaf=2))
 def test_fit_matches_per_column_oracle(problem):
     # Every split's gain, in build order, as well as the trees: _build_tree
     # reaches _best_split through the module, so a spy there sees each one.
@@ -478,6 +486,27 @@ def test_fit_matches_per_column_oracle(problem):
     assert model_key(model) == model_key(oracle)
     assert model.stage_rmse == oracle.stage_rmse
     assert gains == oracle_gains
+
+
+# Zeros of both signs, subnormals, the largest finite values, infinities and
+# NaN. NaN is one bit pattern: which of two different NaNs an add keeps is not
+# pinned down, and a fit's residuals are finite.
+LANE_VALUES = st.one_of(st.floats(allow_nan=False),
+                        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(values=st.tuples(st.integers(1, 3), st.integers(1, 40)).flatmap(
+    lambda shape: st.lists(LANE_VALUES, min_size=2 * shape[0] * shape[1], max_size=2 * shape[0] * shape[1])
+    .map(lambda v: np.array(v).reshape(shape[0], shape[1], 2))))
+@example(values=np.array([[[math.inf, -0.0], [-math.inf, -0.0], [math.nan, 5e-324], [1.0, -5e-324]]]))
+def test_lane_cumsum_is_each_lanes_cumsum(values):
+    # A complex add is two independent IEEE adds: each lane is its own sequential prefix sum.
+    got = values.copy()
+    with np.errstate(all="ignore"):
+        gb._lane_cumsum(got)
+        expected = np.stack([np.cumsum(values[:, :, lane], axis=1) for lane in (0, 1)], axis=-1)
+    assert got.tobytes() == expected.tobytes()
 
 
 def _daily_tanks(records, category=Category.TANK):

@@ -481,6 +481,9 @@ HOSTILE_PIECES = st.sampled_from([
 @example(data=HEADER.encode() + b"2022-03-01,tank,\xff,,,,,\n")
 @example(data=HEADER.replace("\n", "\r").encode() + b"2022-03-01,tank,,,,,,\r")
 @example(data=HEADER.encode() + b'2022-03-01,"' + b"x" * 140_000 + b'"\n')
+# two records that differ only in a quoted line end; a universal-newline read of
+# records.csv would merge them
+@example(data=HEADER.encode() + b'2023-05-01,tank,"a\r\nb",destroyed,,,,\n2023-05-01,tank,"a\nb",destroyed,,,,\n')
 def test_cli_ingest_survives_hostile_bytes(data):
     """Any bytes give records plus a balanced report (exit 0) or a clean input error (exit 2)."""
     try:
@@ -507,7 +510,7 @@ def test_cli_ingest_survives_hostile_bytes(data):
         report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
         assert report["rows_read"] == (report["rows_parsed"] + len(report["unparsable_rows"])
                                        + report["duplicates_removed"])
-        records, _ = parse_records((out / "records.csv").read_text(encoding="utf-8"))
+        records, _ = parse_records((out / "records.csv").read_bytes().decode("utf-8"))
         assert len(records) == report["rows_parsed"]
 
 
